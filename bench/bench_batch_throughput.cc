@@ -97,7 +97,7 @@ BENCHMARK(BM_BatchCorpusNaive)->Arg(1)->Arg(4)
 
 // The enumeration-heavy PR 5 scenarios (valuation enumeration, bounded
 // member search, membership fan-out): the workload the compile-once
-// plan cache exists for.
+// plan table exists for.
 void BM_BatchEnumCorpus(benchmark::State& state) {
   RunBatchCorpus(state, JoinEngineMode::kIndexed, /*enum_heavy=*/true);
   state.SetLabel("batch: enumeration-heavy corpus, command=all, indexed");

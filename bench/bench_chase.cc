@@ -15,10 +15,9 @@ namespace ocdx {
 namespace {
 
 void RunChaseConference(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
-  // iterations, as the driver/CLI attach per command run (the uncached
-  // path is CI's OCDX_PLAN_CACHE=off job).
-  const EngineContext ctx = EngineContext::CachedForMode(mode);
+  // Production configuration: a job-scoped plan table carried across
+  // iterations, as the driver/CLI attach per command run.
+  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
   const size_t papers = static_cast<size_t>(state.range(0));
   Universe u;
   Result<ConferenceScenario> sc =
@@ -58,10 +57,9 @@ void BM_ChaseConferenceNaive(benchmark::State& state) {
 BENCHMARK(BM_ChaseConferenceNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void RunChaseCopy(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
-  // iterations, as the driver/CLI attach per command run (the uncached
-  // path is CI's OCDX_PLAN_CACHE=off job).
-  const EngineContext ctx = EngineContext::CachedForMode(mode);
+  // Production configuration: a job-scoped plan table carried across
+  // iterations, as the driver/CLI attach per command run.
+  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
   const size_t edges = static_cast<size_t>(state.range(0));
   Universe u;
   Schema src;
@@ -100,10 +98,9 @@ BENCHMARK(BM_ChaseCopyNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
 // Chase with an FO body (negation): the third conference rule needs a
 // subquery per paper.
 void RunChaseNegatedBody(benchmark::State& state, JoinEngineMode mode) {
-  // Production configuration: a job-scoped plan cache carried across
-  // iterations, as the driver/CLI attach per command run (the uncached
-  // path is CI's OCDX_PLAN_CACHE=off job).
-  const EngineContext ctx = EngineContext::CachedForMode(mode);
+  // Production configuration: a job-scoped plan table carried across
+  // iterations, as the driver/CLI attach per command run.
+  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
   const size_t n = static_cast<size_t>(state.range(0));
   Universe u;
   Schema src, tgt;

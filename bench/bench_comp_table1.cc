@@ -29,10 +29,10 @@ void BM_Table1ClosedSigma(benchmark::State& state) {
   Result<ColoringReduction> red = BuildColoringReduction(g, &u);
   uint64_t intermediates = 0;
   bool member = false;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
-      EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<ComposeVerdict> v =
         InComposition(red.value().sigma, red.value().delta,
@@ -58,10 +58,10 @@ void BM_Table1ClosedSigmaReject(benchmark::State& state) {
   Result<ColoringReduction> red =
       BuildColoringReduction(CompleteGraph(n), &u);
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
-      EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<ComposeVerdict> v =
         InComposition(red.value().sigma, red.value().delta,
@@ -100,10 +100,10 @@ void BM_Table1MonotoneOpenDelta(benchmark::State& state) {
   }
   w.Add("P", {u.IntConst(0), u.IntConst(0)});
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
-      EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<ComposeVerdict> v =
         InComposition(sigma.value(), delta.value(), s, w, &u, {}, ctx);
@@ -143,10 +143,10 @@ void BM_Table1OpenOneGeneral(benchmark::State& state) {
   opts.enum_options.max_universe = 16;
   uint64_t intermediates = 0;
   bool member = false;
-  // Production configuration: a job-scoped plan cache carried across
+  // Production configuration: a job-scoped plan table carried across
   // iterations (the driver/CLI attach one per command run).
   const EngineContext ctx =
-      EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<ComposeVerdict> v =
         InComposition(sigma.value(), delta.value(), s, w, &u, opts, ctx);

@@ -1,21 +1,13 @@
 // Fan-out setup economics: what does a shard (or a preload request)
 // pay before it can do any work?
 //
-//   BM_CloneSetup_*    the pre-PR 10 cost — a deep Universe::Clone per
-//                      shard (constant table + null registry +
-//                      justification arena, copied)
 //   BM_OverlaySetup_*  the frozen-base cost — Universe::NewOverlay per
 //                      shard (a view; nothing copied)
 //   BM_WarmRequest_*   one warm `ocdxd --preload` request against a
 //                      frozen snapshot bundle of the largest corpus
-//                      scenario, shared plan table attached — the
-//                      steady-state serving cost this PR optimizes
-//
-// The acceptance headline is CloneSetup / OverlaySetup real_time on the
-// BulkImport pair (tests/corpus/bulk_import.dx, the largest corpus
-// scenario, ~24k facts): per-shard setup must come in at least 5x
-// cheaper with overlays (in BENCH_pr10.json the ratio is orders of
-// magnitude — an overlay never touches the 24k-constant table).
+//                      scenario (tests/corpus/bulk_import.dx, ~24k
+//                      facts), the bundle's plan table attached — the
+//                      steady-state serving cost
 
 #include <benchmark/benchmark.h>
 
@@ -28,8 +20,7 @@
 #include <vector>
 
 #include "base/value.h"
-#include "plan/plan_cache.h"
-#include "plan/shared_plan_table.h"
+#include "plan/plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_parser.h"
 
@@ -68,26 +59,7 @@ bool ParseLargest(Universe* universe) {
   return scenario.ok();
 }
 
-// Pre-PR 10 per-shard setup: one deep clone of the caller's universe.
-void BM_CloneSetup_BulkImport(benchmark::State& state) {
-  Universe base;
-  if (!ParseLargest(&base)) {
-    state.SkipWithError("cannot parse the largest corpus scenario");
-    return;
-  }
-  uint64_t copied = 0;
-  for (auto _ : state) {
-    copied = 0;
-    std::unique_ptr<Universe> shard = base.Clone(&copied);
-    benchmark::DoNotOptimize(shard);
-  }
-  state.counters["clone_bytes"] = static_cast<double>(copied);
-  state.SetLabel("per-shard setup, deep Universe::Clone (pre-PR 10)");
-}
-BENCHMARK(BM_CloneSetup_BulkImport)->Unit(benchmark::kMicrosecond);
-
-// Frozen-base per-shard setup: one copy-on-write overlay. The >=5x
-// acceptance ratio is CloneSetup/OverlaySetup real_time.
+// Frozen-base per-shard setup: one copy-on-write overlay.
 void BM_OverlaySetup_BulkImport(benchmark::State& state) {
   Universe base;
   if (!ParseLargest(&base)) {
@@ -99,28 +71,12 @@ void BM_OverlaySetup_BulkImport(benchmark::State& state) {
     std::unique_ptr<Universe> shard = base.NewOverlay();
     benchmark::DoNotOptimize(shard);
   }
-  state.counters["bytes_avoided"] = static_cast<double>(base.ApproxCloneBytes());
   state.SetLabel("per-shard setup, copy-on-write overlay (PR 10)");
 }
 BENCHMARK(BM_OverlaySetup_BulkImport)->Unit(benchmark::kMicrosecond);
 
-// An 8-wide fan-out's whole setup bill, both ways — the number a user
-// sees between `--shards=8` arriving and the workers starting.
-void BM_CloneSetup_8Shards(benchmark::State& state) {
-  Universe base;
-  if (!ParseLargest(&base)) {
-    state.SkipWithError("cannot parse the largest corpus scenario");
-    return;
-  }
-  for (auto _ : state) {
-    std::vector<std::unique_ptr<Universe>> shards;
-    for (int s = 0; s < 8; ++s) shards.push_back(base.Clone());
-    benchmark::DoNotOptimize(shards);
-  }
-  state.SetLabel("8-shard fan-out setup via clones");
-}
-BENCHMARK(BM_CloneSetup_8Shards)->Unit(benchmark::kMicrosecond);
-
+// An 8-wide fan-out's whole setup bill — the number a user sees between
+// `--shards=8` arriving and the workers starting.
 void BM_OverlaySetup_8Shards(benchmark::State& state) {
   Universe base;
   if (!ParseLargest(&base)) {
@@ -138,10 +94,10 @@ void BM_OverlaySetup_8Shards(benchmark::State& state) {
 BENCHMARK(BM_OverlaySetup_8Shards)->Unit(benchmark::kMicrosecond);
 
 // One warm request against a preloaded, frozen snapshot bundle of the
-// largest corpus scenario, with the bundle's shared plan table attached
-// — exactly what `ocdxd --preload` does per request in steady state
-// (overlay mint + evaluate; no parse, no chase, no clone, plans
-// compiled once per bundle lifetime).
+// largest corpus scenario, with the bundle's plan table attached —
+// exactly what `ocdxd --preload` does per request in steady state
+// (overlay mint + evaluate; no parse, no chase, no copy, plans compiled
+// once per bundle lifetime).
 void BM_WarmRequest_BulkImport(benchmark::State& state) {
   const std::string file = LargestCorpusFile();
   if (file.empty()) {
@@ -154,9 +110,8 @@ void BM_WarmRequest_BulkImport(benchmark::State& state) {
     state.SkipWithError(bundle.status().ToString().c_str());
     return;
   }
-  plan::SharedPlanTable plans;
   DxDriverOptions options;
-  if (plan::PlanCache::EnabledByEnv()) options.engine.shared_plans = &plans;
+  options.engine.plans = std::make_shared<plan::PlanTable>();
   EngineStats stats;
   options.engine.stats = &stats;
   for (auto _ : state) {
@@ -169,11 +124,9 @@ void BM_WarmRequest_BulkImport(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.counters["overlay_mints"] = static_cast<double>(stats.overlay_mints);
-  state.counters["clone_bytes_avoided"] =
-      static_cast<double>(stats.clone_bytes_avoided);
-  state.counters["shared_plan_hits"] =
-      static_cast<double>(stats.shared_plan_hits);
-  state.SetLabel("warm preload request: overlay + evaluate, shared plans");
+  state.counters["plan_cache_hits"] =
+      static_cast<double>(stats.plan_cache_hits);
+  state.SetLabel("warm preload request: overlay + evaluate, bundle plans");
 }
 BENCHMARK(BM_WarmRequest_BulkImport)->Unit(benchmark::kMillisecond);
 

@@ -19,10 +19,9 @@ namespace {
 
 void RunMembership(benchmark::State& state, bool all_open, bool want_match,
                    JoinEngineMode mode = JoinEngineMode::kIndexed) {
-  // Production configuration: a job-scoped plan cache carried across
-  // iterations, as the driver/CLI attach per command run (the uncached
-  // path is CI's OCDX_PLAN_CACHE=off job).
-  const EngineContext ctx = EngineContext::CachedForMode(mode);
+  // Production configuration: a job-scoped plan table carried across
+  // iterations, as the driver/CLI attach per command run.
+  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
   const size_t n = static_cast<size_t>(state.range(0));
   Universe u;
   Rng rng(2024 + n);

@@ -28,9 +28,9 @@ void RunProp6(benchmark::State& state, bool positive_case) {
   }
   bool member = false;
   uint64_t intermediates = 0;
-  // Production configuration: a job-scoped plan cache across iterations.
+  // Production configuration: a job-scoped plan table across iterations.
   const EngineContext ctx =
-      EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<ComposeVerdict> v = InComposition(
         sc.value().sigma, sc.value().delta, sc.value().source, w, &u, {}, ctx);

@@ -1,6 +1,6 @@
 // Intra-job fan-out: a full RepA member enumeration (fixed space, no
 // early stop) at shard widths 1/2/4/8. The series measures the scoped
-// per-fan-out pool + scratch-Universe-clone overhead against the
+// per-fan-out pool + per-shard Universe-overlay overhead against the
 // parallel speedup; on a single-core host the widths record parity
 // (interleaving cannot beat the sequential walk), on a multi-core host
 // the wall-clock drop at 4/8 is the headline number for ROADMAP item 1.
@@ -19,10 +19,9 @@ void BM_ShardedEnumeration(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   uint64_t members = 0;
   for (auto _ : state) {
-    // Rebuilt per iteration: the enumeration mints fresh constants into
-    // the universe, and a fan-out clones it per shard, so a shared
-    // long-lived universe would let earlier iterations pollute later
-    // ones.
+    // Rebuilt per iteration: the sequential enumeration mints fresh
+    // constants into the universe, so a shared long-lived universe would
+    // let earlier iterations pollute later ones.
     Universe u;
     AnnotatedInstance t;
     for (int i = 0; i < 4; ++i) {

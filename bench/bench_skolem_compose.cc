@@ -74,9 +74,10 @@ void BM_SkolemizeAndMembership(benchmark::State& state) {
     t.Add("R", {u.IntConst(static_cast<int64_t>(i)), u.Const("v")});
   }
   bool member = false;
-  // Production configuration: a job-scoped plan cache (see bench README
+  // Production configuration: a job-scoped plan table (see bench README
   // note in bench_semantics_lattice.cc).
-  const EngineContext ctx = EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+  const EngineContext ctx =
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<SkolemMembership> r = InSkolemSemantics(sk.value(), s, t, &u, {}, ctx);
     if (!r.ok()) {
@@ -102,7 +103,8 @@ void BM_SkolemSemanticAgreement(benchmark::State& state) {
   s.Add("A0", {setup.u.Const("a"), setup.u.Const("b")});
   w.Add("C0", {setup.u.Const("x"), setup.u.Const("y")});
   uint64_t interpretations = 0;
-  const EngineContext ctx = EngineContext::CachedForMode(JoinEngineMode::kIndexed);
+  const EngineContext ctx =
+      EngineContext::ForMode(JoinEngineMode::kIndexed).EnsureCache();
   for (auto _ : state) {
     Result<SkolemMembership> lhs =
         InSkolemSemantics(gamma.value().gamma, s, w, &setup.u, {}, ctx);

@@ -240,7 +240,7 @@ void BM_WarmLoad_Corpus(benchmark::State& state) {
 BENCHMARK(BM_WarmLoad_Corpus)->Unit(benchmark::kMillisecond);
 
 // End-to-end warm command: load once, serve `all` repeatedly — the
-// ocdxd --preload steady state (clone + evaluate, no parse, no chase).
+// ocdxd --preload steady state (overlay + evaluate, no parse, no chase).
 void BM_WarmServe_Synthetic(benchmark::State& state) {
   Result<snap::SnapshotBundle> bundle =
       snap::BuildSnapshotBundle("synthetic.dx", SyntheticHeavyScenario());

@@ -78,52 +78,6 @@ bool Universe::LoadWitnessValues(std::span<const Value> values) {
   return true;
 }
 
-uint64_t Universe::ApproxCloneBytes() const {
-  // Approximate on purpose: NullInfo's var/label heap strings are not
-  // counted (labels are rare outside tests), and interner hash-table
-  // overhead is ignored. Good enough to make the clone-vs-overlay win
-  // visible in EngineStats without an O(n) walk.
-  uint64_t bytes = consts_.byte_size() +
-                   uint64_t{nulls_.size()} * sizeof(NullInfo) +
-                   (witness_size_ - base_witness_) * sizeof(Value);
-  if (base_ != nullptr) bytes += base_->ApproxCloneBytes();
-  return bytes;
-}
-
-std::unique_ptr<Universe> Universe::Clone(uint64_t* copied_bytes) const {
-  CheckRead();
-  assert(base_ == nullptr &&
-         "Clone() targets root universes; an overlay is already a cheap "
-         "view — overlay the root instead");
-  auto out = std::make_unique<Universe>();
-  out->consts_ = consts_;
-  // WitnessRef handles are logical offsets, which the compacted copy
-  // below preserves — so the nulls (and any serialized ChaseTrigger refs)
-  // mean the same thing in the clone with no fixup at all.
-  out->nulls_ = nulls_;
-  if (witness_size_ != 0) {
-    // One pass: a single chunk reserved to the exact arena size, filled
-    // straight from the source chunks. (This used to flatten into a
-    // temporary vector with AppendWitnessValues and then copy *again*
-    // through LoadWitnessValues.)
-    out->witness_chunks_.emplace_back();
-    WitnessChunk& chunk = out->witness_chunks_.back();
-    chunk.base = 0;
-    chunk.data.reserve(static_cast<size_t>(witness_size_));
-    for (const WitnessChunk& c : witness_chunks_) {
-      chunk.data.insert(chunk.data.end(), c.data.begin(), c.data.end());
-    }
-    out->witness_left_ = 0;
-    out->witness_size_ = witness_size_;
-  }
-  if (copied_bytes != nullptr) *copied_bytes += ApproxCloneBytes();
-  // Make sure the clone leaves this function unowned so a pool worker can
-  // claim it (nothing above goes through the clone's public, owner-checked
-  // API, but the contract is worth enforcing explicitly).
-  out->owner_.store(std::thread::id{}, std::memory_order_relaxed);
-  return out;
-}
-
 std::unique_ptr<Universe> Universe::NewOverlay() const {
   assert(read_only() &&
          "NewOverlay() needs a frozen or shared base: call Freeze() or "

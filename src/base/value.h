@@ -83,8 +83,9 @@ struct ValueHash {
 
 /// A relocatable handle to a stored witness tuple in a Universe's
 /// justification arena: dense logical offset + length (see
-/// Universe::InternWitness). Offsets are stable across Universe::Clone
-/// and serializable verbatim (src/snap) — no pointer fixup on reload.
+/// Universe::InternWitness). Offsets are stable across overlays
+/// (Universe::NewOverlay) and serializable verbatim (src/snap) — no
+/// pointer fixup on reload.
 /// The default-constructed ref is the empty witness.
 struct WitnessRef {
   uint64_t offset = 0;
@@ -148,31 +149,15 @@ struct NullInfo {
 ///     mints (constants, nulls, witnesses) land in the overlay's private
 ///     delta under the ordinary one-owner rule. Ids continue the base's
 ///     id spaces, so a value minted through an overlay is bit-identical
-///     to the value a full Clone() would have minted — which is what
-///     keeps canonical output byte-identical when fan-out and snapshot
-///     serving build overlays instead of clones. The base must stay
+///     to the value the base itself would have minted next — which is
+///     what keeps canonical output byte-identical when fan-out and
+///     snapshot serving mint through overlays. The base must stay
 ///     frozen/shared (and alive) for the overlay's whole lifetime.
 class Universe {
  public:
   Universe() = default;
   Universe(const Universe&) = delete;
   Universe& operator=(const Universe&) = delete;
-
-  /// A deep scratch copy. Same constants under the same ids, same nulls,
-  /// and a compacted justification arena preserving every logical offset
-  /// (WitnessRef handles mean the same thing in both universes). The
-  /// clone is returned *unowned* — the first thread to touch it claims it
-  /// under the one-Universe-per-job rule. Values minted before the clone
-  /// point mean the same thing in both universes; values minted
-  /// afterwards are private to whichever universe minted them.
-  ///
-  /// The former hot-path users (shard fan-out, snapshot serving) now take
-  /// NewOverlay() instead; Clone() remains for callers that genuinely
-  /// need an independent mutable copy. When `copied_bytes` is given,
-  /// ApproxCloneBytes() is added to it — callers fold that into
-  /// EngineStats::clone_bytes_copied. Root universes only (asserts on
-  /// overlays).
-  std::unique_ptr<Universe> Clone(uint64_t* copied_bytes = nullptr) const;
 
   /// Seals the universe read-only, permanently: after Freeze() any thread
   /// may read concurrently, every mutation asserts, and NewOverlay()
@@ -208,25 +193,20 @@ class Universe {
 
   /// A copy-on-write overlay over this (frozen or shared) universe: reads
   /// fall through, mints land in the overlay's private delta, and ids
-  /// continue this universe's id spaces — exactly the ids Clone() + mint
-  /// would have produced, with none of the copying. Returned unowned,
-  /// like Clone(). The base must outlive the overlay and stay read-only
-  /// for the overlay's whole lifetime.
+  /// continue this universe's id spaces — exactly the ids the base would
+  /// have minted next, with nothing copied. Returned *unowned*: the first
+  /// thread to touch it claims it under the one-Universe-per-job rule.
+  /// The base must outlive the overlay and stay read-only for the
+  /// overlay's whole lifetime.
   std::unique_ptr<Universe> NewOverlay() const;
 
   /// True iff this universe is an overlay (NewOverlay) over some base.
   bool is_overlay() const { return base_ != nullptr; }
 
-  /// Approximate heap bytes a Clone() of this universe copies: interned
-  /// constant characters, the null registry records and the justification
-  /// arena values. O(1); feeds the clone_bytes_copied / clone_bytes_avoided
-  /// EngineStats counters.
-  uint64_t ApproxCloneBytes() const;
-
   /// Interns a constant by name and returns its Value. On an overlay the
   /// frozen base is probed first (read, any thread); only genuinely new
   /// names land in the overlay's private delta, continuing the base's id
-  /// space — the same id a clone would have assigned.
+  /// space — the same id the base would have assigned next.
   Value Const(std::string_view name) {
     if (base_ != nullptr) {
       Value v = base_->FindConst(name);
@@ -307,7 +287,7 @@ class Universe {
   std::string Describe(Value v) const;
 
   /// Counts include the base's values when this is an overlay: an overlay
-  /// looks like the clone it replaces.
+  /// looks like one universe holding base and delta.
   size_t num_consts() const { return base_consts_ + consts_.size(); }
   size_t num_nulls() const { return base_nulls_ + nulls_.size(); }
 

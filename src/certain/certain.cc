@@ -71,11 +71,10 @@ size_t LeadingForallCount(const FormulaPtr& q) {
 Result<CertainAnswerEngine> CertainAnswerEngine::Create(
     const Mapping& mapping, const Instance& source, Universe* universe,
     const EngineContext& ctx) {
-  // The engine's private context carries a plan cache (unless the caller
-  // already attached one, or OCDX_PLAN_CACHE=off): the member-enumeration
-  // loops below evaluate each query over thousands of member instances,
-  // and the cache is what makes that O(queries) compilations instead of
-  // O(members x queries).
+  // The engine's private context carries a plan table (unless the caller
+  // already attached one): the member-enumeration loops below evaluate
+  // each query over thousands of member instances, and the table is what
+  // makes that O(queries) compilations instead of O(members x queries).
   EngineContext engine_ctx = ctx;
   engine_ctx.EnsureCache();
   OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
@@ -86,8 +85,8 @@ Result<CertainAnswerEngine> CertainAnswerEngine::Create(
 CertainAnswerEngine CertainAnswerEngine::FromCanonical(
     const Mapping& mapping, CanonicalSolution csol, Universe* universe,
     const EngineContext& ctx) {
-  // Same cache policy as Create: member enumeration re-evaluates each
-  // query per member, so the engine wants a plan cache regardless of how
+  // Same table policy as Create: member enumeration re-evaluates each
+  // query per member, so the engine wants a plan table regardless of how
   // the canonical solution was obtained.
   EngineContext engine_ctx = ctx;
   engine_ctx.EnsureCache();

@@ -7,8 +7,6 @@
 #include "exec/pool.h"
 #include "logic/engine_context.h"
 #include "obs/trace.h"
-#include "plan/plan_cache.h"
-#include "plan/shared_plan_table.h"
 #include "util/combinatorics.h"
 #include "util/fault.h"
 #include "util/str.h"
@@ -54,9 +52,6 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
                                     std::atomic<bool>* stop,
                                     std::atomic<uint64_t>* total_members,
                                     ShardOutcome* out) const {
-  obs::ScopedSpan span(shard.ctx != nullptr ? shard.ctx->stats : nullptr,
-                       shard.ctx != nullptr ? shard.ctx->trace : nullptr,
-                       obs::kPhaseEnumShard);
   Universe* universe = shard.universe;
   const Budget no_budget;
   const Budget& budget = shard.ctx != nullptr ? shard.ctx->budget : no_budget;
@@ -306,8 +301,9 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
 
   if (shards == 1) {
     // Sequential: the shard *is* the caller's job — same universe, same
-    // context (budget cancel stays the caller's flag, the engine-level
-    // plan cache keeps serving every query of the job).
+    // context (budget cancel stays the caller's flag, the job's plan
+    // table keeps serving every query). No enum-shard span: the whole
+    // run is already timed as member-enum.
     MemberShard shard{0, 1, universe_, ctx_};
     ShardMemberFn fn = factory(shard);
     RunShard(shard, fn, &stop, &total_members, &outcomes[0]);
@@ -315,15 +311,15 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     // Fan-out over copy-on-write overlays of the caller's universe. The
     // caller's universe is read-shared for the fan-out's duration; every
     // shard (including shard 0, which runs on the calling thread) mints
-    // through its own private overlay, so nothing is deep-copied — the
-    // PR 7 design cloned the whole universe per worker shard. Overlay
-    // ids continue the base's id spaces, which is exactly what a clone
-    // would have assigned, so canonical output is unchanged bit for bit.
-    // Compiled plans are shared through one thread-safe SharedPlanTable
-    // (seeded from / exported back to the caller's per-job cache), so a
-    // fan-out compiles each query exactly once instead of once per
-    // shard. Contexts and visitors are fully built (factory called
-    // serially, in shard order) before any worker starts.
+    // through its own private overlay, so nothing is deep-copied. Overlay
+    // ids continue the base's id spaces, exactly the ids the caller's
+    // universe would have assigned, so canonical output is unchanged bit
+    // for bit.
+    // Every shard context copies the caller's, so all shards probe the
+    // caller's thread-safe plan table: a query compiles once per job, not
+    // once per shard or per fan-out. Contexts and visitors are fully
+    // built (factory called serially, in shard order) before any worker
+    // starts.
     std::vector<std::unique_ptr<Universe>> overlays;
     std::vector<EngineContext> shard_ctxs(shards);
     std::vector<EngineStats> shard_stats(shards);
@@ -338,21 +334,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     const EngineContext base_ctx =
         ctx_ != nullptr ? *ctx_ : EngineContext();
 
-    // The shard plan table: the job's own (ocdxd preload serving hands
-    // one down) or a fan-out-local one. Seeding from the caller's cache
-    // keeps repeated fan-outs of one job compile-once — certain-answer
-    // checks run one fan-out per candidate tuple.
-    std::unique_ptr<plan::SharedPlanTable> local_table;
-    plan::SharedPlanTable* table = base_ctx.shared_plans;
-    if (table == nullptr && !base_ctx.plan_cache_opt_out &&
-        plan::PlanCache::EnabledByEnv()) {
-      local_table = std::make_unique<plan::SharedPlanTable>();
-      if (base_ctx.plan_cache != nullptr) {
-        local_table->SeedFromCache(*base_ctx.plan_cache);
-      }
-      table = local_table.get();
-    }
-
     Universe::ScopedReadShare share(*universe_);
     {
       obs::ScopedSpan setup_span(ctx_ != nullptr ? ctx_->stats : nullptr,
@@ -362,12 +343,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       for (size_t s = 0; s < shards; ++s) {
         overlays.push_back(universe_->NewOverlay());
         shard_ctxs[s] = base_ctx;
-        // The shared table replaces per-shard caches on this path (the
-        // caller's unsynchronized cache must not be touched from worker
-        // threads; WithFreshCache here meant compiling every query once
-        // per shard).
-        shard_ctxs[s].plan_cache = nullptr;
-        shard_ctxs[s].shared_plans = table;
         shard_ctxs[s].stats = &shard_stats[s];
         shard_ctxs[s].budget.cancel = &stop;
         shard_ctxs[s].shards = 1;  // Fan-out never nests.
@@ -381,26 +356,21 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
         fns.push_back(factory(shard_descs[s]));
       }
     }
+    auto run_shard = [&](size_t s) {
+      obs::ScopedSpan span(shard_ctxs[s].stats, shard_ctxs[s].trace,
+                           obs::kPhaseEnumShard);
+      RunShard(shard_descs[s], fns[s], &stop, &total_members, &outcomes[s]);
+    };
     {
       // A scoped pool of our own: submitting intra-job work to the outer
       // exec/ batch pool from inside a job could deadlock (all its
       // workers may be the jobs waiting for these very tasks).
       ThreadPool pool(shards - 1);
       for (size_t s = 1; s < shards; ++s) {
-        pool.Submit([this, s, &shard_descs, &fns, &stop, &total_members,
-                     &outcomes] {
-          RunShard(shard_descs[s], fns[s], &stop, &total_members,
-                   &outcomes[s]);
-        });
+        pool.Submit([&run_shard, s] { run_shard(s); });
       }
-      RunShard(shard_descs[0], fns[0], &stop, &total_members, &outcomes[0]);
+      run_shard(0);
     }  // <- pool drained: every shard finished, results visible here.
-    // Give plans compiled during this fan-out back to the caller's
-    // per-job cache (counter-free), so the next fan-out — or the job's
-    // own sequential evaluations — need not recompile them.
-    if (local_table != nullptr && base_ctx.plan_cache != nullptr) {
-      local_table->ExportTo(base_ctx.plan_cache.get());
-    }
     if (ctx_ != nullptr && ctx_->trace != nullptr) {
       for (size_t s = 1; s < shards; ++s) {
         if (shard_sinks[s] != nullptr) ctx_->trace->Absorb(*shard_sinks[s]);
@@ -412,10 +382,6 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
       ctx_->stats->enum_shard_tasks += shards;
       ++ctx_->stats->frozen_base_reuses;
       ctx_->stats->overlay_mints += shards;
-      // What the PR 7 design would have deep-copied: one clone per
-      // worker shard (shard 0 ran on the caller's universe directly).
-      ctx_->stats->clone_bytes_avoided +=
-          (shards - 1) * universe_->ApproxCloneBytes();
       if (stop.load(std::memory_order_relaxed)) {
         ++ctx_->stats->enum_shard_stops;
       }

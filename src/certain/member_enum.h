@@ -31,13 +31,12 @@
 // duration and each shard mints through its own copy-on-write overlay
 // (Universe::NewOverlay — nothing is cloned; overlay ids continue the
 // base's id spaces, honoring the one-Universe-per-job contract per
-// overlay), compiled plans are shared through one thread-safe
-// plan::SharedPlanTable (compile-once per fan-out), and the shard
-// contexts'
-// Budget::cancel points at a per-fan-out stop flag, so the first shard
-// that stops the run (counterexample found, intersection emptied, budget
-// trip) cooperatively cancels the NP searches still running in the
-// others. Shard results merge in shard order, and every merged observable
+// overlay), every shard probes the caller's thread-safe plan::PlanTable
+// (plan/plan_table.h; compile-once per job, whatever the shard count),
+// and the shard contexts' Budget::cancel points at a per-fan-out stop
+// flag, so the first shard that stops the run (counterexample found,
+// intersection emptied, budget trip) cooperatively cancels the NP
+// searches still running in the others. Shard results merge in shard order, and every merged observable
 // (outcome, the surfaced governed trip, the early-stop decision) is
 // chosen so canonical `ocdx` output is byte-identical for every shard
 // count; only members_visited() may vary under early stop, and the driver
@@ -102,8 +101,8 @@ enum class EnumOutcome {
 /// evaluate against: at shard count 1 they are the enumerator's own
 /// universe/context; under fan-out they are a private copy-on-write
 /// overlay of the read-shared caller universe and a per-shard context
-/// (no private plan cache — plans come from the fan-out's shared table)
-/// whose Budget::cancel is the fan-out's shared stop flag.
+/// (sharing the caller's plan table) whose Budget::cancel is the
+/// fan-out's shared stop flag.
 struct MemberShard {
   size_t index = 0;
   size_t count = 1;

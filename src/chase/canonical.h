@@ -34,7 +34,7 @@ namespace ocdx {
 /// justification arena (Universe::InternWitness / AllocateWitness;
 /// resolve with Universe::WitnessOf) and stay valid for the universe's
 /// lifetime — and, being offsets rather than pointers, they survive
-/// Universe::Clone and binary snapshotting (src/snap) verbatim.
+/// overlays and binary snapshotting (src/snap) verbatim.
 /// `witness` is the *same* stored copy the trigger's NullInfo
 /// justifications reference, so a firing costs one arena append instead
 /// of 1 + #existential-variables heap vectors.

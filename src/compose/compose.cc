@@ -87,7 +87,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
     }
   }
 
-  // One plan cache for the whole membership decision (unless the caller
+  // One plan table for the whole membership decision (unless the caller
   // attached one): the J-searches below run Delta's bodies over every
   // enumerated intermediate, so each query compiles once and rebinds
   // per J.
@@ -113,7 +113,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                      ? "valuation enumeration (all-closed Sigma, NP)"
                      : "valuation enumeration (monotone all-open Delta, "
                        "Lemma 3 / Cor 4, NP)";
-    // Requirement formulas built once: the plan cache keys on formula
+    // Requirement formulas built once: the plan table keys on formula
     // identity, so per-J construction would recompile per intermediate.
     const std::vector<FormulaPtr> delta_reqs =
         delta_monotone_open ? StdRequirements(delta) : std::vector<FormulaPtr>{};

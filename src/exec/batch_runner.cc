@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "exec/pool.h"
+#include "plan/plan_table.h"
 #include "text/dx_parser.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
@@ -21,10 +22,9 @@ BatchJobResult RunJob(const BatchJob& job) {
   BatchJobResult result;
   Stopwatch timer;
   DxDriverOptions options = job.spec.options;
-  // Each job gets its *own* plan cache (PlanCache is unsynchronized,
-  // like everything else a job owns); the spec's context never carries
+  // Each job gets its *own* plan table; the spec's context never carries
   // one across jobs.
-  options.engine = options.engine.WithFreshCache();
+  options.engine.plans = std::make_shared<plan::PlanTable>();
   options.engine.stats = &result.stats;
   // Same rule for the trace sink: allocated here, owned by this job's
   // result, never seen by another worker. A sink inherited from the

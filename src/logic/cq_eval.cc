@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "plan/plan_cache.h"
+#include "plan/plan_table.h"
 #include "plan/runner.h"
 
 namespace ocdx {

@@ -13,11 +13,10 @@
 // plan::CompileQuery produces the immutable, schema-level CompiledQuery
 // (slot frames, ordered atom steps, equality/guard schedules) and
 // plan::BindQuery rebinds it per instance. When `ctx` carries a plan
-// cache (EngineContext::plan_cache) the compile happens once per
-// (formula, schema fingerprint, engine mode) — the member-enumeration
-// loops call these thousands of times per query and pay for compilation
-// exactly once. Without a cache every call compiles privately, the
-// pre-PR 5 behavior.
+// table (EngineContext::plans, plan/plan_table.h) the compile happens
+// once per (formula, schema fingerprint, engine mode) — the member-
+// enumeration loops call these thousands of times per query and pay for
+// compilation exactly once. Without a table every call compiles.
 //
 // TryEvalCQNaive preserves the original string-keyed nested-loop-scan
 // implementation; it is the reference baseline for parity tests and

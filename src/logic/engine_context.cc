@@ -1,22 +1,12 @@
 #include "logic/engine_context.h"
 
-#include "plan/plan_cache.h"
+#include "plan/plan_table.h"
 
 namespace ocdx {
 
 EngineContext& EngineContext::EnsureCache() {
-  if (plan_cache == nullptr && !plan_cache_opt_out &&
-      plan::PlanCache::EnabledByEnv()) {
-    plan_cache = std::make_shared<plan::PlanCache>();
-  }
+  if (plans == nullptr) plans = std::make_shared<plan::PlanTable>();
   return *this;
-}
-
-EngineContext EngineContext::WithFreshCache() const {
-  EngineContext copy = *this;
-  copy.plan_cache = nullptr;
-  copy.EnsureCache();
-  return copy;
 }
 
 }  // namespace ocdx

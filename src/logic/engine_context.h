@@ -8,19 +8,19 @@
 //   - default step budgets for the NP search engines (homomorphism and
 //     RepA backtracking), applied as a *cap* on per-call options,
 //   - an optional per-job statistics sink, and
-//   - an optional per-job *plan cache* (src/plan): compiled query plans
-//     keyed by (formula identity, schema fingerprint, engine mode), so
-//     enumeration workloads — which evaluate one query over thousands of
-//     member instances — compile each query exactly once and rebind the
-//     immutable plan per instance.
+//   - an optional *plan table* (src/plan/plan_table.h): compiled query
+//     plans keyed by (formula identity, schema fingerprint, engine mode),
+//     so enumeration workloads — which evaluate one query over thousands
+//     of member instances — compile each query exactly once and rebind
+//     the immutable plan per instance.
 //
 // Contexts are small values: copy them freely, one per job. Copies of a
-// context *share* its plan cache (that is the point: every evaluation a
-// job performs sees the same cache). The batch executor (src/exec) gives
-// every job its own context, its own cache and its own Universe, which is
-// the entire concurrency contract — nothing in the engine synchronizes,
-// it simply never shares mutable state across jobs (see README.md
-// "Concurrency model").
+// context *share* its plan table (that is the point: every evaluation a
+// job performs, on any of its shard threads, sees the same table). The
+// batch executor (src/exec) gives every job its own context, its own
+// table and its own Universe. The plan table is the one engine structure
+// built for concurrent use; everything else simply never shares mutable
+// state across threads (see README.md "Concurrency model").
 
 #ifndef OCDX_LOGIC_ENGINE_CONTEXT_H_
 #define OCDX_LOGIC_ENGINE_CONTEXT_H_
@@ -34,8 +34,7 @@
 namespace ocdx {
 
 namespace plan {
-class PlanCache;
-class SharedPlanTable;
+class PlanTable;
 }  // namespace plan
 
 namespace obs {
@@ -44,131 +43,25 @@ class TraceSink;
 
 /// Per-job evaluation counters and phase timers. Plain (unsynchronized)
 /// integers: a sink must be owned by exactly one job, like everything
-/// else a job touches.
-///
-/// Every field is a uint64_t — counters count work units, `*_ns` timers
-/// accumulate monotonic-clock nanoseconds per engine phase (written by
-/// obs::ScopedSpan, src/obs/trace.h). The struct is deliberately a flat
-/// bag of uint64_t words: kU64Fields pins the field count (the
-/// static_assert below fires when a field is added without updating the
-/// manifest), tests/obs_test.cc pins that operator+= merges every word,
-/// and src/obs/report.cc pins that the rendering tables name every field.
+/// else a job touches. Every field is a uint64_t generated from the one
+/// field list in logic/engine_stats.def, which also generates operator+=
+/// and the src/obs/report.cc rendering table.
 struct EngineStats {
-  uint64_t cq_plans = 0;        ///< CQ join plans run (indexed or naive).
-  uint64_t generic_evals = 0;   ///< Active-domain fallback evaluations.
-  uint64_t chase_triggers = 0;  ///< STD firings across all chases.
-  uint64_t hom_steps = 0;       ///< Homomorphism-search work units.
-  uint64_t repa_steps = 0;      ///< RepA-search work units.
-  uint64_t plan_compiles = 0;   ///< CompiledQuery constructions (src/plan).
-  uint64_t plan_cache_hits = 0;    ///< Plan-cache lookups served.
-  uint64_t plan_cache_misses = 0;  ///< Plan-cache lookups that compiled.
-  /// Formulas whose CQ recognition failed *because* a negated guard body
-  /// itself contains a negation (the one-level guard limit); these fall
-  /// back to the generic evaluator.
-  uint64_t guard_depth_fallbacks = 0;
-  /// Chase runs stopped by the trigger or fresh-null budget.
-  uint64_t chase_budget_trips = 0;
-  /// Wall-clock deadline expirations observed by budget gauges.
-  uint64_t deadline_trips = 0;
-  /// Jobs that ended via the cooperative cancellation flag.
-  uint64_t cancelled_jobs = 0;
-  /// Member enumerations that actually fanned out (EngineContext::shards
-  /// > 1 and the sharded entry point was used).
-  uint64_t enum_shard_runs = 0;
-  /// Shard tasks executed across all fan-outs (one per shard per run).
-  uint64_t enum_shard_tasks = 0;
-  /// Fan-outs ended early by the shared stop flag (first success, soft
-  /// member cap, a governed trip, or caller cancellation).
-  uint64_t enum_shard_stops = 0;
-  /// Fan-outs / requests / jobs served from an existing frozen (or
-  /// read-shared) base Universe instead of building their own copy.
-  uint64_t frozen_base_reuses = 0;
-  /// Copy-on-write overlays minted over frozen/shared bases
-  /// (Universe::NewOverlay) — one per shard, preload request, or
-  /// overlay-parsed batch job.
-  uint64_t overlay_mints = 0;
-  /// Approximate bytes NOT deep-copied because an overlay replaced a
-  /// Universe::Clone (ApproxCloneBytes per avoided clone).
-  uint64_t clone_bytes_avoided = 0;
-  /// Approximate bytes deep-copied by the remaining legitimate
-  /// Universe::Clone sites (ApproxCloneBytes per clone).
-  uint64_t clone_bytes_copied = 0;
-  /// Shared-plan-table probes served from a published compiled plan
-  /// (plan::SharedPlanTable) — compile-once across shards/requests.
-  uint64_t shared_plan_hits = 0;
-  /// Shared-plan-table probes that had to compile (first sight of a
-  /// query for this table's lifetime).
-  uint64_t shared_plan_misses = 0;
-
-  // Phase timers (monotonic-clock ns, accumulated by obs::ScopedSpan).
-  // Wall time on the thread that ran the phase; under shard fan-out the
-  // per-shard timers merge like every other field, so a sharded phase can
-  // legitimately sum to more than the job's wall clock.
-  uint64_t parse_ns = 0;         ///< .dx text -> DxScenario parses.
-  uint64_t chase_ns = 0;         ///< Chase() runs (per mapping/instance pair).
-  uint64_t plan_compile_ns = 0;  ///< CompiledQuery construction (cache misses).
-  uint64_t plan_bind_ns = 0;     ///< Per-instance BindQuery rebinding.
-  uint64_t member_enum_ns = 0;   ///< Whole member-enumeration runs.
-  uint64_t enum_shard_ns = 0;    ///< Individual shard tasks (sum over shards).
-  uint64_t hom_search_ns = 0;    ///< Homomorphism searches.
-  uint64_t repa_search_ns = 0;   ///< RepA backtracking searches.
-  uint64_t snap_write_ns = 0;    ///< Snapshot build + serialize + write.
-  uint64_t snap_load_ns = 0;     ///< Snapshot read + validate + load.
-  uint64_t job_ns = 0;           ///< Whole job lifecycles (parse + command).
-  uint64_t fanout_setup_ns = 0;  ///< Shard fan-out setup (overlays + ctxs).
-
-  /// Field manifest: the number of uint64_t words in this struct. Update
-  /// it when adding a counter or timer — the static_assert below fails
-  /// otherwise — and extend operator+= and the src/obs/report.cc field
-  /// table in the same change (each is pinned by its own check).
-  static constexpr size_t kU64Fields = 33;
+#define OCDX_ENGINE_STAT(name, is_ns) uint64_t name = 0;
+#include "logic/engine_stats.def"
+#undef OCDX_ENGINE_STAT
 
   EngineStats& operator+=(const EngineStats& o) {
-    cq_plans += o.cq_plans;
-    generic_evals += o.generic_evals;
-    chase_triggers += o.chase_triggers;
-    hom_steps += o.hom_steps;
-    repa_steps += o.repa_steps;
-    plan_compiles += o.plan_compiles;
-    plan_cache_hits += o.plan_cache_hits;
-    plan_cache_misses += o.plan_cache_misses;
-    guard_depth_fallbacks += o.guard_depth_fallbacks;
-    chase_budget_trips += o.chase_budget_trips;
-    deadline_trips += o.deadline_trips;
-    cancelled_jobs += o.cancelled_jobs;
-    enum_shard_runs += o.enum_shard_runs;
-    enum_shard_tasks += o.enum_shard_tasks;
-    enum_shard_stops += o.enum_shard_stops;
-    frozen_base_reuses += o.frozen_base_reuses;
-    overlay_mints += o.overlay_mints;
-    clone_bytes_avoided += o.clone_bytes_avoided;
-    clone_bytes_copied += o.clone_bytes_copied;
-    shared_plan_hits += o.shared_plan_hits;
-    shared_plan_misses += o.shared_plan_misses;
-    parse_ns += o.parse_ns;
-    chase_ns += o.chase_ns;
-    plan_compile_ns += o.plan_compile_ns;
-    plan_bind_ns += o.plan_bind_ns;
-    member_enum_ns += o.member_enum_ns;
-    enum_shard_ns += o.enum_shard_ns;
-    hom_search_ns += o.hom_search_ns;
-    repa_search_ns += o.repa_search_ns;
-    snap_write_ns += o.snap_write_ns;
-    snap_load_ns += o.snap_load_ns;
-    job_ns += o.job_ns;
-    fanout_setup_ns += o.fanout_setup_ns;
+#define OCDX_ENGINE_STAT(name, is_ns) name += o.name;
+#include "logic/engine_stats.def"
+#undef OCDX_ENGINE_STAT
     return *this;
   }
 };
 
-static_assert(sizeof(EngineStats) == EngineStats::kU64Fields * sizeof(uint64_t),
-              "EngineStats field added without updating the kU64Fields "
-              "manifest — also extend operator+= (pinned by "
-              "tests/obs_test.cc) and the src/obs/report.cc field table");
-
 /// All engine configuration for one job. Value type; default-constructed
-/// means "indexed engine, paper-default budgets, no stats, no cache"
-/// (plans are then compiled per call, the pre-PR 5 behavior).
+/// means "indexed engine, paper-default budgets, no stats, no plan table"
+/// (plans are then compiled per call).
 struct EngineContext {
   /// The paper-default NP-search budget (matches the historical
   /// HomOptions / RepAOptions defaults). Kept as an alias of the Budget
@@ -189,29 +82,17 @@ struct EngineContext {
   /// across threads — shard fan-out (certain/member_enum.cc) gives each
   /// worker shard its own sink and absorbs them in shard order.
   obs::TraceSink* trace = nullptr;
-  /// Optional per-job compiled-plan cache (see src/plan/plan_cache.h).
-  /// Shared by every copy of this context; like `stats` and the job's
-  /// Universe it must be owned by exactly one job — fan-out code hands
-  /// each job a context with its own fresh cache (WithFreshCache).
-  std::shared_ptr<plan::PlanCache> plan_cache;
-  /// When true, EnsureCache / WithFreshCache attach nothing and every
-  /// call compiles privately (the pre-PR 5 behavior). Used by the parity
-  /// tests' cache-off leg; the OCDX_PLAN_CACHE=off environment variable
-  /// has the same effect process-wide.
-  bool plan_cache_opt_out = false;
-  /// Optional *shared, thread-safe* compiled-plan table
-  /// (plan::SharedPlanTable): plans compiled once against a frozen base
-  /// and probed lock-free by every shard of a fan-out or every request of
-  /// a preloaded server snapshot. Not owned; the table must outlive every
-  /// context that points at it. Consulted by plan::GetOrCompile after the
-  /// private `plan_cache` misses — the private cache stays the first-level
-  /// lookup so per-job counter semantics are unchanged.
-  plan::SharedPlanTable* shared_plans = nullptr;
+  /// Optional compiled-plan table (src/plan/plan_table.h), owned by
+  /// whoever owns the scope: a batch job, a cold `ocdx`/`ocdxd` request,
+  /// an `ocdxd --preload` bundle or an `ocdx snapshot run`. Thread-safe
+  /// and shared by every copy of this context, including the shard
+  /// contexts of a member-enumeration fan-out.
+  std::shared_ptr<plan::PlanTable> plans;
   /// Intra-job fan-out width for the exponential member-enumeration loops
   /// (certain/member_enum.h): >1 shards each ForEachMember run across a
   /// scoped worker pool, one copy-on-write Universe overlay per shard
-  /// over the read-shared caller universe (no cloning) plus a shared
-  /// compiled-plan table, with deterministic shard-ordered merge —
+  /// over the read-shared caller universe (no cloning) plus the caller's
+  /// plan table, with deterministic shard-ordered merge —
   /// canonical output is byte-identical for every value. 1 (the default,
   /// and any 0) keeps the sequential path. Shard workers run with
   /// shards = 1, so fan-out never nests.
@@ -225,24 +106,11 @@ struct EngineContext {
     return ctx;
   }
 
-  /// Attaches a fresh plan cache if none is present (no-op when the
-  /// OCDX_PLAN_CACHE=off escape hatch disables caching). Returns *this.
+  /// Attaches a fresh plan table if none is present. Returns *this.
   /// Engine entry points that evaluate one query over many instances
   /// call this on their private context copy, so callers get compile-
   /// once behavior without opting in.
   EngineContext& EnsureCache();
-
-  /// A copy of this context with its *own* fresh plan cache (or none if
-  /// caching is disabled by the environment). Fan-out code (src/exec)
-  /// uses this so parallel jobs never share a cache.
-  EngineContext WithFreshCache() const;
-
-  /// A context for `m` with a fresh plan cache attached (EnsureCache).
-  static EngineContext CachedForMode(JoinEngineMode m) {
-    EngineContext ctx = ForMode(m);
-    ctx.EnsureCache();
-    return ctx;
-  }
 };
 
 }  // namespace ocdx

@@ -8,52 +8,21 @@ namespace obs {
 
 namespace {
 
-constexpr StatsField kFields[] = {
-    {"cq_plans", &EngineStats::cq_plans, false},
-    {"generic_evals", &EngineStats::generic_evals, false},
-    {"chase_triggers", &EngineStats::chase_triggers, false},
-    {"hom_steps", &EngineStats::hom_steps, false},
-    {"repa_steps", &EngineStats::repa_steps, false},
-    {"plan_compiles", &EngineStats::plan_compiles, false},
-    {"plan_cache_hits", &EngineStats::plan_cache_hits, false},
-    {"plan_cache_misses", &EngineStats::plan_cache_misses, false},
-    {"guard_depth_fallbacks", &EngineStats::guard_depth_fallbacks, false},
-    {"chase_budget_trips", &EngineStats::chase_budget_trips, false},
-    {"deadline_trips", &EngineStats::deadline_trips, false},
-    {"cancelled_jobs", &EngineStats::cancelled_jobs, false},
-    {"enum_shard_runs", &EngineStats::enum_shard_runs, false},
-    {"enum_shard_tasks", &EngineStats::enum_shard_tasks, false},
-    {"enum_shard_stops", &EngineStats::enum_shard_stops, false},
-    {"frozen_base_reuses", &EngineStats::frozen_base_reuses, false},
-    {"overlay_mints", &EngineStats::overlay_mints, false},
-    {"clone_bytes_avoided", &EngineStats::clone_bytes_avoided, false},
-    {"clone_bytes_copied", &EngineStats::clone_bytes_copied, false},
-    {"shared_plan_hits", &EngineStats::shared_plan_hits, false},
-    {"shared_plan_misses", &EngineStats::shared_plan_misses, false},
-    {"parse_ns", &EngineStats::parse_ns, true},
-    {"chase_ns", &EngineStats::chase_ns, true},
-    {"plan_compile_ns", &EngineStats::plan_compile_ns, true},
-    {"plan_bind_ns", &EngineStats::plan_bind_ns, true},
-    {"member_enum_ns", &EngineStats::member_enum_ns, true},
-    {"enum_shard_ns", &EngineStats::enum_shard_ns, true},
-    {"hom_search_ns", &EngineStats::hom_search_ns, true},
-    {"repa_search_ns", &EngineStats::repa_search_ns, true},
-    {"snap_write_ns", &EngineStats::snap_write_ns, true},
-    {"snap_load_ns", &EngineStats::snap_load_ns, true},
-    {"job_ns", &EngineStats::job_ns, true},
-    {"fanout_setup_ns", &EngineStats::fanout_setup_ns, true},
+// One StatsField per EngineStats field, generated from the same field
+// list as the struct itself (logic/engine_stats.def).
+struct StatsField {
+  const char* name;
+  uint64_t EngineStats::*field;
+  bool is_ns;  // A nanosecond timer: the table adds a human ms column.
 };
 
-// The report table is pinned to the field manifest: adding an
-// EngineStats field without naming it here fails the build (see the
-// companion static_assert on sizeof in logic/engine_context.h).
-static_assert(sizeof(kFields) / sizeof(kFields[0]) == EngineStats::kU64Fields,
-              "EngineStats field added without extending the "
-              "src/obs/report.cc field table");
+constexpr StatsField kFields[] = {
+#define OCDX_ENGINE_STAT(name, is_ns) {#name, &EngineStats::name, is_ns},
+#include "logic/engine_stats.def"
+#undef OCDX_ENGINE_STAT
+};
 
 }  // namespace
-
-const StatsField* StatsFields() { return kFields; }
 
 std::string RenderStatsTable(const EngineStats& stats) {
   std::string out = "-- engine stats --\n";

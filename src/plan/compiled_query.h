@@ -181,8 +181,8 @@ enum class PlanKind : uint8_t {
   kGeneric,     ///< Active-domain skeleton (generic.has_value()).
 };
 
-/// One compiled query. Produced by plan::CompileQuery, cached by
-/// plan::PlanCache, bound by plan::BindQuery. See the header comment for
+/// One compiled query. Produced by plan::CompileQuery, published in a
+/// plan::PlanTable, bound by plan::BindQuery. See the header comment for
 /// the immutability / lifetime invariants.
 struct CompiledQuery {
   FormulaPtr source;  ///< Retains the formula all interior pointers use.

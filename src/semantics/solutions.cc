@@ -38,7 +38,7 @@ Result<bool> SatisfiesStds(const Mapping& mapping,
                            const EngineContext& ctx) {
   // No per-call cache setup here: SatisfiesStds is an *inner* step of
   // the enumeration drivers (composition intermediates, membership
-  // candidates), which attach one plan cache up front, precompute the
+  // candidates), which attach one plan table up front, precompute the
   // requirement formulas (StdRequirements — the cache keys on formula
   // identity) and reuse both across calls. With an uncached context each
   // call compiles privately.

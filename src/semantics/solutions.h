@@ -31,7 +31,7 @@ Result<bool> SatisfiesStds(const Mapping& mapping, const Instance& source,
 /// The head-requirement sentences "exists z-bar . head atoms" of the
 /// mapping's STDs, in STD order. Callers that check SatisfiesStds
 /// repeatedly (the enumeration drivers' per-candidate loops) build this
-/// once and use the overload below: the plan cache is keyed on formula
+/// once and use the overload below: the plan table is keyed on formula
 /// *identity*, so per-call formula construction would compile the same
 /// requirement once per candidate instead of once.
 std::vector<FormulaPtr> StdRequirements(const Mapping& mapping);

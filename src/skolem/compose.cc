@@ -323,7 +323,7 @@ Result<SkolemMembership> InSkolemComposition(const Mapping& sigma,
     }
   }
 
-  // One plan cache for the whole composition decision (unless the
+  // One plan table for the whole composition decision (unless the
   // caller attached one): the interpretation loops below re-run Sigma's
   // bodies per phase-1 valuation and Delta's per intermediate J.
   EngineContext call_ctx = ctx;

@@ -461,7 +461,7 @@ Result<SkolemMembership> InSkolemSemantics(const Mapping& mapping,
     return Status::InvalidArgument(
         "SkSTD semantics membership is defined for ground targets");
   }
-  // `call_ctx` gains a plan cache only on the explicit-enumeration path
+  // `call_ctx` gains a plan table only on the explicit-enumeration path
   // below: that path re-evaluates the same SkSTD bodies once per
   // candidate interpretation, while the term-keyed fast path solves
   // exactly once and would pay cache setup for nothing.

@@ -123,11 +123,17 @@ Result<std::vector<SectionView>> ParseContainer(
   uint32_t section_count = read_u32();
   read_u32();  // reserved
 
+  // The count is untrusted: bound it by what the remaining bytes could
+  // hold before sizing any allocation by it.
+  constexpr size_t kSectionHeader = 2 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  if (section_count > (file.size() - pos) / kSectionHeader) {
+    return Status::DataLoss(StrCat("snapshot: section count ", section_count,
+                                   " exceeds what the remaining ",
+                                   file.size() - pos, " bytes can hold"));
+  }
   std::vector<SectionView> sections;
   sections.reserve(section_count);
   for (uint32_t s = 0; s < section_count; ++s) {
-    constexpr size_t kSectionHeader = 2 * sizeof(uint32_t) +
-                                      2 * sizeof(uint64_t);
     if (file.size() - pos < kSectionHeader) {
       return Status::DataLoss(
           StrCat("snapshot: truncated section header at byte ", pos));

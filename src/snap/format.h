@@ -18,6 +18,13 @@
 // The section ids and their payload encodings live in snap/snapshot.cc;
 // this header is only the framing: checksums, the byte-builder (Sink) and
 // the bounded byte-reader (Source), and container assembly/parse.
+//
+// \invariant Trust model: snapshot bytes are untrusted input. Every
+//   failure is a positioned kDataLoss Status — never a throw, crash or
+//   out-of-bounds read — and no allocation is sized by an untrusted count
+//   without a bound: a count read from the file (sections, annotation
+//   pools, triggers) is first checked against what the remaining bytes
+//   could encode.
 
 #ifndef OCDX_SNAP_FORMAT_H_
 #define OCDX_SNAP_FORMAT_H_

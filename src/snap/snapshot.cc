@@ -715,16 +715,14 @@ Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
   // member-enumeration loops mint scratch values into the universe they
   // are given, and the bundle must stay reusable (and byte-stable)
   // across requests. The frozen bundle universe is never copied — the
-  // overlay's mints start at exactly the ids a clone's would have, so
-  // output is unchanged.
+  // overlay's mints continue the bundle's id spaces, so output is
+  // unchanged.
   std::unique_ptr<Universe> u = bundle.universe->NewOverlay();
   DxDriverOptions run = options;
   run.prechased = &bundle.prechased;
   if (run.engine.stats != nullptr) {
     ++run.engine.stats->frozen_base_reuses;
     ++run.engine.stats->overlay_mints;
-    run.engine.stats->clone_bytes_avoided +=
-        bundle.universe->ApproxCloneBytes();
   }
   return RunDxCommand(bundle.scenario, command, u.get(), run, governed);
 }

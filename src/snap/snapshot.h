@@ -94,10 +94,10 @@ std::string DescribeSnapshot(const SnapshotBundle& bundle);
 /// bundle's frozen universe (the bundle stays read-only and reusable; no
 /// deep copy), points the driver at the prechased store and otherwise
 /// behaves exactly like RunDxCommand over a fresh parse — byte-identical
-/// output, both engines, any shard width. Attach
-/// options.engine.shared_plans (a plan::SharedPlanTable owned alongside
-/// the bundle) to make repeated runs compile each query once per bundle
-/// lifetime instead of once per run — the ocdxd --preload serving path.
+/// output, both engines, any shard width. Attach options.engine.plans (a
+/// plan::PlanTable owned alongside the bundle) to make repeated runs
+/// compile each query once per bundle lifetime instead of once per run —
+/// the ocdxd --preload serving path.
 Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
                                        const std::string& command,
                                        const DxDriverOptions& options = {},

@@ -527,7 +527,7 @@ Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
       const bool all_open = m.mapping.IsAllOpen();
       std::optional<CanonicalSolution> csol;
       // All-open requirement formulas built once per (mapping, source):
-      // the plan cache keys on formula identity, so the per-candidate
+      // the plan table keys on formula identity, so the per-candidate
       // Theorem 2 checks below reuse one compiled plan per STD.
       std::vector<FormulaPtr> reqs;
       if (!skolem && all_open) reqs = StdRequirements(m.mapping);
@@ -745,12 +745,12 @@ Result<std::string> RunDxCommand(const DxScenario& scenario,
                                  const DxDriverOptions& options,
                                  Status* governed) {
   if (command == "classify") return ClassifyText(scenario);
-  // One plan cache per command run (unless the caller attached one):
+  // One plan table per command run (unless the caller attached one):
   // every evaluation below shares it, so the enumeration-heavy commands
-  // compile each (query, schema, mode) once. Caching never changes
+  // compile each (query, schema, mode) once. The table never changes
   // output bytes — the golden corpus pins that under both engines.
   // (classify returned above: it evaluates nothing; the unknown-command
-  // error path pays one idle cache allocation, which is fine.)
+  // error path pays one idle table allocation, which is fine.)
   DxDriverOptions run = options;
   run.engine.EnsureCache();
   // Scenario-declared budget settings tighten (never relax) whatever the

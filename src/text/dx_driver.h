@@ -46,8 +46,8 @@ namespace ocdx {
 /// — the warm store a loaded snapshot (src/snap) hands the driver. The
 /// driver copies a stored solution before use (the copy re-interns rows
 /// into its own arenas, mirroring the ownership of a fresh chase), so one
-/// immutable store can serve many jobs whose universes are clones of the
-/// snapshot universe.
+/// immutable store can serve many jobs whose universes are overlays of
+/// the snapshot universe.
 class PrechasedStore {
  public:
   void Put(std::string mapping, std::string instance, CanonicalSolution csol) {

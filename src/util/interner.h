@@ -47,7 +47,6 @@ class StringInterner {
     uint32_t id = static_cast<uint32_t>(strings_.size());
     strings_.emplace_back(s);
     ids_.emplace(strings_.back(), id);
-    bytes_ += s.size();
     return id;
   }
 
@@ -65,12 +64,7 @@ class StringInterner {
 
   size_t size() const { return strings_.size(); }
 
-  /// Total characters interned (sum of string lengths) — O(1) input to
-  /// Universe::ApproxCloneBytes.
-  uint64_t byte_size() const { return bytes_; }
-
  private:
-  uint64_t bytes_ = 0;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
       ids_;

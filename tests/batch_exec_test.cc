@@ -4,7 +4,7 @@
 // The headline property is *determinism*: `ocdx batch -j 8` must be
 // byte-identical to `-j 1` over the whole corpus under every engine mode
 // — no synchronization makes that true, only the absence of shared
-// mutable state (one Universe, one EngineContext and one plan cache per
+// mutable state (one Universe, one EngineContext and one plan table per
 // job, canonical rendering). CI additionally runs this file under
 // ThreadSanitizer
 // (the `tsan` preset), which turns any violation of that contract into a
@@ -25,6 +25,7 @@
 #include "exec/pool.h"
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
+#include "plan/plan_table.h"
 #include "semantics/homomorphism.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
@@ -181,24 +182,36 @@ TEST(BatchExec, EmptyInputIsAnError) {
 // ---------------------------------------------------------------------------
 
 TEST(EngineContext, PlanCachesAreJobLocal) {
-  // Default contexts carry no cache (per-call compilation, the engine's
-  // conservative baseline); EnsureCache attaches one and is idempotent;
-  // WithFreshCache — the batch runner's per-job hand-off — never shares a
-  // cache between the source context and the job copy.
+  // Default contexts carry no table (per-call compilation); EnsureCache
+  // attaches one and is idempotent; copies of one context share its
+  // table — that is the intra-job contract.
   EngineContext ctx;
-  EXPECT_EQ(ctx.plan_cache, nullptr);
+  EXPECT_EQ(ctx.plans, nullptr);
   ctx.EnsureCache();
-  auto first = ctx.plan_cache;
+  auto first = ctx.plans;
+  ASSERT_NE(first, nullptr);
   ctx.EnsureCache();
-  EXPECT_EQ(ctx.plan_cache, first);  // Idempotent.
-  EngineContext job = ctx.WithFreshCache();
-  if (first != nullptr) {  // OCDX_PLAN_CACHE=off runs cacheless.
-    ASSERT_NE(job.plan_cache, nullptr);
-    EXPECT_NE(job.plan_cache, first);
-  }
-  // Copies of one context share its cache: that is the intra-job contract.
-  EngineContext copy = job;
-  EXPECT_EQ(copy.plan_cache, job.plan_cache);
+  EXPECT_EQ(ctx.plans, first);  // Idempotent.
+  EngineContext copy = ctx;
+  EXPECT_EQ(copy.plans, first);
+
+  // The batch runner gives every job a fresh table: a table on the
+  // template context is never handed to a job, so two jobs over the same
+  // file each compile their own plans.
+  const std::string file = std::string(OCDX_CORPUS_DIR) + "/conference.dx";
+  BatchOptions options;
+  options.command = "certain";
+  options.split_scenarios = false;
+  options.engine.EnsureCache();
+  Result<BatchReport> one = RunDxBatch({file}, options);
+  Result<BatchReport> two = RunDxBatch({file, file}, options);
+  ASSERT_TRUE(one.ok() && two.ok());
+  ASSERT_EQ(two.value().total_jobs, 2u);
+  EXPECT_EQ(options.engine.plans->size(), 0u);
+  EXPECT_GT(one.value().stats.plan_compiles, 0u);
+  EXPECT_EQ(two.value().stats.plan_compiles,
+            2 * one.value().stats.plan_compiles)
+      << "every job compiles its plans once, into its own table";
 }
 
 TEST(EngineContext, ContextBudgetCapsHomSearch) {

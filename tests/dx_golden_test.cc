@@ -1,7 +1,7 @@
 // Golden-file runner for the `.dx` scenario corpus.
 //
 // Every tests/corpus/*.dx file is parsed and driven through `ocdx all`
-// (text/dx_driver.h) under the indexed engine (plan cache on and off)
+// (text/dx_driver.h) under the indexed engine (plan table on and off)
 // AND the naive join engine; the output must be byte-identical to
 // tests/corpus/golden/<name>.golden in every mode — pinning end-to-end
 // pipeline behavior the way the engine-parity tests pin answer sets.
@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "logic/engine_context.h"
+#include "plan/plan_table.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
 
@@ -51,8 +52,9 @@ std::vector<fs::path> DxFilesIn(const fs::path& dir) {
 // Parses fresh (own Universe) and runs `ocdx all` under the given engine
 // — carried as an explicit EngineContext on the driver options, exactly
 // like the CLI (no global engine-mode writes anywhere in this test).
-// `cache_opt_out` runs the per-call-compilation path (the plan cache is
-// a pure optimization: output bytes must not change).
+// `cache_opt_out` runs the per-call-compilation path through a
+// zero-capacity plan table, which publishes nothing (the table is a pure
+// optimization: output bytes must not change).
 std::string RunAllUnder(const std::string& src, JoinEngineMode mode,
                         const fs::path& file, bool cache_opt_out = false) {
   Universe universe;
@@ -62,7 +64,9 @@ std::string RunAllUnder(const std::string& src, JoinEngineMode mode,
   if (!scenario.ok()) return "";
   DxDriverOptions options;
   options.engine = EngineContext::ForMode(mode);
-  options.engine.plan_cache_opt_out = cache_opt_out;
+  if (cache_opt_out) {
+    options.engine.plans = std::make_shared<plan::PlanTable>(0);
+  }
   Result<std::string> out =
       RunDxCommand(scenario.value(), "all", &universe, options);
   EXPECT_TRUE(out.ok()) << file << ": " << out.status().ToString();
@@ -86,7 +90,7 @@ TEST(DxGolden, CorpusMatchesGoldenUnderBothEngines) {
     EXPECT_EQ(indexed, naive)
         << file << ": kIndexed and kNaive runs diverge";
     // The cached/uncached/naive triangle over the full corpus: disabling
-    // the plan cache must not change a byte.
+    // the plan table must not change a byte.
     const std::string uncached = RunAllUnder(
         src, JoinEngineMode::kIndexed, file, /*cache_opt_out=*/true);
     EXPECT_EQ(indexed, uncached)

@@ -1,13 +1,13 @@
 // Tests for the frozen-base Universe architecture (base/value.h):
-// Freeze() / ScopedReadShare read-only states, copy-on-write overlays
-// (NewOverlay) and the single-pass Clone byte accounting.
+// Freeze() / ScopedReadShare read-only states and copy-on-write overlays
+// (NewOverlay).
 //
 // The load-bearing property is *id equivalence*: a value minted through
-// an overlay must be bit-identical to the value a full Clone() would
+// an overlay must be bit-identical to the value one cold universe would
 // have minted after the same operation sequence — that is what lets the
-// shard fan-out and snapshot serving swap clones for overlays without
+// shard fan-out and snapshot serving mint through overlays without
 // moving a single byte of canonical output. The randomized differential
-// test drives both universes through the same interleaved
+// test drives an overlay and a cold replay through the same interleaved
 // mint/probe/enumerate schedule and compares every observable.
 //
 // CI runs this suite under ThreadSanitizer (the tsan preset builds the
@@ -82,22 +82,24 @@ void ExpectUniversesAgree(const Universe& a, const Universe& b) {
   EXPECT_EQ(wa, wb) << "serialized justification arenas diverge";
 }
 
-// The differential pin: an overlay over a frozen base and a full clone
-// of the same base, driven through one interleaved random schedule of
-// mints (old constants, new constants, justified nulls, witnesses) and
-// probes, must return bit-identical Values at every step and agree on
-// every enumerable observable afterwards.
-TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
+// The differential pin: an overlay over a frozen base and a cold root
+// universe that replays the base's operations, driven through one
+// interleaved random schedule of mints (old constants, new constants,
+// justified nulls, witnesses) and probes, must return bit-identical
+// Values at every step and agree on every enumerable observable
+// afterwards — overlay ids continue the base's id spaces exactly.
+TEST(FrozenOverlay, RandomizedDifferentialAgainstColdReplay) {
   Universe base;
   PopulateBase(&base, 40, 25);
   base.Freeze();
   ASSERT_TRUE(base.frozen());
   ASSERT_TRUE(base.read_only());
 
-  std::unique_ptr<Universe> clone = base.Clone();
+  auto cold = std::make_unique<Universe>();
+  PopulateBase(cold.get(), 40, 25);
   std::unique_ptr<Universe> overlay = base.NewOverlay();
   ASSERT_TRUE(overlay->is_overlay());
-  ASSERT_FALSE(clone->is_overlay());
+  ASSERT_FALSE(cold->is_overlay());
 
   std::mt19937 rng(0xD0C5u);  // Fixed seed: the schedule is part of the test.
   std::uniform_int_distribution<int> op(0, 5);
@@ -107,14 +109,14 @@ TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
     switch (op(rng)) {
       case 0: {  // Re-intern a base constant: must resolve, not re-mint.
         std::string name = "base_c" + std::to_string(rng() % 40);
-        Value vc = clone->Const(name);
+        Value vc = cold->Const(name);
         Value vo = overlay->Const(name);
         ASSERT_EQ(vc.raw(), vo.raw());
         break;
       }
       case 1: {  // Intern a new constant: ids must continue identically.
         std::string name = "fresh_c" + std::to_string(rng() % 60);
-        Value vc = clone->Const(name);
+        Value vc = cold->Const(name);
         Value vo = overlay->Const(name);
         ASSERT_EQ(vc.raw(), vo.raw());
         minted.push_back(vo);
@@ -126,13 +128,13 @@ TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
         ic.var = io.var = "v" + std::to_string(rng() % 4);
         if (!minted.empty()) {
           std::vector<Value> witness = {minted[rng() % minted.size()]};
-          WitnessRef rc = clone->InternWitness(witness);
+          WitnessRef rc = cold->InternWitness(witness);
           WitnessRef ro = overlay->InternWitness(witness);
           ASSERT_EQ(rc, ro);
           ic.witness = rc;
           io.witness = ro;
         }
-        Value vc = clone->MintNull(std::move(ic));
+        Value vc = cold->MintNull(std::move(ic));
         Value vo = overlay->MintNull(std::move(io));
         ASSERT_EQ(vc.raw(), vo.raw());
         minted.push_back(vo);
@@ -142,60 +144,31 @@ TEST(FrozenOverlay, RandomizedDifferentialAgainstClone) {
         std::string name = (rng() % 2 == 0)
                                ? "base_c" + std::to_string(rng() % 80)
                                : "fresh_c" + std::to_string(rng() % 80);
-        ASSERT_EQ(clone->FindConst(name).raw(), overlay->FindConst(name).raw());
+        ASSERT_EQ(cold->FindConst(name).raw(), overlay->FindConst(name).raw());
         break;
       }
       case 4: {  // Describe an agreed value (exercises name fallthrough).
         if (!minted.empty()) {
           Value v = minted[rng() % minted.size()];
-          ASSERT_EQ(clone->Describe(v), overlay->Describe(v));
+          ASSERT_EQ(cold->Describe(v), overlay->Describe(v));
         }
         break;
       }
       default: {  // Resolve a random base null's witness through both.
         Value n = Value::MakeNull(static_cast<uint32_t>(rng() % 25));
-        const NullInfo& nc = clone->null_info(n);
+        const NullInfo& nc = cold->null_info(n);
         const NullInfo& no = overlay->null_info(n);
         ASSERT_EQ(nc.witness, no.witness);
-        auto sc = clone->WitnessOf(nc.witness);
+        auto sc = cold->WitnessOf(nc.witness);
         auto so = overlay->WitnessOf(no.witness);
         ASSERT_TRUE(std::equal(sc.begin(), sc.end(), so.begin(), so.end()));
         break;
       }
     }
   }
-  ExpectUniversesAgree(*clone, *overlay);
+  ExpectUniversesAgree(*cold, *overlay);
   EXPECT_GT(overlay->num_consts(), 40u);
   EXPECT_GT(overlay->num_nulls(), 25u);
-}
-
-// Clone's single-pass copy reports exactly ApproxCloneBytes and
-// reproduces the whole base (the PR 10 double-copy fix: witness values
-// are copied once, not twice).
-TEST(FrozenOverlay, CloneReportsBytesAndReproducesBase) {
-  Universe base;
-  PopulateBase(&base, 10, 50);
-  uint64_t copied = 0;
-  std::unique_ptr<Universe> clone = base.Clone(&copied);
-  EXPECT_EQ(copied, base.ApproxCloneBytes());
-  EXPECT_GT(copied, 50u * sizeof(Value));  // The arena dominates here.
-  ExpectUniversesAgree(base, *clone);
-  // The counter accumulates across clones.
-  clone->Clone(&copied);
-  EXPECT_EQ(copied, 2 * base.ApproxCloneBytes());
-}
-
-// ApproxCloneBytes of an overlay counts the base recursively (it
-// approximates what a flattening clone of the view would copy), and an
-// empty overlay costs nothing beyond its base.
-TEST(FrozenOverlay, ApproxCloneBytesRecursesThroughBase) {
-  Universe base;
-  PopulateBase(&base, 10, 10);
-  base.Freeze();
-  std::unique_ptr<Universe> overlay = base.NewOverlay();
-  EXPECT_EQ(overlay->ApproxCloneBytes(), base.ApproxCloneBytes());
-  overlay->Const("only_in_overlay");
-  EXPECT_GT(overlay->ApproxCloneBytes(), base.ApproxCloneBytes());
 }
 
 // Overlays nest: the batch executor freezes a planning-pass universe,

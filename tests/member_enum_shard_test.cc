@@ -5,7 +5,7 @@
 // early-stop outcome regressions, and the ThreadPool shutdown assert.
 //
 // CI runs this suite under ThreadSanitizer (the tsan preset builds the
-// whole test tree), so the scratch-Universe-clone isolation of the
+// whole test tree), so the per-shard Universe-overlay isolation of the
 // sharded paths is race-checked here, not just argued.
 
 #include <atomic>

@@ -1,17 +1,14 @@
-// Tests for the observability layer (src/obs): the EngineStats merge-
-// completeness pin, ScopedSpan/TraceSink semantics, trace-structure
+// Tests for the observability layer (src/obs): the EngineStats field
+// list, ScopedSpan/TraceSink semantics, trace-structure
 // determinism, the Chrome render, the ocdxd stats registry — and the
 // property everything else rests on: attaching stats or trace sinks
 // NEVER changes canonical output (whole-corpus byte-identity, both
 // engines, 1 and 4 workers).
 
-#include <array>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,56 +35,21 @@ std::vector<std::string> CorpusFiles() {
 }
 
 // ---------------------------------------------------------------------------
-// EngineStats merge completeness (the field-manifest pin)
+// EngineStats field list
 // ---------------------------------------------------------------------------
 
-// The header pins sizeof(EngineStats) == kU64Fields words and report.cc
-// pins the field table's length; this test pins the third leg — that
-// operator+= actually merges EVERY word. Both operands are filled with
-// distinct word patterns through memcpy (legal: the struct is all
-// uint64_t), so a forgotten `x += o.x;` line shows up as exactly one
-// unsummed word, named via the report manifest.
-TEST(EngineStatsManifest, MergeCoversEveryField) {
-  static_assert(std::is_trivially_copyable_v<EngineStats>,
-                "the word-pattern pin below reads the struct via memcpy");
-  std::array<uint64_t, EngineStats::kU64Fields> a_words, b_words;
-  for (size_t i = 0; i < EngineStats::kU64Fields; ++i) {
-    a_words[i] = i + 1;
-    b_words[i] = 1000 * (i + 1);
-  }
-  EngineStats a, b;
-  std::memcpy(static_cast<void*>(&a), a_words.data(), sizeof(a));
-  std::memcpy(static_cast<void*>(&b), b_words.data(), sizeof(b));
-  a += b;
-  std::array<uint64_t, EngineStats::kU64Fields> merged;
-  std::memcpy(merged.data(), static_cast<const void*>(&a), sizeof(a));
-  for (size_t i = 0; i < EngineStats::kU64Fields; ++i) {
-    EXPECT_EQ(merged[i], (i + 1) + 1000 * (i + 1))
-        << "operator+= dropped field '" << obs::StatsFields()[i].name << "'";
-  }
-}
-
-// The report manifest must list the fields in declaration order (its
-// renderings and the bench JSON depend on stable ordering), which also
-// proves it names each field exactly once.
-TEST(EngineStatsManifest, ReportTableIsInDeclarationOrder) {
-  EngineStats s;
-  const char* base = reinterpret_cast<const char*>(&s);
-  for (size_t i = 0; i < EngineStats::kU64Fields; ++i) {
-    const obs::StatsField& f = obs::StatsFields()[i];
-    size_t offset = static_cast<size_t>(
-        reinterpret_cast<const char*>(&(s.*(f.field))) - base);
-    EXPECT_EQ(offset, i * sizeof(uint64_t))
-        << "field '" << f.name << "' is out of order in the report table";
-  }
-}
-
+// The struct, operator+= and the report table are all generated from
+// logic/engine_stats.def; this pins that both rendered surfaces name every
+// field of that list.
 TEST(EngineStatsManifest, RenderedSurfacesNameEveryField) {
   EngineStats s;
   std::string table = obs::RenderStatsTable(s);
   std::string json = obs::RenderStatsJson(s);
-  for (size_t i = 0; i < EngineStats::kU64Fields; ++i) {
-    const char* name = obs::StatsFields()[i].name;
+  for (const char* name : {
+#define OCDX_ENGINE_STAT(name, is_ns) #name,
+#include "logic/engine_stats.def"
+#undef OCDX_ENGINE_STAT
+       }) {
     EXPECT_NE(table.find(name), std::string::npos) << name;
     EXPECT_NE(json.find(std::string("\"") + name + "\""), std::string::npos)
         << name;
@@ -240,12 +202,11 @@ TEST(NonInterference, CorpusByteIdenticalWithSinksAttached) {
   }
 }
 
-// Sharded enumeration must not multiply plan compiles: the fan-out's
-// shared plan table (plan::SharedPlanTable) compiles each query exactly
-// once regardless of how many shards probe it, and the extra shard
-// probes surface as shared_plan_hits. Also pins the frozen-base wiring:
-// shards mint overlays (overlay_mints, clone_bytes_avoided) and the hot
-// path performs NO deep Universe clone (clone_bytes_copied == 0).
+// Sharded enumeration must not multiply plan compiles: every shard
+// probes the job's plan table (plan::PlanTable), which compiles each
+// query exactly once regardless of how many shards probe it. Also pins
+// the frozen-base wiring: shards mint overlays (overlay_mints) over the
+// read-shared job universe.
 TEST(SharedPlanCompileOnce, ShardCountDoesNotChangeCompileCount) {
   const char* kScenarios[] = {"valuation_enum.dx", "member_search.dx",
                               "membership_sweep.dx"};
@@ -275,13 +236,34 @@ TEST(SharedPlanCompileOnce, ShardCountDoesNotChangeCompileCount) {
     EXPECT_EQ(sharded.plan_compiles, base.plan_compiles)
         << "shards=" << shards << " changed the compile count";
     EXPECT_GT(sharded.enum_shard_runs, 0u) << "shards=" << shards;
-    EXPECT_GT(sharded.shared_plan_hits, 0u) << "shards=" << shards;
+    EXPECT_GT(sharded.plan_cache_hits, 0u) << "shards=" << shards;
     EXPECT_GT(sharded.frozen_base_reuses, 0u) << "shards=" << shards;
     EXPECT_GE(sharded.overlay_mints, shards) << "shards=" << shards;
-    EXPECT_GT(sharded.clone_bytes_avoided, 0u) << "shards=" << shards;
-    EXPECT_EQ(sharded.clone_bytes_copied, 0u)
-        << "shards=" << shards << ": a hot-path Universe::Clone survived";
   }
+}
+
+// enum-shard spans time fan-out shards only: a sequential run is timed
+// once, as member-enum, and reports no shard time.
+TEST(EnumShardTimer, OnlyFanOutShardsAreTimed) {
+  const std::string path = std::string(OCDX_CORPUS_DIR) + "/valuation_enum.dx";
+  Result<std::string> source = ReadDxFile(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  auto run = [&](size_t shards) {
+    EngineStats stats;
+    DxDriverOptions options;
+    options.engine.stats = &stats;
+    options.engine.shards = shards;
+    Result<std::string> out = RunDxFile(path, source.value(), "all", options);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return stats;
+  };
+  const EngineStats sequential = run(1);
+  EXPECT_GT(sequential.member_enum_ns, 0u);
+  EXPECT_EQ(sequential.enum_shard_runs, 0u);
+  EXPECT_EQ(sequential.enum_shard_ns, 0u);
+  const EngineStats sharded = run(4);
+  EXPECT_GT(sharded.enum_shard_runs, 0u);
+  EXPECT_GT(sharded.enum_shard_ns, 0u);
 }
 
 // The batch summary surfaces the derived hit rate and the phase line.

@@ -1,11 +1,13 @@
 // Tests for the src/plan subsystem: compile-once / bind-per-instance
-// semantics, the context-owned plan cache, and the guard-depth
+// semantics, the context-owned plan table, and the guard-depth
 // diagnostic. The engine-level parity triangles live in
 // engine_parity_test.cc; this file pins the plan layer's own contracts.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "logic/cq_eval.h"
@@ -13,7 +15,7 @@
 #include "logic/evaluator.h"
 #include "logic/parser.h"
 #include "plan/compile.h"
-#include "plan/plan_cache.h"
+#include "plan/plan_table.h"
 
 namespace ocdx {
 namespace {
@@ -27,7 +29,7 @@ class PlanTest : public ::testing::Test {
   }
   EngineContext Cached() {
     EngineContext ctx;
-    ctx.plan_cache = std::make_shared<plan::PlanCache>();
+    ctx.plans = std::make_shared<plan::PlanTable>();
     ctx.stats = &stats_;
     return ctx;
   }
@@ -51,14 +53,11 @@ TEST_F(PlanTest, CompiledPlanRebindsAcrossInstances) {
   std::optional<Relation> ra = TryEvalCQ(f, {"x", "y"}, a, ctx);
   std::optional<Relation> rb = TryEvalCQ(f, {"x", "y"}, b, ctx);
   ASSERT_TRUE(ra.has_value() && rb.has_value());
-  // Same-shape instances share one cache entry: one compile, one hit.
+  // Same-shape instances share one table entry: one compile, one hit.
   EXPECT_EQ(stats_.plan_compiles, 1u);
   EXPECT_EQ(stats_.plan_cache_hits, 1u);
   EXPECT_EQ(stats_.plan_cache_misses, 1u);
-  // The cache's own counters agree (they count only this cache's
-  // traffic; EngineStats additionally covers cache-less compiles).
-  EXPECT_EQ(ctx.plan_cache->counters().compiles, 1u);
-  EXPECT_EQ(ctx.plan_cache->counters().hits, 1u);
+  EXPECT_EQ(ctx.plans->size(), 1u);
 
   std::optional<Relation> fresh_a = TryEvalCQ(f, {"x", "y"}, a);
   std::optional<Relation> fresh_b = TryEvalCQ(f, {"x", "y"}, b);
@@ -164,7 +163,7 @@ TEST_F(PlanTest, GuardDepthDiagnostic) {
 
 TEST_F(PlanTest, GenericPlansAreCachedToo) {
   // Non-CQ shapes (disjunction) go through the generic skeleton, which
-  // the cache subsumes from the old compiled-sentence cache.
+  // the table holds like any other plan.
   Instance inst;
   inst.Add("E", {u_.Const("a"), u_.Const("b")});
   FormulaPtr f = Parse("E(x, y) | E(y, x)");
@@ -177,6 +176,60 @@ TEST_F(PlanTest, GenericPlansAreCachedToo) {
   EXPECT_EQ(r1.value().size(), 2u);
   EXPECT_EQ(stats_.plan_compiles, 1u);
   EXPECT_GE(stats_.plan_cache_hits, 1u);
+}
+
+TEST_F(PlanTest, ZeroCapacityTableCompilesEveryCall) {
+  // The cache-off leg of the parity tests: a table that publishes
+  // nothing, so every call compiles and answers stay the same.
+  Instance inst;
+  inst.Add("E", {u_.Const("a"), u_.Const("b")});
+  FormulaPtr f = Parse("E(x, y)");
+  EngineContext ctx;
+  ctx.plans = std::make_shared<plan::PlanTable>(0);
+  ctx.stats = &stats_;
+  std::optional<Relation> r1 = TryEvalCQ(f, {"x", "y"}, inst, ctx);
+  std::optional<Relation> r2 = TryEvalCQ(f, {"x", "y"}, inst, ctx);
+  ASSERT_TRUE(r1.has_value() && r2.has_value());
+  EXPECT_TRUE(*r1 == *r2);
+  EXPECT_EQ(stats_.plan_compiles, 2u);
+  EXPECT_EQ(stats_.plan_cache_hits, 0u);
+  EXPECT_EQ(ctx.plans->size(), 0u);
+}
+
+TEST_F(PlanTest, RacingThreadsCompileOneKeyOnce) {
+  // 8 threads race GetOrCompile on one key of one table: the
+  // double-checked, mutex-serialized compile publishes exactly one plan
+  // and every thread gets it. Each thread keeps its own stats sink, as
+  // fan-out shards do.
+  Instance inst;
+  inst.Add("E", {u_.Const("a"), u_.Const("b")});
+  plan::CompileRequest req;
+  req.formula = Parse("exists z. E(x, z) & E(z, y)");
+  req.order = {"x", "y"};
+  auto table = std::make_shared<plan::PlanTable>();
+
+  constexpr int kThreads = 8;
+  std::vector<EngineStats> stats(kThreads);
+  std::vector<plan::CompiledQueryPtr> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EngineContext ctx;
+      ctx.plans = table;
+      ctx.stats = &stats[t];
+      got[t] = plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed,
+                                  /*force_generic=*/false, ctx);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EngineStats total;
+  for (const EngineStats& s : stats) total += s;
+  EXPECT_EQ(total.plan_compiles, 1u);
+  EXPECT_EQ(total.plan_cache_misses, 1u);
+  EXPECT_EQ(total.plan_cache_hits, kThreads - 1u);
+  EXPECT_EQ(table->size(), 1u);
+  for (const plan::CompiledQueryPtr& p : got) EXPECT_EQ(p, got[0]);
 }
 
 TEST_F(PlanTest, SchemaFingerprintIgnoresContents) {

@@ -77,8 +77,6 @@
 #include "logic/engine_context.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "plan/plan_cache.h"
-#include "plan/shared_plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
@@ -406,21 +404,15 @@ int main(int argc, char** argv) {
       } else {
         std::string run_command = command_flag.empty() ? "all" : command_flag;
         Status governed;
-        // One plan table per loaded bundle, exactly like ocdxd --preload
-        // serving — a single CLI run compiles each query once even when
-        // the command fans out across shards.
-        plan::SharedPlanTable snapshot_plans;
-        DxDriverOptions run_options = options;
-        if (plan::PlanCache::EnabledByEnv() &&
-            !run_options.engine.plan_cache_opt_out) {
-          run_options.engine.shared_plans = &snapshot_plans;
-        }
+        // The run owns one plan table (attached by RunDxCommand), so it
+        // compiles each query once even when the command fans out
+        // across shards.
         std::optional<Result<std::string>> out;
         {
           obs::ScopedSpan span(options.engine.stats, options.engine.trace,
                                obs::kPhaseJob);
           out.emplace(snap::RunSnapshotCommand(bundle->value(), run_command,
-                                               run_options, &governed));
+                                               options, &governed));
         }
         if (!out->ok()) {
           std::fprintf(stderr, "ocdx: %s: %s\n", positional[2].c_str(),

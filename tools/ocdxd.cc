@@ -66,8 +66,7 @@
 #include "logic/budget.h"
 #include "logic/engine_context.h"
 #include "obs/stats_registry.h"
-#include "plan/plan_cache.h"
-#include "plan/shared_plan_table.h"
+#include "plan/plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
 #include "util/fault.h"
@@ -218,15 +217,12 @@ int main(int argc, char** argv) {
   // Warm set: each entry keeps the snapshot's own file path alongside the
   // bundle (whose source_path is the `.dx` path recorded at write time);
   // a request may address the bundle by either name. The bundle's
-  // universe is frozen (snap/snapshot.h), and each bundle owns one
-  // SharedPlanTable so plans compile once per *server lifetime*, not per
-  // request — ROADMAP item 3's serving contract. The table is omitted
-  // when OCDX_PLAN_CACHE=off, preserving the compile-per-call escape
-  // hatch.
+  // universe is frozen (snap/snapshot.h), and each bundle owns one plan
+  // table so plans compile once per *server lifetime*, not per request.
   struct PreloadedEntry {
     std::string snap_path;
     snap::SnapshotBundle bundle;
-    std::unique_ptr<plan::SharedPlanTable> plans;
+    std::shared_ptr<plan::PlanTable> plans;
   };
   std::vector<PreloadedEntry> preloaded;
   preloaded.reserve(preload_paths.size());
@@ -242,9 +238,7 @@ int main(int argc, char** argv) {
     PreloadedEntry entry;
     entry.snap_path = snap_path;
     entry.bundle = std::move(bundle.value());
-    if (plan::PlanCache::EnabledByEnv()) {
-      entry.plans = std::make_unique<plan::SharedPlanTable>();
-    }
+    entry.plans = std::make_shared<plan::PlanTable>();
     preloaded.push_back(std::move(entry));
   }
 
@@ -346,10 +340,10 @@ int main(int argc, char** argv) {
         // The bundle's server-lifetime plan table rides the request
         // context; each request still runs over its own private overlay
         // of the frozen bundle universe (RunSnapshotCommand). Cold
-        // requests get no table — a fresh parse mints fresh formula
-        // identities, so cross-request sharing could never hit.
-        request.engine.shared_plans =
-            warm->plans != nullptr ? warm->plans.get() : nullptr;
+        // requests get a fresh table from RunDxCommand — a fresh parse
+        // mints fresh formula identities, so cross-request sharing could
+        // never hit.
+        request.engine.plans = warm->plans;
         return snap::RunSnapshotCommand(warm->bundle, command, request,
                                         &governed);
       }

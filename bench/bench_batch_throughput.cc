@@ -1,6 +1,7 @@
-// Batch-runner throughput: the whole `.dx` corpus driven end to end
+// Batch-runner throughput: pinned `.dx` file sets driven end to end
 // (`ocdx batch --command=all`) at increasing worker counts, plus the
-// arena-allocated trigger-storage chase this PR lands.
+// parse-bound bulk_import.dx batch beside one in-process `all` run of the
+// same file (the parse-once target: batch within 1.2x of a single run).
 //
 // The scaling story is jobs/second at -j1 vs -j4/-j8: on a multi-core
 // host the work-queue fans the corpus's independent jobs across cores
@@ -14,7 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -23,44 +24,38 @@
 namespace ocdx {
 namespace {
 
-// The enumeration-heavy scenarios added in PR 5. They do one to two
-// orders of magnitude more evaluation work per job than the PR 3
-// corpus, so BM_BatchCorpus pins the original file set (keeping its
-// jobs/second comparable across BENCH_*.json baselines) and
-// BM_BatchEnumCorpus tracks the heavy set separately.
-bool IsEnumHeavy(const std::string& path) {
-  namespace fs = std::filesystem;
-  const std::string stem = fs::path(path).stem().string();
-  return stem == "valuation_enum" || stem == "member_search" ||
-         stem == "membership_sweep";
+// Explicit file lists, never a directory glob, so a file added to the
+// corpus cannot silently change what a row measures. kOriginalSet is the
+// corpus BM_BatchCorpus was first recorded on (BENCH_pr4.json), keeping
+// its jobs/second comparable across baselines; kEnumHeavySet holds the
+// enumeration-heavy scenarios, which do one to two orders of magnitude
+// more evaluation work per job.
+constexpr std::initializer_list<const char*> kOriginalSet = {
+    "annotated_literals.dx", "composition.dx",    "conference.dx",
+    "empty_markers.dx",      "membership.dx",     "nulls_and_ineq.dx",
+    "open_vs_closed.dx",     "skolem.dx"};
+constexpr std::initializer_list<const char*> kEnumHeavySet = {
+    "member_search.dx", "membership_sweep.dx", "valuation_enum.dx"};
+
+std::string CorpusPath(const char* name) {
+  return std::string(OCDX_CORPUS_DIR) + "/" + name;
 }
 
-std::vector<std::string> CorpusFiles(size_t repeat, bool enum_heavy) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> base;
-  for (const auto& entry : fs::directory_iterator(OCDX_CORPUS_DIR)) {
-    if (entry.path().extension() != ".dx") continue;
-    if (IsEnumHeavy(entry.path()) != enum_heavy) continue;
-    base.push_back(entry.path());
-  }
-  std::sort(base.begin(), base.end());
+std::vector<std::string> CorpusFiles(
+    size_t repeat, std::initializer_list<const char*> names) {
   std::vector<std::string> out;
-  out.reserve(base.size() * repeat);
+  out.reserve(names.size() * repeat);
   for (size_t r = 0; r < repeat; ++r) {
-    out.insert(out.end(), base.begin(), base.end());
+    for (const char* name : names) out.push_back(CorpusPath(name));
   }
   return out;
 }
 
 void RunBatchCorpus(benchmark::State& state, JoinEngineMode mode,
-                    bool enum_heavy = false) {
+                    std::initializer_list<const char*> names = kOriginalSet) {
   const size_t workers = static_cast<size_t>(state.range(0));
   const size_t repeat = 4;
-  std::vector<std::string> files = CorpusFiles(repeat, enum_heavy);
-  if (files.empty()) {
-    state.SkipWithError("no corpus files under OCDX_CORPUS_DIR");
-    return;
-  }
+  std::vector<std::string> files = CorpusFiles(repeat, names);
   BatchOptions options;
   options.workers = workers;
   options.engine = EngineContext::ForMode(mode);
@@ -83,14 +78,14 @@ void RunBatchCorpus(benchmark::State& state, JoinEngineMode mode,
 
 void BM_BatchCorpus(benchmark::State& state) {
   RunBatchCorpus(state, JoinEngineMode::kIndexed);
-  state.SetLabel("batch: full corpus, command=all, indexed engine");
+  state.SetLabel("batch: pinned original corpus, command=all, indexed");
 }
 BENCHMARK(BM_BatchCorpus)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BatchCorpusNaive(benchmark::State& state) {
   RunBatchCorpus(state, JoinEngineMode::kNaive);
-  state.SetLabel("batch: full corpus, command=all, naive engine");
+  state.SetLabel("batch: pinned original corpus, command=all, naive");
 }
 BENCHMARK(BM_BatchCorpusNaive)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
@@ -99,7 +94,7 @@ BENCHMARK(BM_BatchCorpusNaive)->Arg(1)->Arg(4)
 // member search, membership fan-out): the workload the compile-once
 // plan table exists for.
 void BM_BatchEnumCorpus(benchmark::State& state) {
-  RunBatchCorpus(state, JoinEngineMode::kIndexed, /*enum_heavy=*/true);
+  RunBatchCorpus(state, JoinEngineMode::kIndexed, kEnumHeavySet);
   state.SetLabel("batch: enumeration-heavy corpus, command=all, indexed");
 }
 BENCHMARK(BM_BatchEnumCorpus)->Arg(1)->Arg(4)
@@ -124,6 +119,50 @@ void BM_BatchSingleFileSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSingleFileSplit)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Parse-bound: bulk_import.dx is ~4k facts no rule reads. The batch
+// parses it once and runs its jobs on the frozen scenario, so at any
+// worker count it should stay within 1.2x of BM_BulkImportDirect, the
+// in-process equivalent of `ocdx all bulk_import.dx`.
+void BM_BulkImportBatch(benchmark::State& state) {
+  BatchOptions options;
+  options.workers = static_cast<size_t>(state.range(0));
+  const std::string file = CorpusPath("bulk_import.dx");
+  size_t jobs = 0;
+  for (auto _ : state) {
+    Result<BatchReport> report = RunDxBatch({file}, options);
+    if (!report.ok() || !report.value().ok()) {
+      state.SkipWithError("batch run failed");
+      return;
+    }
+    jobs = report.value().total_jobs;
+    benchmark::DoNotOptimize(report);
+  }
+  state.counters["workers"] = static_cast<double>(options.workers);
+  state.counters["jobs"] = static_cast<double>(jobs);
+  state.SetLabel("batch: bulk_import.dx, command=all");
+}
+BENCHMARK(BM_BulkImportBatch)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_BulkImportDirect(benchmark::State& state) {
+  const std::string file = CorpusPath("bulk_import.dx");
+  Result<std::string> source = ReadDxFile(file);
+  if (!source.ok()) {
+    state.SkipWithError(source.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    Result<std::string> out = RunDxFile(file, source.value(), "all", {});
+    if (!out.ok()) {
+      state.SkipWithError("direct run failed");
+      return;
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetLabel("in-process RunDxFile(all): bulk_import.dx");
+}
+BENCHMARK(BM_BulkImportDirect)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace ocdx

@@ -40,6 +40,12 @@ class Instance {
     return relations_;
   }
 
+  /// Freezes every relation (Relation::Freeze) for concurrent readers.
+  /// The relation map itself must not change afterwards either.
+  void Freeze() {
+    for (auto& [name, rel] : relations_) rel.Freeze();
+  }
+
   /// Total number of tuples across relations.
   size_t TotalTuples() const;
 
@@ -98,6 +104,11 @@ class AnnotatedInstance {
 
   const std::map<std::string, AnnotatedRelation>& relations() const {
     return relations_;
+  }
+
+  /// As Instance::Freeze.
+  void Freeze() {
+    for (auto& [name, rel] : relations_) rel.Freeze();
   }
 
   /// rel(T): the pure relational part (drops annotations and markers).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <mutex>
 
 namespace ocdx {
 
@@ -44,6 +46,22 @@ bool BucketIterationLive(const void* rel) {
 #define OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(rel) ((void)0)
 #endif
 
+#define OCDX_ASSERT_NOT_FROZEN()                                            \
+  assert(!frozen_ &&                                                        \
+         "mutating a frozen relation: it is shared read-only (see the "     \
+         "frozen-relation invariant in relation.h)")
+
+namespace internal {
+
+std::mutex& BuildMutex(const void* owner) {
+  // A fixed stripe table: no per-relation lock state, and a build never
+  // takes a second stripe (tuple_index.h), so stripes cannot deadlock.
+  static std::mutex stripes[64];
+  return stripes[(reinterpret_cast<uintptr_t>(owner) >> 4) % 64];
+}
+
+}  // namespace internal
+
 namespace {
 
 // Debug-build arity checks for probe arguments: a malformed mask or a key
@@ -80,13 +98,13 @@ Relation& Relation::operator=(const Relation& o) {
 }
 
 void Relation::EnsureDedup() const {
-  if (dedup_built_) return;
   // A LoadRows deferred the table; rebuild it from the rows in id order
   // (equivalent to the table an Add-by-Add construction would have left).
-  for (uint32_t id = 0; id < rows_.size(); ++id) {
-    set_.Insert(TupleHash{}(row(id)), id);
-  }
-  dedup_built_ = true;
+  dedup_built_.Ensure(this, [this] {
+    for (uint32_t id = 0; id < rows_.size(); ++id) {
+      set_.Insert(TupleHash{}(row(id)), id);
+    }
+  });
 }
 
 bool Relation::Contains(TupleRef t) const {
@@ -98,6 +116,7 @@ bool Relation::Contains(TupleRef t) const {
 
 bool Relation::Add(TupleRef t) {
   assert(t.size() == arity_ && "tuple arity mismatch");
+  OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   EnsureDedup();
   size_t h = TupleHash{}(t);
@@ -115,15 +134,16 @@ bool Relation::Add(TupleRef t) {
   // Incremental index maintenance: live indexes absorb the new id in
   // place instead of being dropped and rebuilt on the next probe.
   TupleRef stored = arena_.Resolve(ref, arity_);
-  for (auto& [mask, index] : indexes_) {
+  indexes_.ForEach([&](PositionIndex& index) {
     index.Insert(stored, id);
     ++index_maintenance_stats().incremental_inserts;
-  }
+  });
   return true;
 }
 
 size_t Relation::AddAll(std::span<const Value> flat) {
   assert(arity_ > 0 && "AddAll needs a positive arity");
+  OCDX_ASSERT_NOT_FROZEN();
   assert(flat.size() % arity_ == 0 && "flat batch size not a row multiple");
   size_t n = flat.size() / arity_;
   Reserve(n);
@@ -135,6 +155,7 @@ size_t Relation::AddAll(std::span<const Value> flat) {
 }
 
 bool Relation::LoadRows(std::span<const Value> flat) {
+  OCDX_ASSERT_NOT_FROZEN();
   if (!empty() || arity_ == 0 || flat.size() % arity_ != 0) return false;
   arena_.LoadExtent(flat);
   size_t n = flat.size() / arity_;
@@ -142,7 +163,7 @@ bool Relation::LoadRows(std::span<const Value> flat) {
   for (size_t i = 0; i < n; ++i) {
     rows_.push_back(arena_.RefAt(i * arity_));
   }
-  dedup_built_ = rows_.empty();
+  dedup_built_.Reset(rows_.empty());
   return true;
 }
 
@@ -152,28 +173,26 @@ void Relation::Reserve(size_t rows) {
 }
 
 void Relation::Clear() {
+  OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  dedup_built_ = true;
-  indexes_.clear();
+  dedup_built_.Reset(true);
+  indexes_.Clear();
 }
 
 const std::vector<uint32_t>* Relation::Probe(uint64_t mask,
                                              std::span<const Value> key) const {
   assert(mask != 0 && "use tuples() for unkeyed iteration");
   AssertProbeArgs(mask, key, arity_);
-  auto it = indexes_.find(mask);
-  if (it == indexes_.end()) {
-    ++index_maintenance_stats().full_builds;
-    PositionIndex index(mask);
-    for (uint32_t id = 0; id < rows_.size(); ++id) {
-      index.Insert(row(id), id);
-    }
-    it = indexes_.emplace(mask, std::move(index)).first;
-  }
-  return it->second.Probe(key);
+  const PositionIndex& index =
+      indexes_.GetOrBuild(mask, [this](PositionIndex* fresh) {
+        for (uint32_t id = 0; id < rows_.size(); ++id) {
+          fresh->Insert(row(id), id);
+        }
+      });
+  return index.Probe(key);
 }
 
 std::vector<Tuple> Relation::SortedTuples() const {
@@ -241,11 +260,11 @@ uint32_t AnnotatedRelation::InternAnn(AnnRef ann) {
 }
 
 void AnnotatedRelation::EnsureDedup() const {
-  if (dedup_built_) return;
-  for (uint32_t id = 0; id < rows_.size(); ++id) {
-    set_.Insert(AnnotatedTupleHash{}(row(id)), id);
-  }
-  dedup_built_ = true;
+  dedup_built_.Ensure(this, [this] {
+    for (uint32_t id = 0; id < rows_.size(); ++id) {
+      set_.Insert(AnnotatedTupleHash{}(row(id)), id);
+    }
+  });
 }
 
 bool AnnotatedRelation::Contains(const AnnotatedTupleRef& t) const {
@@ -257,6 +276,7 @@ bool AnnotatedRelation::Contains(const AnnotatedTupleRef& t) const {
 
 bool AnnotatedRelation::Add(const AnnotatedTupleRef& t) {
   assert(t.ann.size() == arity_ && "annotation arity mismatch");
+  OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   assert((t.values.empty() || t.values.size() == arity_) &&
          "tuple arity mismatch");
@@ -278,17 +298,18 @@ bool AnnotatedRelation::Add(const AnnotatedTupleRef& t) {
     // Incremental maintenance of the proper-tuple indexes (markers are
     // never indexed).
     thread_local Tuple key;
-    for (auto& [mask, index] : indexes_) {
-      BuildProperKey(stored, mask, &key);
+    indexes_.ForEach([&](PositionIndex& index) {
+      BuildProperKey(stored, index.mask(), &key);
       index.InsertKey(key, id);
       ++index_maintenance_stats().incremental_inserts;
-    }
+    });
   }
   return true;
 }
 
 size_t AnnotatedRelation::AddAll(std::span<const Value> flat, AnnRef ann) {
   assert(arity_ > 0 && "AddAll needs a positive arity");
+  OCDX_ASSERT_NOT_FROZEN();
   assert(flat.size() % arity_ == 0 && "flat batch size not a row multiple");
   size_t n = flat.size() / arity_;
   Reserve(n);
@@ -304,6 +325,7 @@ size_t AnnotatedRelation::AddAll(std::span<const Value> flat, AnnRef ann) {
 bool AnnotatedRelation::LoadRows(std::span<const Value> flat,
                                  std::span<const RowSpec> rows,
                                  std::vector<AnnVec> pool) {
+  OCDX_ASSERT_NOT_FROZEN();
   if (!empty() || !ann_pool_.empty()) return false;
   for (const AnnVec& a : pool) {
     if (a.size() != arity_) return false;
@@ -323,7 +345,7 @@ bool AnnotatedRelation::LoadRows(std::span<const Value> flat,
     rows_.push_back(StoredRow{arena_.RefAt(offset), r.len, r.ann});
     offset += r.len;
   }
-  dedup_built_ = rows_.empty();
+  dedup_built_.Reset(rows_.empty());
   return true;
 }
 
@@ -333,12 +355,13 @@ void AnnotatedRelation::Reserve(size_t rows) {
 }
 
 void AnnotatedRelation::Clear() {
+  OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  dedup_built_ = true;
-  indexes_.clear();
+  dedup_built_.Reset(true);
+  indexes_.Clear();
   // ann_pool_ is deliberately kept: pool indexes held by future rows stay
   // meaningful, and the pool is tiny.
 }
@@ -347,25 +370,22 @@ const std::vector<uint32_t>* AnnotatedRelation::ProbeProper(
     uint64_t mask, std::span<const Value> key, AnnRef ann) const {
   assert(arity_ <= 32 && "annotation signatures are packed into 32 bits");
   AssertProbeArgs(mask, key, arity_);
-  auto it = indexes_.find(mask);
-  if (it == indexes_.end()) {
-    ++index_maintenance_stats().full_builds;
-    PositionIndex index(mask);
-    Tuple k;
-    for (uint32_t id = 0; id < rows_.size(); ++id) {
-      AnnotatedTupleRef t = row(id);
-      if (t.IsEmptyMarker()) continue;
-      BuildProperKey(t, mask, &k);
-      index.InsertKey(k, id);
-    }
-    it = indexes_.emplace(mask, std::move(index)).first;
-  }
+  const PositionIndex& index =
+      indexes_.GetOrBuild(mask, [this, mask](PositionIndex* fresh) {
+        Tuple k;
+        for (uint32_t id = 0; id < rows_.size(); ++id) {
+          AnnotatedTupleRef t = row(id);
+          if (t.IsEmptyMarker()) continue;
+          BuildProperKey(t, mask, &k);
+          fresh->InsertKey(k, id);
+        }
+      });
   // Scratch buffer so probes stay allocation-free after warm-up.
   thread_local Tuple probe;
   probe.clear();
   probe.push_back(AnnKeyValue(ann));
   probe.insert(probe.end(), key.begin(), key.end());
-  return it->second.ProbeRaw(probe);
+  return index.ProbeRaw(probe);
 }
 
 Relation AnnotatedRelation::RelPart() const {

@@ -43,16 +43,21 @@
 //   sources, appends targets) needs no care. Debug builds enforce the
 //   discipline through BucketIterationGuard below.
 //
-// \invariant Frozen-base interaction (base/value.h): relations have NO
-//   shared read-only state of their own — a Relation belongs to exactly
-//   one job even when its Values come from a frozen Universe, because
-//   "reads" here are not read-only: the first Probe of a mask builds an
-//   index, the first Contains after LoadRows materializes the dedup
-//   table. Fan-out and snapshot serving therefore share only the
-//   Universe (frozen) and the compiled plans (immutable); every shard /
-//   request gets its own member instances and relations, built over
-//   values read through its private overlay. Do not point two threads
-//   at one Relation, even "just to read".
+// \invariant Frozen relations (the read side of base/value.h's frozen
+//   base). A relation is mutable and single-owner until Freeze(), which
+//   is permanent: after it, Add / AddAll / LoadRows / Clear assert, and
+//   any number of threads may read it concurrently — Contains, Probe,
+//   ProbeProper, row(), tuples(). The lazy read-side state is safe under
+//   that sharing because it is published build-once (tuple_index.h): a
+//   probe of an indexed mask takes no lock, and the first probe of a new
+//   mask, like the first Contains after a LoadRows, builds under the
+//   owner's striped build mutex and publishes with a release store. The
+//   mutable and frozen states share this one index representation;
+//   Freeze() itself only sets a flag (no per-row work), and must
+//   happen-before the reader threads start. A batch file's scenario
+//   instances and a snapshot's prechased solutions are frozen this way
+//   and read by every job and request of that scenario; everything a job
+//   builds (chase results, member instances) stays mutable and its own.
 
 #ifndef OCDX_BASE_RELATION_H_
 #define OCDX_BASE_RELATION_H_
@@ -171,7 +176,8 @@ class Relation {
   explicit Relation(size_t arity) : arity_(arity) {}
 
   // Rows are handles into the arena, so copying re-interns them into the
-  // copy's own arena (indexes are rebuilt lazily on demand).
+  // copy's own arena (indexes are rebuilt lazily on demand). A copy is
+  // mutable even when the original is frozen.
   Relation(const Relation& o);
   Relation& operator=(const Relation& o);
   Relation(Relation&&) = default;
@@ -180,6 +186,11 @@ class Relation {
   size_t arity() const { return arity_; }
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
+
+  /// Seals the relation read-only, permanently, for concurrent readers
+  /// (see the frozen-relation \invariant above). O(1).
+  void Freeze() { frozen_ = true; }
+  bool frozen() const { return frozen_; }
 
   /// Inserts a copy of `t`; returns true iff it was not already present.
   /// The tuple's size must equal arity(). Live indexes absorb the new
@@ -254,14 +265,15 @@ class Relation {
   ValueArena arena_;
   std::vector<ArenaRef> rows_;
   /// Flat (hash -> id) dedup table; rows are stored once, in the arena.
-  /// Mutable + built flag: LoadRows defers construction until the first
-  /// membership query or mutation (bulk loads never pay per-row hashing
-  /// for read-only service).
+  /// Mutable + build-once latch: LoadRows defers construction until the
+  /// first membership query or mutation (bulk loads never pay per-row
+  /// hashing for read-only service).
   mutable DedupIndex set_;
-  mutable bool dedup_built_ = true;
-  /// Lazy per-bound-signature indexes; mutable because probing a logically
-  /// const relation materializes them on demand.
-  mutable std::unordered_map<uint64_t, PositionIndex> indexes_;
+  BuildOnce dedup_built_{true};
+  bool frozen_ = false;
+  /// Lazy per-bound-signature indexes, materialized by probing a
+  /// logically const relation.
+  IndexList indexes_;
 };
 
 /// An annotated relation: a set of annotated tuples, possibly including
@@ -287,6 +299,10 @@ class AnnotatedRelation {
   size_t arity() const { return arity_; }
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
+
+  /// As Relation::Freeze.
+  void Freeze() { frozen_ = true; }
+  bool frozen() const { return frozen_; }
 
   /// Inserts a copy of `t`; live indexes are maintained incrementally, as
   /// with Relation::Add. AnnotatedTuple converts implicitly.
@@ -380,8 +396,9 @@ class AnnotatedRelation {
   std::vector<AnnVec> ann_pool_;
   std::vector<StoredRow> rows_;
   mutable DedupIndex set_;
-  mutable bool dedup_built_ = true;
-  mutable std::unordered_map<uint64_t, PositionIndex> indexes_;
+  BuildOnce dedup_built_{true};
+  bool frozen_ = false;
+  IndexList indexes_;
 };
 
 }  // namespace ocdx

@@ -21,19 +21,38 @@
 //   can grow it mid-iteration — snapshot the size first. Debug builds
 //   police this through BucketIterationGuard (relation.h); see the full
 //   contract there.
+//
+// \invariant Build-once publication (IndexList, BuildOnce): a relation's
+//   lazily built read-side state — one PositionIndex per probed mask and
+//   the dedup table a LoadRows deferred — is published the PlanTable way.
+//   The hit path is one acquire load and takes no lock; a miss takes the
+//   owner's build mutex, re-checks, builds, and publishes with a release
+//   store, so concurrent first probes of a frozen relation build each
+//   piece exactly once. The mutexes live out of line, in a fixed striped
+//   table keyed by owner address (internal::BuildMutex), so a relation
+//   carries no lock state of its own. A build never probes, so it never
+//   takes a second stripe.
 
 #ifndef OCDX_BASE_TUPLE_INDEX_H_
 #define OCDX_BASE_TUPLE_INDEX_H_
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/tuple.h"
 
 namespace ocdx {
+
+namespace internal {
+/// The striped build mutex guarding `owner`'s lazy builds (relation.cc).
+std::mutex& BuildMutex(const void* owner);
+}  // namespace internal
 
 /// Hashes a projection key, whether materialized (Tuple) or borrowed
 /// (span over a scratch buffer). Must agree with TupleHash.
@@ -71,10 +90,11 @@ struct ProjKeyEq {
 /// full rebuilds" invariant with these (a mask's first probe builds its
 /// index exactly once; every later Add extends it incrementally).
 ///
-/// Thread-local, not process-wide: relations are job-owned and jobs run
-/// concurrently (src/exec), so a shared counter would be the one piece of
-/// cross-job mutable state left in the storage layer. Each worker counts
-/// its own maintenance work; tests (single-threaded) see exact totals.
+/// Thread-local, not process-wide: jobs run concurrently (src/exec), so a
+/// shared counter would be cross-job mutable state in the storage layer.
+/// Each worker counts its own maintenance work — a frozen relation's
+/// index is counted by the one thread that built it — so per-thread
+/// counts sum to exact totals.
 struct IndexMaintenanceStats {
   uint64_t full_builds = 0;         ///< Index constructed by scanning.
   uint64_t incremental_inserts = 0; ///< Tuple appended into live indexes.
@@ -146,6 +166,110 @@ class PositionIndex {
   uint64_t mask_;
   std::unordered_map<Tuple, std::vector<uint32_t>, ProjKeyHash, ProjKeyEq>
       buckets_;
+};
+
+/// A relation's per-mask indexes: an append-only singly linked list
+/// published through one atomic head pointer (a relation probes a
+/// handful of masks, so a list walk beats hashing the mask). Lookups
+/// are lock-free; GetOrBuild builds a missing index once under the
+/// owner's build mutex (see the build-once \invariant above). Moves and
+/// Clear are owner-only operations on an unshared relation.
+class IndexList {
+ public:
+  IndexList() = default;
+  IndexList(IndexList&& o) noexcept
+      : head_(o.head_.exchange(nullptr, std::memory_order_relaxed)) {}
+  IndexList& operator=(IndexList&& o) noexcept {
+    if (this != &o) {
+      Clear();
+      head_.store(o.head_.exchange(nullptr, std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+    }
+    return *this;
+  }
+  IndexList(const IndexList&) = delete;
+  IndexList& operator=(const IndexList&) = delete;
+  ~IndexList() { Clear(); }
+
+  /// The published index for `mask`, or nullptr. Lock-free.
+  const PositionIndex* Find(uint64_t mask) const {
+    for (const Node* n = head_.load(std::memory_order_acquire); n != nullptr;
+         n = n->next) {
+      if (n->index.mask() == mask) return &n->index;
+    }
+    return nullptr;
+  }
+
+  /// The index for `mask`; on first use, `fill(PositionIndex*)` populates
+  /// it by a full scan, exactly once however many threads race here.
+  template <typename Fill>
+  const PositionIndex& GetOrBuild(uint64_t mask, Fill&& fill) const {
+    if (const PositionIndex* hit = Find(mask)) return *hit;
+    std::lock_guard<std::mutex> lock(internal::BuildMutex(this));
+    if (const PositionIndex* hit = Find(mask)) return *hit;
+    Node* node = new Node{PositionIndex(mask),
+                          head_.load(std::memory_order_relaxed)};
+    fill(&node->index);
+    ++index_maintenance_stats().full_builds;
+    head_.store(node, std::memory_order_release);
+    return node->index;
+  }
+
+  /// Incremental maintenance: `f(PositionIndex&)` on every live index.
+  /// Owner-only (the relation is mutable, hence unshared).
+  template <typename F>
+  void ForEach(F&& f) {
+    for (Node* n = head_.load(std::memory_order_relaxed); n != nullptr;
+         n = n->next) {
+      f(n->index);
+    }
+  }
+
+  /// Drops every index. Owner-only.
+  void Clear() {
+    Node* n = head_.exchange(nullptr, std::memory_order_relaxed);
+    while (n != nullptr) {
+      Node* next = n->next;
+      delete n;
+      n = next;
+    }
+  }
+
+ private:
+  struct Node {
+    PositionIndex index;
+    Node* next;
+  };
+  mutable std::atomic<Node*> head_{nullptr};
+};
+
+/// Build-once latch for a piece of lazily built read-side state (the
+/// dedup table a LoadRows deferred): Ensure runs `build` exactly once
+/// under the owner's build mutex, and every later call is one acquire
+/// load. Reset and moves are owner-only.
+class BuildOnce {
+ public:
+  explicit BuildOnce(bool built) : built_(built) {}
+  BuildOnce(BuildOnce&& o) noexcept
+      : built_(o.built_.load(std::memory_order_relaxed)) {}
+  BuildOnce& operator=(BuildOnce&& o) noexcept {
+    Reset(o.built_.load(std::memory_order_relaxed));
+    return *this;
+  }
+
+  template <typename Build>
+  void Ensure(const void* owner, Build&& build) const {
+    if (built_.load(std::memory_order_acquire)) return;
+    std::lock_guard<std::mutex> lock(internal::BuildMutex(owner));
+    if (built_.load(std::memory_order_relaxed)) return;
+    build();
+    built_.store(true, std::memory_order_release);
+  }
+
+  void Reset(bool built) { built_.store(built, std::memory_order_relaxed); }
+
+ private:
+  mutable std::atomic<bool> built_;
 };
 
 }  // namespace ocdx

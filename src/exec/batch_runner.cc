@@ -1,12 +1,15 @@
 #include "exec/batch_runner.h"
 
+#include <atomic>
 #include <cstdio>
+#include <deque>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <sstream>
 
+#include "exec/frozen_scenario.h"
 #include "exec/pool.h"
-#include "plan/plan_table.h"
 #include "text/dx_parser.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
@@ -15,16 +18,63 @@ namespace ocdx {
 
 namespace {
 
-/// Runs one planned slice: fresh Universe, fresh parse, one command.
-/// This is the *entire* per-job state — nothing here outlives the call
-/// or is visible to another job.
+/// One input file's build slot: written by its pool task, then read by
+/// the planner once `ready` is set (release/acquire).
+struct FileBuild {
+  std::shared_ptr<const FrozenScenario> scenario;  ///< Null on failure.
+  Status status;  ///< The read or parse failure, if any.
+  double millis = 0;
+  EngineStats stats;
+  std::unique_ptr<obs::TraceSink> trace;
+  std::atomic<bool> ready{false};
+};
+
+/// Reads, parses and freezes one file: the only parse the file gets.
+void BuildFile(const std::string& path, bool collect_trace,
+               FileBuild* out) {
+  Stopwatch timer;
+  if (collect_trace) out->trace = std::make_unique<obs::TraceSink>();
+  Result<std::string> source = ReadDxFile(path);
+  if (!source.ok()) {
+    out->status = source.status();
+  } else {
+    std::optional<Result<FrozenScenario>> frozen;
+    {
+      obs::ScopedSpan parse_span(&out->stats, out->trace.get(),
+                                 obs::kPhaseParse);
+      frozen.emplace(ParseFrozenScenario(path, std::move(source).value()));
+    }
+    if (frozen->ok()) {
+      out->scenario =
+          std::make_shared<const FrozenScenario>(std::move(*frozen).value());
+    } else {
+      out->status = frozen->status();
+    }
+  }
+  out->millis = timer.ElapsedMillis();
+  out->ready.store(true, std::memory_order_release);
+  out->ready.notify_one();
+}
+
+/// The file's job slices: PlanDxJobs, or the whole command as one job.
+Result<std::vector<DxJobSpec>> PlanFile(const FrozenScenario& frozen,
+                                        const BatchOptions& options,
+                                        const DxDriverOptions& base) {
+  if (options.split_scenarios) {
+    return PlanDxJobs(frozen.scenario, options.command, base);
+  }
+  DxJobSpec spec;
+  spec.command = options.command;
+  spec.options = base;
+  return std::vector<DxJobSpec>{std::move(spec)};
+}
+
+/// Runs one planned slice on its file's frozen scenario. Everything the
+/// job writes — overlay, stats, trace — is its own.
 BatchJobResult RunJob(const BatchJob& job) {
   BatchJobResult result;
   Stopwatch timer;
   DxDriverOptions options = job.spec.options;
-  // Each job gets its *own* plan table; the spec's context never carries
-  // one across jobs.
-  options.engine.plans = std::make_shared<plan::PlanTable>();
   options.engine.stats = &result.stats;
   // Same rule for the trace sink: allocated here, owned by this job's
   // result, never seen by another worker. A sink inherited from the
@@ -39,38 +89,12 @@ BatchJobResult RunJob(const BatchJob& job) {
   {
     obs::ScopedSpan job_span(&result.stats, result.trace.get(),
                              obs::kPhaseJob);
-    // Frozen-base reuse: when the planning pass attached a frozen
-    // scoping universe (null-free scenarios only — see exec/job.h), the
-    // job parses into a copy-on-write overlay of it, so the file's
-    // constant table is interned once per *file*, not once per job, and
-    // the overlay assigns exactly the ids a cold parse would. Otherwise
-    // the job owns a cold universe, as before.
-    std::unique_ptr<Universe> overlay;
-    Universe cold;
-    Universe* universe = &cold;
-    if (job.frozen_base != nullptr) {
-      overlay = job.frozen_base->NewOverlay();
-      universe = overlay.get();
-      ++result.stats.frozen_base_reuses;
-      ++result.stats.overlay_mints;
-    }
-    std::optional<Result<DxScenario>> scenario;
-    {
-      obs::ScopedSpan parse_span(&result.stats, result.trace.get(),
-                                 obs::kPhaseParse);
-      scenario.emplace(ParseDxScenario(*job.source, universe));
-    }
-    if (!scenario->ok()) {
-      result.status = scenario->status();
+    Result<std::string> text = RunFrozenCommand(
+        *job.scenario, job.spec.command, options, &result.governed);
+    if (!text.ok()) {
+      result.status = text.status();
     } else {
-      Result<std::string> text =
-          RunDxCommand(scenario->value(), job.spec.command, universe,
-                       options, &result.governed);
-      if (!text.ok()) {
-        result.status = text.status();
-      } else {
-        result.output = StrCat(job.spec.prefix, text.value());
-      }
+      result.output = StrCat(job.spec.prefix, text.value());
     }
   }
   // Cancellation has no in-engine trip counter (the flag is observed at
@@ -99,8 +123,7 @@ Result<std::string> RunDxFile(const std::string& path,
                               const std::string& command,
                               const DxDriverOptions& options,
                               Status* governed) {
-  // The job span brackets parse + command, exactly as in RunJob — so an
-  // ocdxd request and a batch job time identically.
+  // The job span brackets parse + command, as the CLI's single run does.
   obs::ScopedSpan job_span(options.engine.stats, options.engine.trace,
                            obs::kPhaseJob);
   Universe universe;
@@ -128,97 +151,81 @@ Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
   BatchReport report;
   report.files.resize(files.size());
 
-  // Planning pass (sequential, on the calling thread): read each file and
-  // slice its command into independent jobs. The planning parse uses a
-  // throwaway Universe; jobs re-parse into their own.
-  std::vector<BatchJob> jobs;
+  DxDriverOptions base = options.driver;
+  base.engine = options.engine;
+  base.engine.stats = nullptr;
+  base.engine.trace = nullptr;
+
+  std::vector<FileBuild> builds(files.size());
+  // Deques: the planner appends while workers write earlier slots, and a
+  // deque append never moves an existing element.
+  std::deque<BatchJob> jobs;
+  std::deque<BatchJobResult> results;
   std::vector<std::pair<size_t, size_t>> file_job_ranges(files.size(),
                                                          {0, 0});
-  for (size_t f = 0; f < files.size(); ++f) {
-    report.files[f].file = files[f];
-    file_job_ranges[f].first = jobs.size();
+  {
+    // workers <= 1 runs every task inline at submission: the same code
+    // path, sequentially.
+    std::optional<ThreadPool> pool;
+    if (options.workers > 1) pool.emplace(options.workers);
+    auto submit = [&pool](std::function<void()> task) {
+      if (pool.has_value()) {
+        pool->Submit(std::move(task));
+      } else {
+        task();
+      }
+    };
 
-    Result<std::string> source = ReadDxFile(files[f]);
-    if (!source.ok()) {
-      report.files[f].status = source.status();
+    // Builds first: they queue ahead of every job, so no file's parse
+    // runs on the calling thread and the workers start on it at once.
+    for (size_t f = 0; f < files.size(); ++f) {
+      submit([&files, &builds, &options, f] {
+        BuildFile(files[f], options.collect_traces, &builds[f]);
+      });
+    }
+
+    // Planning, in file order as each scenario becomes ready: the job
+    // submission order (and with it the trace layout) is fixed by the
+    // input order alone.
+    for (size_t f = 0; f < files.size(); ++f) {
+      FileBuild& build = builds[f];
+      build.ready.wait(false, std::memory_order_acquire);
+      report.files[f].file = files[f];
+      file_job_ranges[f].first = jobs.size();
+      Result<std::vector<DxJobSpec>> specs =
+          build.scenario == nullptr
+              ? Result<std::vector<DxJobSpec>>(build.status)
+              : PlanFile(*build.scenario, options, base);
+      if (!specs.ok()) {
+        report.files[f].status = specs.status();
+      } else {
+        for (DxJobSpec& spec : specs.value()) {
+          BatchJob& job = jobs.emplace_back();
+          job.index = jobs.size() - 1;
+          job.file_index = f;
+          job.file = files[f];
+          job.scenario = build.scenario;
+          job.spec = std::move(spec);
+          job.collect_trace = options.collect_traces;
+          BatchJobResult* slot = &results.emplace_back();
+          submit([queued = &job, slot] {
+            *slot = RunJob(*queued);
+            queued->scenario.reset();
+          });
+        }
+      }
+      build.scenario.reset();
       file_job_ranges[f].second = jobs.size();
-      continue;
-    }
-    auto shared_source =
-        std::make_shared<const std::string>(std::move(source).value());
-
-    std::vector<DxJobSpec> specs;
-    DxDriverOptions base = options.driver;
-    base.engine = options.engine;
-    base.engine.stats = nullptr;
-    base.engine.trace = nullptr;
-    std::shared_ptr<const Universe> frozen_base;
-    if (options.split_scenarios) {
-      auto scoping = std::make_shared<Universe>();
-      Result<DxScenario> scenario =
-          ParseDxScenario(*shared_source, scoping.get());
-      if (!scenario.ok()) {
-        report.files[f].status = scenario.status();
-        file_job_ranges[f].second = jobs.size();
-        continue;
-      }
-      Result<std::vector<DxJobSpec>> plan =
-          PlanDxJobs(scenario.value(), options.command, base);
-      if (!plan.ok()) {
-        report.files[f].status = plan.status();
-        file_job_ranges[f].second = jobs.size();
-        continue;
-      }
-      specs = std::move(plan).value();
-      // Null-free planning parse → the overlay re-parse assigns exactly
-      // the ids a cold parse would (see BatchJob::frozen_base), so the
-      // jobs can share this universe as a frozen base instead of each
-      // re-interning the file's constant table from scratch.
-      if (scoping->num_nulls() == 0) {
-        scoping->Freeze();
-        frozen_base = std::move(scoping);
-      }
-    } else {
-      DxJobSpec spec;
-      spec.command = options.command;
-      spec.options = base;
-      specs.push_back(std::move(spec));
-    }
-
-    for (DxJobSpec& spec : specs) {
-      BatchJob job;
-      job.index = jobs.size();
-      job.file_index = f;
-      job.file = files[f];
-      job.source = shared_source;
-      job.spec = std::move(spec);
-      job.frozen_base = frozen_base;
-      job.collect_trace = options.collect_traces;
-      jobs.push_back(std::move(job));
-    }
-    file_job_ranges[f].second = jobs.size();
-  }
-  report.total_jobs = jobs.size();
-
-  // Execution. Results land in submission-indexed slots, so assembly
-  // below is independent of completion order; workers share nothing but
-  // the (read-only) job list and their disjoint result slots.
-  std::vector<BatchJobResult> results(jobs.size());
-  if (options.workers <= 1) {
-    for (size_t i = 0; i < jobs.size(); ++i) results[i] = RunJob(jobs[i]);
-  } else {
-    ThreadPool pool(options.workers);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      const BatchJob* job = &jobs[i];
-      BatchJobResult* slot = &results[i];
-      pool.Submit([job, slot] { *slot = RunJob(*job); });
     }
     // ~ThreadPool drains the queue and joins.
   }
+  report.total_jobs = jobs.size();
 
   // Deterministic assembly in plan order.
   for (size_t f = 0; f < files.size(); ++f) {
     BatchFileReport& fr = report.files[f];
+    fr.millis += builds[f].millis;
+    report.stats += builds[f].stats;
     for (size_t i = file_job_ranges[f].first; i < file_job_ranges[f].second;
          ++i) {
       ++fr.jobs;
@@ -237,10 +244,15 @@ Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
       }
     }
   }
-  // Trace handoff in submission order: job i always lands at traces[i],
-  // so the merged render's tid layout is identical for every -j.
+  // Trace handoff: file f's build at traces[f], then job i at
+  // traces[files + i], so the merged render's tid layout is identical
+  // for every -j.
   if (options.collect_traces) {
-    report.traces.reserve(results.size());
+    report.traces.reserve(files.size() + results.size());
+    for (size_t f = 0; f < files.size(); ++f) {
+      report.traces.push_back(BatchJobTrace{StrCat("file-", f, " ", files[f]),
+                                            std::move(builds[f].trace)});
+    }
     for (size_t i = 0; i < results.size(); ++i) {
       report.traces.push_back(BatchJobTrace{
           StrCat("job-", i, " ", jobs[i].file), std::move(results[i].trace)});
@@ -279,7 +291,7 @@ std::string RenderBatchSummary(const BatchReport& report,
       "\n");
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "batch: wall %.2f ms, cpu (sum of jobs) %.2f ms, "
+                "batch: wall %.2f ms, cpu (sum of builds and jobs) %.2f ms, "
                 "speedup %.2fx\n",
                 report.wall_millis, job_millis,
                 report.wall_millis > 0 ? job_millis / report.wall_millis

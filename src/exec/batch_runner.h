@@ -5,13 +5,21 @@
 // (text/dx_driver.h) — across a fixed-size thread pool (exec/pool.h),
 // then reassembles per-file canonical output in submission order.
 //
+// Each file is read, parsed and frozen exactly once, by a pool task,
+// into a FrozenScenario (exec/frozen_scenario.h); the calling thread then
+// plans the files' jobs in file order as their scenarios become ready,
+// and every job runs on the shared scenario through RunFrozenCommand.
+//
 // Determinism contract (pinned by tests/batch_exec_test.cc and the CI
 // corpus diff): RenderBatchOutput is *byte-identical* for every worker
 // count, including workers = 1, under every engine mode. This falls out
 // of three rules rather than any synchronization:
 //
-//   1. every job parses its own copy of the scenario into its own
-//      Universe (one Universe per job — debug-asserted by Universe);
+//   1. the jobs of a file share its one frozen scenario and mint only
+//      through a private overlay of its frozen universe (one overlay per
+//      job — debug-asserted by Universe); overlay ids continue the
+//      base's id spaces, so every job sees exactly the universe a fresh
+//      parse would give it;
 //   2. job outputs are canonical text (sorted rendering, justification-
 //      keyed null names), insensitive to interning order;
 //   3. results land in submission-indexed slots; concatenation order is
@@ -39,14 +47,15 @@ struct BatchOptions {
   /// Driver command to run on every file ("all", "chase", ...).
   std::string command = "all";
   /// Engine template for every job (mode and budgets are copied per job;
-  /// the stats pointer is ignored — each job gets its own sink).
+  /// the stats pointer is ignored — each job gets its own sink — and so
+  /// is any plan table: each file's scenario owns the one its jobs use).
   EngineContext engine;
   /// Fan out the slices within a scenario (per-mapping chase/certain
   /// jobs). Off = one job per file.
   bool split_scenarios = true;
-  /// Give every job its own obs::TraceSink and return the sinks on the
-  /// report (BatchReport::traces, submission order) for a merged Chrome
-  /// trace. Stdout stays byte-identical either way.
+  /// Give every file build and every job its own obs::TraceSink and
+  /// return the sinks on the report (BatchReport::traces) for a merged
+  /// Chrome trace. Stdout stays byte-identical either way.
   bool collect_traces = false;
   /// Extra driver selection applied to every file (mapping/sigma/...).
   DxDriverOptions driver;
@@ -63,14 +72,16 @@ struct BatchFileReport {
   std::string output;  ///< Concatenated job outputs; failed jobs render a
                        ///< deterministic "ocdx: error:" line in place.
   size_t jobs = 0;
-  double millis = 0;   ///< Sum of the file's job times (not wall time).
+  /// Time of the file's build (read, parse, freeze) plus the sum of its
+  /// job times (not wall time).
+  double millis = 0;
 };
 
-/// One job's trace, labeled for the merged Chrome render (the label
-/// becomes the thread name; the job's submission index fixes its tid
-/// block, so traces are stably laid out for every worker count).
+/// One track of the merged Chrome render: a file build or a job. The
+/// label becomes the thread name and the track's index fixes its tid
+/// block, so traces are stably laid out for every worker count.
 struct BatchJobTrace {
-  std::string label;  ///< "job-<index> <file>".
+  std::string label;  ///< "file-<index> <file>" or "job-<index> <file>".
   std::unique_ptr<obs::TraceSink> sink;
 };
 
@@ -79,9 +90,10 @@ struct BatchReport {
   size_t total_jobs = 0;
   size_t governed_jobs = 0;  ///< Jobs that tripped a budget/deadline/cancel.
   double wall_millis = 0;  ///< End-to-end batch wall time.
-  EngineStats stats;       ///< Aggregated over all jobs.
-  /// Per-job sinks in submission order (only when
-  /// BatchOptions::collect_traces was set).
+  EngineStats stats;  ///< Aggregated over all file builds and jobs.
+  /// Only when BatchOptions::collect_traces was set: one sink per input
+  /// file (its build, in file order), then one per job in submission
+  /// order.
   std::vector<BatchJobTrace> traces;
 
   bool ok() const {
@@ -114,8 +126,8 @@ std::string RenderBatchSummary(const BatchReport& report,
 /// and the `ocdxd` server, so "cannot read '<path>'" stays one message.
 Result<std::string> ReadDxFile(const std::string& path);
 
-/// Parses `path` and runs one driver command against it: the shared
-/// implementation of a single batch job and of one `ocdxd` request.
+/// Parses `path` into a fresh Universe and runs one driver command
+/// against it: one cold `ocdxd` request or one in-process `ocdx` run.
 /// `governed` (optional) receives the first budget/deadline/cancellation
 /// trip, exactly as in RunDxCommand.
 Result<std::string> RunDxFile(const std::string& path,

@@ -3,10 +3,11 @@
 // A job is one independently runnable slice of work over one `.dx` file:
 // a DxJobSpec (command + selection + engine context) from
 // text/dx_driver.h's PlanDxJobs, plus enough identity to reassemble the
-// deterministic, submission-ordered report. Jobs own nothing shared:
-// each execution parses its own copy of the scenario into its own
-// Universe (the one-Universe-per-job rule), so jobs can run on any
-// worker in any order.
+// deterministic, submission-ordered report. The jobs of one file share
+// its FrozenScenario (exec/frozen_scenario.h) — the file's one parse,
+// read-only — and mint only through a private overlay of its frozen
+// universe, so jobs can run on any worker in any order, including two
+// jobs of the same file at once.
 
 #ifndef OCDX_EXEC_JOB_H_
 #define OCDX_EXEC_JOB_H_
@@ -15,7 +16,7 @@
 #include <memory>
 #include <string>
 
-#include "base/value.h"
+#include "exec/frozen_scenario.h"
 #include "logic/engine_context.h"
 #include "obs/trace.h"
 #include "text/dx_driver.h"
@@ -23,24 +24,15 @@
 
 namespace ocdx {
 
-/// One schedulable unit. `source` is the file's text, shared (read-only)
-/// among the slices of one file.
+/// One schedulable unit.
 struct BatchJob {
   size_t index = 0;       ///< Submission order across the whole batch.
   size_t file_index = 0;  ///< Index into the batch's input file list.
   std::string file;       ///< Path (for error messages).
-  std::shared_ptr<const std::string> source;  ///< File contents.
+  /// The file's frozen scenario, shared (read-only) by its slices; the
+  /// last job of the file to finish releases it.
+  std::shared_ptr<const FrozenScenario> scenario;
   DxJobSpec spec;         ///< Command slice to run.
-  /// Optional frozen base from the planning parse, shared (read-only) by
-  /// the slices of one file: when set, the job parses into a
-  /// copy-on-write overlay of this universe instead of a cold one —
-  /// constants resolve against the base with no re-interning, and no
-  /// allocation is shared mutably across workers. Attached only when the
-  /// planning parse minted no nulls (a null-free base guarantees the
-  /// overlay parse assigns exactly the ids a cold parse would, keeping
-  /// output byte-identical); scenarios that declare nulls keep the
-  /// fresh-Universe path.
-  std::shared_ptr<const Universe> frozen_base;
   /// When set, the job allocates its own obs::TraceSink (one sink per
   /// job, like its stats) and returns it on the result for the batch
   /// trace merge.

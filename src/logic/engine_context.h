@@ -83,10 +83,10 @@ struct EngineContext {
   /// worker shard its own sink and absorbs them in shard order.
   obs::TraceSink* trace = nullptr;
   /// Optional compiled-plan table (src/plan/plan_table.h), owned by
-  /// whoever owns the scope: a batch job, a cold `ocdx`/`ocdxd` request,
-  /// an `ocdxd --preload` bundle or an `ocdx snapshot run`. Thread-safe
-  /// and shared by every copy of this context, including the shard
-  /// contexts of a member-enumeration fan-out.
+  /// whoever owns the scope: a frozen scenario (a batch file's, shared by
+  /// its jobs, or a snapshot bundle's) or a cold `ocdx`/`ocdxd` request.
+  /// Thread-safe and shared by every copy of this context, including the
+  /// shard contexts of a member-enumeration fan-out.
   std::shared_ptr<plan::PlanTable> plans;
   /// Intra-job fan-out width for the exponential member-enumeration loops
   /// (certain/member_enum.h): >1 shards each ForEachMember run across a

@@ -5,14 +5,17 @@
 // engine mode, boolean/answers convention, order/prebound) key and
 // rebound per instance. A PlanTable holds those plans for one scope:
 //
-//   - each batch job and each cold `ocdx` / `ocdxd` request gets a fresh
-//     table (EngineContext::EnsureCache in RunDxCommand, or the batch
-//     runner);
+//   - each FrozenScenario (exec/frozen_scenario.h) owns one, which
+//     RunFrozenCommand attaches to every run on it: the jobs of one
+//     `ocdx batch` file share their file's table, and every run of a
+//     snapshot bundle — `ocdx snapshot run`, or an `ocdxd --preload`
+//     bundle for the server's lifetime — shares the bundle's. A file
+//     listed twice is two scenarios with two tables;
+//   - each cold `ocdx` / `ocdxd` request gets a fresh table
+//     (EngineContext::EnsureCache in RunDxCommand);
 //   - a member-enumeration fan-out (certain/member_enum.cc) hands every
 //     shard the caller's table, so shards share compile-once plans with
-//     each other and with the job's sequential evaluations;
-//   - an `ocdxd --preload` bundle owns one table for its lifetime, and so
-//     does `ocdx snapshot run`.
+//     each other and with the job's sequential evaluations.
 //
 // The key is identity-based: a lookup matches only the *same* shared AST
 // node (shared_ptr owner identity), which is exact because every entry's
@@ -36,9 +39,11 @@
 // plan::GetOrCompile is the only way in.
 //
 // \invariant One table per scope. A table is attached to the context of
-//   the scope that owns it (job, request, preload bundle, snapshot run)
-//   and reaches everything that scope evaluates by context copy; nothing
-//   creates a second table inside a scope that already has one.
+//   the scope that owns it (frozen scenario, cold request) and reaches
+//   everything that scope evaluates by context copy; nothing creates a
+//   second table inside a scope that already has one, and a batch
+//   template context's table never reaches a job (RunFrozenCommand
+//   replaces it with the scenario's).
 // \invariant Published entries are immutable. A published CompiledQuery
 //   is immutable (see compiled_query.h) and its slot is written exactly
 //   once, before the count release-store that makes it visible, so

@@ -188,7 +188,11 @@ Status DecodeUniverse(Source* src, Universe* u) {
   std::vector<Value> witness(static_cast<size_t>(witness_size));
   OCDX_ASSIGN_OR_RETURN(std::span<const uint8_t> witness_bytes,
                         src->Bytes(witness_size * sizeof(uint64_t)));
-  std::memcpy(witness.data(), witness_bytes.data(), witness_bytes.size());
+  // An empty arena has no buffer, and memcpy from/to null is undefined
+  // even for zero bytes.
+  if (!witness.empty()) {
+    std::memcpy(witness.data(), witness_bytes.data(), witness_bytes.size());
+  }
 
   OCDX_ASSIGN_OR_RETURN(uint64_t num_nulls, src->U64());
   // Witness values may reference any stored null (fresh-null spans live
@@ -526,7 +530,7 @@ Result<SnapshotBundle> BuildSnapshotBundle(std::string source_path,
   // too, is left out of the store, and the warm driver re-chases it into
   // the identical diagnostic.
   EngineContext ctx = engine;
-  ctx.EnsureCache();
+  ctx.plans = b.plans;
   for (const auto& [key, value] : b.scenario.budget_settings) {
     Budget tight;
     SetBudgetField(&tight, key, value);
@@ -547,9 +551,9 @@ Result<SnapshotBundle> BuildSnapshotBundle(std::string source_path,
     }
   }
   // Seal: from here the bundle serves concurrent readers (ocdxd
-  // preload), and every run mints through a private overlay instead of
-  // cloning (RunSnapshotCommand).
-  b.universe->Freeze();
+  // preload), and every run mints through a private overlay
+  // (RunFrozenCommand).
+  b.Freeze();
   return b;
 }
 
@@ -655,7 +659,7 @@ Result<SnapshotBundle> ParseSnapshot(std::span<const uint8_t> bytes) {
                                     b.universe->witness_size(),
                                     &b.prechased));
   // Same seal as BuildSnapshotBundle: a loaded bundle is a frozen base.
-  b.universe->Freeze();
+  b.Freeze();
   return b;
 }
 
@@ -705,26 +709,6 @@ std::string DescribeSnapshot(const SnapshotBundle& bundle) {
                   " triggers\n");
   }
   return out;
-}
-
-Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
-                                       const std::string& command,
-                                       const DxDriverOptions& options,
-                                       Status* governed) {
-  // One copy-on-write overlay per run: the warm chase fallback and the
-  // member-enumeration loops mint scratch values into the universe they
-  // are given, and the bundle must stay reusable (and byte-stable)
-  // across requests. The frozen bundle universe is never copied — the
-  // overlay's mints continue the bundle's id spaces, so output is
-  // unchanged.
-  std::unique_ptr<Universe> u = bundle.universe->NewOverlay();
-  DxDriverOptions run = options;
-  run.prechased = &bundle.prechased;
-  if (run.engine.stats != nullptr) {
-    ++run.engine.stats->frozen_base_reuses;
-    ++run.engine.stats->overlay_mints;
-  }
-  return RunDxCommand(bundle.scenario, command, u.get(), run, governed);
 }
 
 }  // namespace snap

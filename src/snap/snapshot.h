@@ -6,6 +6,8 @@
 // solutions of every chaseable (mapping, instance) pair — so `ocdx
 // snapshot run` and `ocdxd --preload` answer driver commands without
 // re-parsing or re-chasing, with output byte-identical to a cold run.
+// A bundle is a FrozenScenario (exec/frozen_scenario.h): warm runs take
+// the same overlay → RunDxCommand path as every `ocdx batch` job.
 //
 // Relocatability: rows, witnesses and null justifications are stored as
 // *logical arena offsets* (base/arena.h ArenaRef, base/value.h
@@ -29,35 +31,28 @@
 #include <span>
 #include <string>
 
-#include "base/value.h"
+#include "exec/frozen_scenario.h"
 #include "logic/engine_context.h"
 #include "text/dx_driver.h"
-#include "text/dx_scenario.h"
 #include "util/status.h"
 
 namespace ocdx {
 namespace snap {
 
-/// Everything a snapshot holds, live: the parsed scenario over its own
-/// Universe plus the pre-chased canonical solutions. Movable; the
-/// scenario's Values stay valid because the Universe lives behind a
-/// stable pointer.
+/// Everything a snapshot holds, live: a FrozenScenario whose
+/// `source_path` is the `.dx` path recorded at write time and whose
+/// `prechased` store holds one canonical solution per DxChasePairOk pair
+/// whose chase completed within budget at build time. Governed pairs are
+/// absent, so the warm driver re-chases them and reproduces their
+/// diagnostics exactly.
 ///
-/// The universe comes back *frozen* (Universe::Freeze) from both
-/// BuildSnapshotBundle and ParseSnapshot: a bundle is a read-only base
-/// that any number of threads may serve concurrently, with every run
-/// minting through its own copy-on-write overlay (RunSnapshotCommand) —
-/// the frozen-base architecture ocdxd --preload serving is built on.
-struct SnapshotBundle {
-  std::string source_path;  ///< `.dx` path recorded at write time.
-  std::string dx_text;      ///< Embedded scenario text.
-  std::unique_ptr<Universe> universe;
-  DxScenario scenario;  ///< Parsed from dx_text over *universe.
-  /// One canonical solution per DxChasePairOk pair whose chase completed
-  /// within budget at build time; governed pairs are absent, so the warm
-  /// driver re-chases them and reproduces their diagnostics exactly.
-  PrechasedStore prechased;
-};
+/// BuildSnapshotBundle and ParseSnapshot both return the bundle frozen
+/// (FrozenScenario::Freeze): universe, instances and prechased solutions
+/// are a read-only base that any number of threads may serve at once,
+/// every run minting through its own overlay and sharing the bundle's
+/// plan table. ocdxd --preload keeps one bundle per snapshot for the
+/// server's lifetime.
+using SnapshotBundle = FrozenScenario;
 
 /// Parses `dx_text` and chases every applicable (mapping, instance) pair
 /// under the scenario's budget block folded into `engine` — the same fold
@@ -90,18 +85,16 @@ Result<SnapshotBundle> LoadSnapshotFile(const std::string& path);
 /// universe totals, stored pairs with row/trigger counts. Deterministic.
 std::string DescribeSnapshot(const SnapshotBundle& bundle);
 
-/// Runs one driver command warm: mints a copy-on-write overlay over the
-/// bundle's frozen universe (the bundle stays read-only and reusable; no
-/// deep copy), points the driver at the prechased store and otherwise
-/// behaves exactly like RunDxCommand over a fresh parse — byte-identical
-/// output, both engines, any shard width. Attach options.engine.plans (a
-/// plan::PlanTable owned alongside the bundle) to make repeated runs
-/// compile each query once per bundle lifetime instead of once per run —
-/// the ocdxd --preload serving path.
-Result<std::string> RunSnapshotCommand(const SnapshotBundle& bundle,
-                                       const std::string& command,
-                                       const DxDriverOptions& options = {},
-                                       Status* governed = nullptr);
+/// Runs one driver command warm: RunFrozenCommand on the bundle — a
+/// private overlay of the frozen universe, the prechased store and the
+/// bundle's plan table, so repeated runs compile each query once per
+/// bundle lifetime. Byte-identical to RunDxCommand over a fresh parse,
+/// both engines, any shard width.
+inline Result<std::string> RunSnapshotCommand(
+    const SnapshotBundle& bundle, const std::string& command,
+    const DxDriverOptions& options = {}, Status* governed = nullptr) {
+  return RunFrozenCommand(bundle, command, options, governed);
+}
 
 }  // namespace snap
 }  // namespace ocdx

@@ -46,8 +46,8 @@ namespace ocdx {
 /// — the warm store a loaded snapshot (src/snap) hands the driver. The
 /// driver copies a stored solution before use (the copy re-interns rows
 /// into its own arenas, mirroring the ownership of a fresh chase), so one
-/// immutable store can serve many jobs whose universes are overlays of
-/// the snapshot universe.
+/// frozen store can serve many jobs whose universes are overlays of the
+/// snapshot universe.
 class PrechasedStore {
  public:
   void Put(std::string mapping, std::string instance, CanonicalSolution csol) {
@@ -64,6 +64,12 @@ class PrechasedStore {
   }
 
   size_t size() const { return store_.size(); }
+
+  /// Freezes every stored solution's relations for concurrent readers.
+  void Freeze() {
+    for (auto& [key, csol] : store_) csol.annotated.Freeze();
+  }
+
   const std::map<std::pair<std::string, std::string>, CanonicalSolution>&
   entries() const {
     return store_;
@@ -129,8 +135,9 @@ std::vector<std::string> ApplicableDxCommands(const DxScenario& scenario);
 /// the output of RunDxCommand(scenario, command, u, options).
 ///
 /// Invariant (relied on by the batch executor, src/exec): running the
-/// specs of PlanDxJobs *in order* — each against a freshly parsed copy of
-/// the same scenario text — and concatenating prefix + output yields text
+/// specs of PlanDxJobs — each on its own overlay of one frozen parse of
+/// the scenario text (exec/frozen_scenario.h), in any order — and
+/// concatenating prefix + output in spec order yields text
 /// byte-identical to running `command` directly. Canonical rendering
 /// (sorted relations, justification-keyed null names) is what makes the
 /// slices insensitive to the surrounding universe state.

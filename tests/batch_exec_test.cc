@@ -3,12 +3,12 @@
 //
 // The headline property is *determinism*: `ocdx batch -j 8` must be
 // byte-identical to `-j 1` over the whole corpus under every engine mode
-// — no synchronization makes that true, only the absence of shared
-// mutable state (one Universe, one EngineContext and one plan table per
-// job, canonical rendering). CI additionally runs this file under
-// ThreadSanitizer
-// (the `tsan` preset), which turns any violation of that contract into a
-// hard failure instead of a flaky diff.
+// — no synchronization makes that true beyond the build-once publication
+// of frozen state: the jobs of a file share its one frozen scenario and
+// plan table, and each mints only through its own overlay and writes
+// only its own stats. CI additionally runs this file under
+// ThreadSanitizer (the `tsan` preset), which turns any violation of that
+// contract into a hard failure instead of a flaky diff.
 
 #include <atomic>
 #include <filesystem>
@@ -25,6 +25,7 @@
 #include "exec/pool.h"
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
+#include "obs/trace.h"
 #include "plan/plan_table.h"
 #include "semantics/homomorphism.h"
 #include "text/dx_driver.h"
@@ -177,11 +178,35 @@ TEST(BatchExec, EmptyInputIsAnError) {
   EXPECT_FALSE(RunDxBatch({}, BatchOptions{}).ok());
 }
 
+// Parse once per file: the only parse span of a traced batch is each
+// file's build, however many jobs the file is sliced into.
+TEST(BatchExec, ParsesEachFileOnce) {
+  std::vector<std::string> files = CorpusFiles();
+  ASSERT_FALSE(files.empty());
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    BatchOptions options;
+    options.workers = workers;
+    options.collect_traces = true;
+    Result<BatchReport> report = RunDxBatch(files, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_GT(report.value().total_jobs, files.size());
+    size_t parses = 0;
+    for (const BatchJobTrace& t : report.value().traces) {
+      for (const obs::TraceEvent& e : t.sink->events()) {
+        if (std::string(e.name) == obs::kPhaseParse.name) ++parses;
+      }
+    }
+    EXPECT_EQ(parses, files.size());
+    EXPECT_GT(report.value().stats.parse_ns, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EngineContext plumbing
 // ---------------------------------------------------------------------------
 
-TEST(EngineContext, PlanCachesAreJobLocal) {
+TEST(EngineContext, PlanTablesArePerFile) {
   // Default contexts carry no table (per-call compilation); EnsureCache
   // attaches one and is idempotent; copies of one context share its
   // table — that is the intra-job contract.
@@ -195,23 +220,35 @@ TEST(EngineContext, PlanCachesAreJobLocal) {
   EngineContext copy = ctx;
   EXPECT_EQ(copy.plans, first);
 
-  // The batch runner gives every job a fresh table: a table on the
-  // template context is never handed to a job, so two jobs over the same
-  // file each compile their own plans.
+  // The jobs of one file share its scenario's table, so between them
+  // they compile each query exactly as often as one direct `all` run,
+  // which owns a single table.
   const std::string file = std::string(OCDX_CORPUS_DIR) + "/conference.dx";
+  Result<std::string> source = ReadDxFile(file);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EngineStats direct;
+  DxDriverOptions driver;
+  driver.engine.stats = &direct;
+  ASSERT_TRUE(RunDxFile(file, source.value(), "all", driver).ok());
+
   BatchOptions options;
-  options.command = "certain";
-  options.split_scenarios = false;
+  options.workers = 4;
   options.engine.EnsureCache();
   Result<BatchReport> one = RunDxBatch({file}, options);
-  Result<BatchReport> two = RunDxBatch({file, file}, options);
-  ASSERT_TRUE(one.ok() && two.ok());
-  ASSERT_EQ(two.value().total_jobs, 2u);
-  EXPECT_EQ(options.engine.plans->size(), 0u);
+  ASSERT_TRUE(one.ok() && one.value().ok());
+  ASSERT_GT(one.value().total_jobs, 1u);
   EXPECT_GT(one.value().stats.plan_compiles, 0u);
+  EXPECT_EQ(one.value().stats.plan_compiles, direct.plan_compiles)
+      << "the jobs of one file compile each query once between them";
+
+  // The same path listed twice is two scenarios with two tables.
+  Result<BatchReport> two = RunDxBatch({file, file}, options);
+  ASSERT_TRUE(two.ok() && two.value().ok());
   EXPECT_EQ(two.value().stats.plan_compiles,
-            2 * one.value().stats.plan_compiles)
-      << "every job compiles its plans once, into its own table";
+            2 * one.value().stats.plan_compiles);
+
+  // The template context's table is never handed to a job.
+  EXPECT_EQ(options.engine.plans->size(), 0u);
 }
 
 TEST(EngineContext, ContextBudgetCapsHomSearch) {

@@ -1,6 +1,7 @@
-// Tests for the frozen-base Universe architecture (base/value.h):
-// Freeze() / ScopedReadShare read-only states and copy-on-write overlays
-// (NewOverlay).
+// Tests for the frozen-base architecture: the Universe's Freeze() /
+// ScopedReadShare read-only states and copy-on-write overlays
+// (NewOverlay, base/value.h), and frozen relations read by many threads
+// at once (Relation::Freeze, base/relation.h).
 //
 // The load-bearing property is *id equivalence*: a value minted through
 // an overlay must be bit-identical to the value one cold universe would
@@ -16,7 +17,9 @@
 // test's arena bookkeeping.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -25,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include "base/relation.h"
+#include "base/tuple_index.h"
 #include "base/value.h"
 
 namespace ocdx {
@@ -265,6 +270,176 @@ TEST(FrozenOverlay, ScopedReadShareAllowsForeignReadsThenRestoresOwnership) {
   Value v = u.Const("after_share");
   EXPECT_EQ(v.id(), u.num_consts() - 1);
 }
+
+// ---------------------------------------------------------------------------
+// Frozen relations
+// ---------------------------------------------------------------------------
+
+constexpr size_t kArity = 4;
+constexpr uint32_t kRows = 300;
+
+Value C(uint32_t id) { return Value::MakeConst(id); }
+
+// Row r of both test relations: small repeating domains so keyed probes
+// return multi-row buckets.
+std::vector<Value> RowValues(uint32_t r) {
+  return {C(r % 5), C(r % 9), C(r % 4), C(r)};
+}
+
+Relation MakeRelation() {
+  Relation rel(kArity);
+  for (uint32_t r = 0; r < kRows; ++r) rel.Add(RowValues(r));
+  return rel;
+}
+
+// Proper rows under two annotations plus one empty marker per
+// annotation, bulk-loaded: LoadRows defers the dedup table, so the
+// readers' first Contains races its build too.
+AnnotatedRelation MakeLoadedAnnotated() {
+  std::vector<AnnVec> pool = {
+      AnnVec(kArity, Ann::kOpen),
+      AnnVec{Ann::kClosed, Ann::kOpen, Ann::kClosed, Ann::kOpen}};
+  std::vector<Value> flat;
+  std::vector<AnnotatedRelation::RowSpec> specs;
+  for (uint32_t r = 0; r < kRows; ++r) {
+    std::vector<Value> row = RowValues(r);
+    flat.insert(flat.end(), row.begin(), row.end());
+    specs.push_back({static_cast<uint32_t>(kArity), r % 2});
+  }
+  specs.push_back({0, 0});
+  specs.push_back({0, 1});
+  AnnotatedRelation rel(kArity);
+  EXPECT_TRUE(rel.LoadRows(flat, specs, pool));
+  return rel;
+}
+
+std::vector<Value> Project(const std::vector<Value>& row, uint64_t mask) {
+  std::vector<Value> key;
+  for (size_t p = 0; p < row.size(); ++p) {
+    if ((mask >> p) & 1) key.push_back(row[p]);
+  }
+  return key;
+}
+
+std::vector<uint32_t> Bucket(const std::vector<uint32_t>* b) {
+  return b == nullptr ? std::vector<uint32_t>{} : *b;
+}
+
+// Every probe a reader makes of `mask`: one per row's projection, plus a
+// key no row has. Results in a fixed order, comparable across threads.
+std::vector<std::vector<uint32_t>> ProbeAll(const Relation& rel,
+                                            uint64_t mask) {
+  std::vector<std::vector<uint32_t>> out;
+  for (uint32_t r = 0; r < kRows; r += 7) {
+    out.push_back(Bucket(rel.Probe(mask, Project(RowValues(r), mask))));
+  }
+  std::vector<Value> missing(__builtin_popcountll(mask), C(999));
+  out.push_back(Bucket(rel.Probe(mask, missing)));
+  return out;
+}
+
+std::vector<std::vector<uint32_t>> ProbeAllProper(const AnnotatedRelation& rel,
+                                                  uint64_t mask) {
+  std::vector<std::vector<uint32_t>> out;
+  for (uint32_t r = 0; r < kRows; r += 7) {
+    AnnotatedTupleRef row = rel.row(r);
+    std::vector<Value> values(row.values.begin(), row.values.end());
+    out.push_back(Bucket(rel.ProbeProper(mask, Project(values, mask), row.ann)));
+  }
+  return out;
+}
+
+// The concurrency pin of the frozen-relation invariant: 8 threads
+// first-probe a frozen Relation and a frozen, bulk-loaded
+// AnnotatedRelation at once — two masks every thread probes plus one
+// mask per thread — and race the deferred dedup build with Contains.
+// Every result must equal the single-threaded one, and each distinct
+// mask must be built exactly once across all threads. Under the tsan
+// preset any unpublished write in the probe path is a reported race.
+TEST(FrozenRelation, ConcurrentFirstProbeBuildsOnce) {
+  constexpr int kThreads = 8;
+  const std::vector<uint64_t> shared_masks = {0b0001, 0b0011};
+  auto masks_of = [&](int t) {
+    std::vector<uint64_t> masks = shared_masks;
+    masks.push_back(static_cast<uint64_t>(t) + 4);  // 0b0100 .. 0b1011
+    // Vary the order so threads collide on different masks first.
+    if (t % 2 == 1) std::reverse(masks.begin(), masks.end());
+    return masks;
+  };
+  // ProbeProper also takes the annotation-only mask 0 as a shared mask.
+  auto proper_masks_of = [&](int t) {
+    std::vector<uint64_t> masks = masks_of(t);
+    masks.push_back(0);
+    return masks;
+  };
+
+  // Single-threaded reference over identical, unfrozen relations.
+  const Relation ref_rel = MakeRelation();
+  const AnnotatedRelation ref_ann = MakeLoadedAnnotated();
+  std::map<uint64_t, std::vector<std::vector<uint32_t>>> want, want_proper;
+  for (int t = 0; t < kThreads; ++t) {
+    for (uint64_t m : masks_of(t)) want[m] = ProbeAll(ref_rel, m);
+    for (uint64_t m : proper_masks_of(t)) {
+      want_proper[m] = ProbeAllProper(ref_ann, m);
+    }
+  }
+
+  Relation rel = MakeRelation();
+  AnnotatedRelation ann = MakeLoadedAnnotated();
+  rel.Freeze();
+  ann.Freeze();
+  ASSERT_TRUE(rel.frozen() && ann.frozen());
+
+  std::atomic<bool> go{false};
+  std::vector<uint64_t> builds(kThreads, 0);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const uint64_t before = index_maintenance_stats().full_builds;
+      for (uint64_t m : masks_of(t)) {
+        if (ProbeAll(rel, m) != want.at(m)) ++mismatches[t];
+      }
+      for (uint64_t m : proper_masks_of(t)) {
+        if (ProbeAllProper(ann, m) != want_proper.at(m)) ++mismatches[t];
+      }
+      for (uint32_t r = 0; r < kRows; r += 13) {
+        if (!rel.Contains(RowValues(r))) ++mismatches[t];
+        if (!ann.Contains(ann.row(r))) ++mismatches[t];
+      }
+      if (rel.Contains({C(999), C(999), C(999), C(999)})) ++mismatches[t];
+      builds[t] = index_maintenance_stats().full_builds - before;
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+
+  uint64_t total_builds = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    total_builds += builds[t];
+  }
+  // Relation: the 2 shared masks + 8 per-thread masks. AnnotatedRelation:
+  // those 10 + the annotation-only mask 0.
+  EXPECT_EQ(total_builds, want.size() + want_proper.size());
+  EXPECT_EQ(want.size(), 10u);
+  EXPECT_EQ(want_proper.size(), 11u);
+}
+
+#ifndef NDEBUG
+
+using FrozenRelationDeathTest = testing::Test;
+
+TEST(FrozenRelationDeathTest, AddOnFrozenRelationAsserts) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Relation rel(1);
+  rel.Add({C(0)});
+  rel.Freeze();
+  EXPECT_DEATH(rel.Add({C(1)}), "mutating a frozen relation");
+}
+
+#endif  // NDEBUG
 
 }  // namespace
 }  // namespace ocdx

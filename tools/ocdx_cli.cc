@@ -404,9 +404,8 @@ int main(int argc, char** argv) {
       } else {
         std::string run_command = command_flag.empty() ? "all" : command_flag;
         Status governed;
-        // The run owns one plan table (attached by RunDxCommand), so it
-        // compiles each query once even when the command fans out
-        // across shards.
+        // The run probes the bundle's plan table, so it compiles each
+        // query once even when the command fans out across shards.
         std::optional<Result<std::string>> out;
         {
           obs::ScopedSpan span(options.engine.stats, options.engine.trace,
@@ -447,7 +446,8 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   {
-    // The job span brackets parse + command, mirroring one batch job.
+    // The job span brackets parse + command, as in one cold ocdxd
+    // request (RunDxFile).
     obs::ScopedSpan job_span(options.engine.stats, options.engine.trace,
                              obs::kPhaseJob);
     Universe universe;

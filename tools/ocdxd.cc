@@ -47,11 +47,12 @@
 // requests. The handler is installed without SA_RESTART so a blocking
 // read wakes up too.
 //
-// Every request executes as an isolated job — fresh parse, fresh
-// Universe, explicit EngineContext — through the same path as one batch
-// job (exec/batch_runner.h's RunDxFile), so responses are byte-identical
-// to `ocdx <command> <file>` output and the server stays reentrant by
-// construction.
+// Every cold request executes as an isolated job — fresh parse, fresh
+// Universe, explicit EngineContext (exec/batch_runner.h's RunDxFile) —
+// and every warm request runs on a private overlay of its frozen bundle,
+// the path every `ocdx batch` job takes (exec/frozen_scenario.h). Either
+// way responses are byte-identical to `ocdx <command> <file>` output and
+// the server stays reentrant by construction.
 
 #include <atomic>
 #include <csignal>
@@ -66,7 +67,6 @@
 #include "logic/budget.h"
 #include "logic/engine_context.h"
 #include "obs/stats_registry.h"
-#include "plan/plan_table.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
 #include "util/fault.h"
@@ -216,13 +216,12 @@ int main(int argc, char** argv) {
 
   // Warm set: each entry keeps the snapshot's own file path alongside the
   // bundle (whose source_path is the `.dx` path recorded at write time);
-  // a request may address the bundle by either name. The bundle's
-  // universe is frozen (snap/snapshot.h), and each bundle owns one plan
-  // table so plans compile once per *server lifetime*, not per request.
+  // a request may address the bundle by either name. The bundle is
+  // frozen (snap/snapshot.h) and owns one plan table, so plans compile
+  // once per *server lifetime*, not per request.
   struct PreloadedEntry {
     std::string snap_path;
     snap::SnapshotBundle bundle;
-    std::shared_ptr<plan::PlanTable> plans;
   };
   std::vector<PreloadedEntry> preloaded;
   preloaded.reserve(preload_paths.size());
@@ -238,7 +237,6 @@ int main(int argc, char** argv) {
     PreloadedEntry entry;
     entry.snap_path = snap_path;
     entry.bundle = std::move(bundle.value());
-    entry.plans = std::make_shared<plan::PlanTable>();
     preloaded.push_back(std::move(entry));
   }
 
@@ -337,13 +335,11 @@ int main(int argc, char** argv) {
     Status governed;
     Result<std::string> out = [&]() -> Result<std::string> {
       if (warm != nullptr) {
-        // The bundle's server-lifetime plan table rides the request
-        // context; each request still runs over its own private overlay
-        // of the frozen bundle universe (RunSnapshotCommand). Cold
-        // requests get a fresh table from RunDxCommand — a fresh parse
-        // mints fresh formula identities, so cross-request sharing could
-        // never hit.
-        request.engine.plans = warm->plans;
+        // Each request runs over its own private overlay of the frozen
+        // bundle and probes the bundle's server-lifetime plan table
+        // (RunSnapshotCommand). Cold requests get a fresh table from
+        // RunDxCommand — a fresh parse mints fresh formula identities, so
+        // cross-request sharing could never hit.
         return snap::RunSnapshotCommand(warm->bundle, command, request,
                                         &governed);
       }

@@ -51,14 +51,13 @@ std::vector<std::string> CorpusFiles(
   return out;
 }
 
-void RunBatchCorpus(benchmark::State& state, JoinEngineMode mode,
+void RunBatchCorpus(benchmark::State& state,
                     std::initializer_list<const char*> names = kOriginalSet) {
   const size_t workers = static_cast<size_t>(state.range(0));
   const size_t repeat = 4;
   std::vector<std::string> files = CorpusFiles(repeat, names);
   BatchOptions options;
   options.workers = workers;
-  options.engine = EngineContext::ForMode(mode);
 
   size_t jobs = 0;
   for (auto _ : state) {
@@ -77,24 +76,17 @@ void RunBatchCorpus(benchmark::State& state, JoinEngineMode mode,
 }
 
 void BM_BatchCorpus(benchmark::State& state) {
-  RunBatchCorpus(state, JoinEngineMode::kIndexed);
+  RunBatchCorpus(state);
   state.SetLabel("batch: pinned original corpus, command=all, indexed");
 }
 BENCHMARK(BM_BatchCorpus)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_BatchCorpusNaive(benchmark::State& state) {
-  RunBatchCorpus(state, JoinEngineMode::kNaive);
-  state.SetLabel("batch: pinned original corpus, command=all, naive");
-}
-BENCHMARK(BM_BatchCorpusNaive)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The enumeration-heavy PR 5 scenarios (valuation enumeration, bounded
 // member search, membership fan-out): the workload the compile-once
 // plan table exists for.
 void BM_BatchEnumCorpus(benchmark::State& state) {
-  RunBatchCorpus(state, JoinEngineMode::kIndexed, kEnumHeavySet);
+  RunBatchCorpus(state, kEnumHeavySet);
   state.SetLabel("batch: enumeration-heavy corpus, command=all, indexed");
 }
 BENCHMARK(BM_BatchEnumCorpus)->Arg(1)->Arg(4)

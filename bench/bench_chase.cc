@@ -14,10 +14,10 @@
 namespace ocdx {
 namespace {
 
-void RunChaseConference(benchmark::State& state, JoinEngineMode mode) {
+void BM_ChaseConference(benchmark::State& state) {
   // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run.
-  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
+  const EngineContext ctx = EngineContext().EnsureCache();
   const size_t papers = static_cast<size_t>(state.range(0));
   Universe u;
   Result<ConferenceScenario> sc =
@@ -39,27 +39,15 @@ void RunChaseConference(benchmark::State& state, JoinEngineMode mode) {
   }
   state.counters["target_tuples"] = static_cast<double>(tuples);
   state.counters["papers"] = static_cast<double>(papers);
-}
-
-void BM_ChaseConference(benchmark::State& state) {
-  RunChaseConference(state, JoinEngineMode::kIndexed);
   state.SetLabel("E12 chase: conference scenario (PTIME, Thm 1.4)");
 }
 BENCHMARK(BM_ChaseConference)->Arg(10)->Arg(50)->Arg(250)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// Naive-path baseline (original nested-loop scans), benched side-by-side
-// at the largest arg so the indexed speedup is tracked in BENCH_*.json.
-void BM_ChaseConferenceNaive(benchmark::State& state) {
-  RunChaseConference(state, JoinEngineMode::kNaive);
-  state.SetLabel("E12 chase baseline: naive nested-loop joins");
-}
-BENCHMARK(BM_ChaseConferenceNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
-
-void RunChaseCopy(benchmark::State& state, JoinEngineMode mode) {
+void BM_ChaseCopy(benchmark::State& state) {
   // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run.
-  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
+  const EngineContext ctx = EngineContext().EnsureCache();
   const size_t edges = static_cast<size_t>(state.range(0));
   Universe u;
   Schema src;
@@ -80,20 +68,10 @@ void RunChaseCopy(benchmark::State& state, JoinEngineMode mode) {
     benchmark::DoNotOptimize(csol);
   }
   state.counters["edges"] = static_cast<double>(edges);
-}
-
-void BM_ChaseCopy(benchmark::State& state) {
-  RunChaseCopy(state, JoinEngineMode::kIndexed);
   state.SetLabel("E12 chase: copying mapping");
 }
 BENCHMARK(BM_ChaseCopy)->Arg(10)->Arg(100)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ChaseCopyNaive(benchmark::State& state) {
-  RunChaseCopy(state, JoinEngineMode::kNaive);
-  state.SetLabel("E12 chase baseline: naive copying mapping");
-}
-BENCHMARK(BM_ChaseCopyNaive)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Chase with an FO body (negation): the third conference rule needs a
 // subquery per paper.

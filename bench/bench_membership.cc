@@ -17,11 +17,10 @@
 namespace ocdx {
 namespace {
 
-void RunMembership(benchmark::State& state, bool all_open, bool want_match,
-                   JoinEngineMode mode = JoinEngineMode::kIndexed) {
+void RunMembership(benchmark::State& state, bool all_open, bool want_match) {
   // Production configuration: a job-scoped plan table carried across
   // iterations, as the driver/CLI attach per command run.
-  const EngineContext ctx = EngineContext::ForMode(mode).EnsureCache();
+  const EngineContext ctx = EngineContext().EnsureCache();
   const size_t n = static_cast<size_t>(state.range(0));
   Universe u;
   Rng rng(2024 + n);
@@ -79,31 +78,6 @@ void BM_MembershipNpNo(benchmark::State& state) {
 }
 BENCHMARK(BM_MembershipNpNo)->Arg(2)->Arg(3)->Arg(4)->Arg(5)
     ->Unit(benchmark::kMillisecond);
-
-// Naive-path baselines (original scans, no index probes, no boolean-CQ
-// fast path), benched side-by-side at the largest args so BENCH_*.json
-// records the indexed speedup.
-void BM_MembershipAllOpenPtimeNaive(benchmark::State& state) {
-  RunMembership(state, /*all_open=*/true, /*want_match=*/true,
-                JoinEngineMode::kNaive);
-  state.SetLabel("E2 baseline: all-open PTIME path, naive engine");
-}
-BENCHMARK(BM_MembershipAllOpenPtimeNaive)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MembershipNpYesNaive(benchmark::State& state) {
-  RunMembership(state, /*all_open=*/false, /*want_match=*/true,
-                JoinEngineMode::kNaive);
-  state.SetLabel("E2 baseline: NP accept path, naive engine");
-}
-BENCHMARK(BM_MembershipNpYesNaive)->Arg(6)->Unit(benchmark::kMillisecond);
-
-void BM_MembershipNpNoNaive(benchmark::State& state) {
-  RunMembership(state, /*all_open=*/false, /*want_match=*/false,
-                JoinEngineMode::kNaive);
-  state.SetLabel("E2 baseline: NP exhaustive-reject path, naive engine");
-}
-BENCHMARK(BM_MembershipNpNoNaive)->Arg(5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ocdx

@@ -35,13 +35,14 @@ Result<Value> EvalHeadTerm(const Term& t, const Env& env) {
   return Status::Internal("unknown term kind");
 }
 
-// Original string-keyed witness loop, preserved as the naive baseline
-// (see logic/engine_context.h).
-Status FireNaive(const AnnotatedStd& std_, size_t std_index,
-                 const std::shared_ptr<const std::vector<std::string>>& vars,
-                 const std::vector<std::string>& exist_vars,
-                 const std::vector<TupleRef>& witnesses,
-                 Universe* universe, CanonicalSolution* out) {
+// The kGeneric witness loop: the chase step written out literally, one
+// string-keyed environment per witness. It is the reference FireCompiled
+// is checked against (EndToEndParity.ChaseAgreesAcrossEngines).
+Status FireLiteral(const AnnotatedStd& std_, size_t std_index,
+                   const std::shared_ptr<const std::vector<std::string>>& vars,
+                   const std::vector<std::string>& exist_vars,
+                   const std::vector<TupleRef>& witnesses,
+                   Universe* universe, CanonicalSolution* out) {
   const std::vector<std::string>& body_vars = *vars;
   for (TupleRef w : witnesses) {
     ChaseTrigger trigger;
@@ -243,8 +244,8 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                        &out));
     } else {
       OCDX_RETURN_IF_ERROR(
-          FireNaive(std_, i, shared_vars, exist_vars, witnesses, universe,
-                    &out));
+          FireLiteral(std_, i, shared_vars, exist_vars, witnesses, universe,
+                      &out));
     }
     if (ctx.stats != nullptr) ctx.stats->chase_triggers += witnesses.size();
   }

@@ -14,8 +14,8 @@ std::optional<Relation> TryEvalCQ(const FormulaPtr& f,
   plan::CompileRequest req;
   req.formula = f;
   req.order = order;
-  plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst, JoinEngineMode::kIndexed, /*force_generic=*/false, ctx);
+  plan::CompiledQueryPtr cq =
+      plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed, ctx);
   if (cq->kind != plan::PlanKind::kRelational) return std::nullopt;
   plan::BoundQuery bound = plan::BindQuery(*cq, inst, &ctx);
   if (!bound.arity_ok) return std::nullopt;  // Generic reports the error.
@@ -24,24 +24,6 @@ std::optional<Relation> TryEvalCQ(const FormulaPtr& f,
   if (!bound.trivially_empty) {
     plan::RunRelational(bound, /*binding=*/nullptr, &out);
   }
-  return out;
-}
-
-std::optional<Relation> TryEvalCQNaive(const FormulaPtr& f,
-                                       const std::vector<std::string>& order,
-                                       const Instance& inst,
-                                       const EngineContext& ctx) {
-  plan::CompileRequest req;
-  req.formula = f;
-  req.order = order;
-  plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst, JoinEngineMode::kNaive, /*force_generic=*/false, ctx);
-  if (cq->kind != plan::PlanKind::kShape) return std::nullopt;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst, &ctx);
-  if (!bound.arity_ok) return std::nullopt;
-  if (ctx.stats != nullptr) ++ctx.stats->cq_plans;
-  Relation out(order.size());
-  plan::RunShape(bound, order, &out);
   return out;
 }
 
@@ -56,8 +38,8 @@ std::optional<bool> TryHoldsCQ(const FormulaPtr& f,
     if (binding.find(v) == binding.end()) return std::nullopt;
     req.prebound.insert(v);
   }
-  plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst, JoinEngineMode::kIndexed, /*force_generic=*/false, ctx);
+  plan::CompiledQueryPtr cq =
+      plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed, ctx);
   if (cq->kind != plan::PlanKind::kRelational) return std::nullopt;
   plan::BoundQuery bound = plan::BindQuery(*cq, inst, &ctx);
   if (!bound.arity_ok) return std::nullopt;

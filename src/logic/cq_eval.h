@@ -18,9 +18,9 @@
 // enumeration loops call these thousands of times per query and pay for
 // compilation exactly once. Without a table every call compiles.
 //
-// TryEvalCQNaive preserves the original string-keyed nested-loop-scan
-// implementation; it is the reference baseline for parity tests and
-// side-by-side benchmarks (see logic/engine_config.h).
+// The reference these are checked against is the generic evaluator
+// (logic/evaluator.h under JoinEngineMode::kGeneric), which applies the
+// active-domain definition literally.
 
 #ifndef OCDX_LOGIC_CQ_EVAL_H_
 #define OCDX_LOGIC_CQ_EVAL_H_
@@ -47,13 +47,6 @@ namespace ocdx {
 /// reasons — the caller falls back). `ctx` supplies the optional plan
 /// cache and stats sink; which engine runs is the caller's dispatch.
 std::optional<Relation> TryEvalCQ(
-    const FormulaPtr& f, const std::vector<std::string>& order,
-    const Instance& inst, const EngineContext& ctx = EngineContext());
-
-/// The original backtracking nested-loop implementation, preserved as the
-/// naive baseline. Accepts exactly the same shapes as TryEvalCQ and
-/// returns identical relations, just slower.
-std::optional<Relation> TryEvalCQNaive(
     const FormulaPtr& f, const std::vector<std::string>& order,
     const Instance& inst, const EngineContext& ctx = EngineContext());
 

@@ -4,7 +4,8 @@
 // compose, the .dx driver) takes an EngineContext instead of consulting
 // process-wide state. A context bundles
 //
-//   - the join-engine mode (indexed / naive / generic),
+//   - the join-engine mode (indexed, or the generic active-domain
+//     oracle),
 //   - default step budgets for the NP search engines (homomorphism and
 //     RepA backtracking), applied as a *cap* on per-call options,
 //   - an optional per-job statistics sink, and

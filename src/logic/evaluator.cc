@@ -20,13 +20,13 @@ namespace ocdx {
 namespace {
 
 // A fresh, uncached generic compile for the bind-failure path: the plan
-// in hand is relational/shape but this instance's relation arities do
+// in hand is relational but this instance's relation arities do
 // not match, so the generic evaluator must run to report its historical
 // InvalidArgument. Rare, and never worth a cache slot.
 plan::CompiledQueryPtr FreshGeneric(const plan::CompileRequest& req,
                                     const Instance& inst) {
   return plan::CompileQuery(req, inst, JoinEngineMode::kGeneric,
-                            /*force_generic=*/true, /*schema_key=*/0);
+                            /*schema_key=*/0);
 }
 
 }  // namespace
@@ -59,8 +59,8 @@ Result<bool> Evaluator::Holds(const FormulaPtr& f, const Env& binding) {
 
   OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
   plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst_, cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric,
-      /*force_generic=*/!cq_eligible, ctx_);
+      req, inst_,
+      cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric, ctx_);
   if (cq->kind == plan::PlanKind::kRelational) {
     plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
     if (bound.arity_ok) {
@@ -97,28 +97,23 @@ Result<Relation> Evaluator::Answers(const FormulaPtr& f,
   }
   // Fast path: safe conjunctive queries evaluate by index-driven joins
   // instead of domain^k enumeration (rule bodies are usually CQs). The
-  // context's mode selects the compiled/indexed plan, the preserved naive
-  // scan baseline, or no fast path at all (see logic/engine_context.h).
+  // context's mode selects the compiled/indexed plan or no fast path at
+  // all (see logic/engine_context.h).
   plan::CompileRequest req;
   req.formula = f;
   req.order = order;
-  const bool fast_eligible =
-      oracle_ == nullptr && ctx_.mode != JoinEngineMode::kGeneric;
+  const bool cq_eligible = oracle_ == nullptr && ctx_.indexed();
   OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
   plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst_, fast_eligible ? ctx_.mode : JoinEngineMode::kGeneric,
-      /*force_generic=*/!fast_eligible, ctx_);
-  if (cq->kind != plan::PlanKind::kGeneric) {
+      req, inst_,
+      cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric, ctx_);
+  if (cq->kind == plan::PlanKind::kRelational) {
     plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
     if (bound.arity_ok) {
       if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
       Relation out(order.size());
-      if (cq->kind == plan::PlanKind::kRelational) {
-        if (!bound.trivially_empty) {
-          plan::RunRelational(bound, /*binding=*/nullptr, &out);
-        }
-      } else {
-        plan::RunShape(bound, order, &out);
+      if (!bound.trivially_empty) {
+        plan::RunRelational(bound, /*binding=*/nullptr, &out);
       }
       return out;
     }

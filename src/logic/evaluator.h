@@ -33,8 +33,9 @@ using Env = std::map<std::string, Value>;
 class Evaluator {
  public:
   /// `inst` and `universe` must outlive the evaluator. `ctx` selects the
-  /// CQ fast path (indexed / naive / none) and receives stats; it is
-  /// copied, so a temporary is fine.
+  /// CQ fast path (kIndexed) or none (kGeneric, the active-domain
+  /// definition applied literally) and receives stats; it is copied, so
+  /// a temporary is fine.
   Evaluator(const Instance& inst, const Universe& universe,
             const EngineContext& ctx = EngineContext())
       : inst_(inst), universe_(universe), ctx_(ctx) {}

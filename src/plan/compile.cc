@@ -31,7 +31,7 @@ class RelInterner {
 };
 
 // ---------------------------------------------------------------------------
-// Shape recognition (shared by the indexed and the naive engine).
+// Shape recognition (the front half of the indexed compiler).
 // ---------------------------------------------------------------------------
 
 // Flattens a *positive* exists-prefixed conjunction (no nested negation).
@@ -46,7 +46,7 @@ bool FlattenPositive(const Formula& f, std::vector<ShapeAtom>* atoms,
       for (const Term& t : f.terms()) {
         if (t.IsFunc()) return false;
       }
-      atoms->push_back(ShapeAtom{&f.rel(), &f.terms(), 0});
+      atoms->push_back(ShapeAtom{&f.rel(), &f.terms()});
       return true;
     case Formula::Kind::kEquals:
       if (f.terms()[0].IsFunc() || f.terms()[1].IsFunc()) return false;
@@ -99,7 +99,7 @@ bool Flatten(const Formula& f, QueryShape* shape, bool* deep_guard) {
 }
 
 // Collects bound-variable names; declines shadowing (same name bound
-// twice or bound-and-free), which would make naive flattening unsound.
+// twice or bound-and-free), which would make plain flattening unsound.
 bool CollectBound(const Formula& f, std::set<std::string>* bound) {
   switch (f.kind()) {
     case Formula::Kind::kExists: {
@@ -555,8 +555,7 @@ bool GuardDepthExceeded(const FormulaPtr& f) {
 }
 
 CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
-                              JoinEngineMode engine, bool force_generic,
-                              uint64_t schema_key) {
+                              JoinEngineMode engine, uint64_t schema_key) {
   auto out = std::make_shared<CompiledQuery>();
   out->source = req.formula;
   out->engine = engine;
@@ -571,21 +570,10 @@ CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
   static const std::vector<std::string> kNoOrder;
   const std::vector<std::string>& order =
       req.boolean_mode ? kNoOrder : req.order;
-  if (!force_generic && engine != JoinEngineMode::kGeneric) {
+  if (engine == JoinEngineMode::kIndexed) {
     QueryShape shape;
     bool deep = false;
     if (RecognizeCq(req.formula, order, req.prebound, inst, &shape, &deep)) {
-      if (engine == JoinEngineMode::kNaive) {
-        // The naive engine executes the shape directly; assign the
-        // relation table slots its runner resolves through.
-        for (ShapeAtom& a : shape.atoms) a.rel_slot = rels.GetOrAdd(*a.rel);
-        for (ShapeGuard& g : shape.guards) {
-          for (ShapeAtom& a : g.atoms) a.rel_slot = rels.GetOrAdd(*a.rel);
-        }
-        out->kind = PlanKind::kShape;
-        out->shape = std::move(shape);
-        return out;
-      }
       RelationalPlan plan;
       if (CompileRelational(shape, order, req.prebound, inst, &rels, &plan)) {
         out->kind = PlanKind::kRelational;

@@ -1,14 +1,14 @@
 // Compiling formulas into CompiledQuery plans (see compiled_query.h).
 //
-// CompileQuery is the single compilation entry point for all three
-// engine modes. It recognizes the safe-CQ(+guards) shape where one
-// exists and emits the engine's artifact (relational plan / naive shape)
-// or the generic active-domain skeleton otherwise. Compilation consults
-// the given instance only for *heuristics* (join-order selectivity) and
-// for the compile-time arity sanity check; the emitted plan references
-// relations by name and is executable — via plan::BindQuery — against
-// any instance whose relation arities match (see the invariants on
-// compiled_query.h).
+// CompileQuery is the single compilation entry point for both engine
+// modes. Under kIndexed it recognizes the safe-CQ(+guards) shape where
+// one exists and emits a relational join plan; otherwise (and always
+// under kGeneric) it emits the generic active-domain skeleton.
+// Compilation consults the given instance only for *heuristics*
+// (join-order selectivity) and for the compile-time arity sanity check;
+// the emitted plan references relations by name and is executable — via
+// plan::BindQuery — against any instance whose relation arities match
+// (see the invariants on compiled_query.h).
 
 #ifndef OCDX_PLAN_COMPILE_H_
 #define OCDX_PLAN_COMPILE_H_
@@ -36,13 +36,12 @@ struct CompileRequest {
 
 /// Compiles `req` for `engine`. `inst` seeds the join-order heuristic
 /// and the compile-time arity check; `schema_key` is recorded on the
-/// plan for cache keying. `force_generic` skips CQ recognition entirely
-/// (used when a function oracle is active, matching the historical
+/// plan for cache keying. kGeneric skips CQ recognition entirely (callers
+/// also pass it when a function oracle is active, matching the historical
 /// dispatch). Never fails: unsupported shapes compile to the generic
 /// skeleton (PlanKind::kGeneric).
 CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
-                              JoinEngineMode engine, bool force_generic,
-                              uint64_t schema_key);
+                              JoinEngineMode engine, uint64_t schema_key);
 
 /// A fingerprint of the instance's relational shape: the sorted
 /// (name, arity) pairs. Two instances with equal fingerprints can share

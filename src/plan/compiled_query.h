@@ -8,13 +8,10 @@
 // pay O(members x compile); splitting them makes it O(queries).
 //
 // A CompiledQuery is produced once per (formula, schema fingerprint,
-// engine mode) by plan::CompileQuery (compile.h) and holds one of three
+// engine mode) by plan::CompileQuery (compile.h) and holds one of two
 // executable artifacts, chosen at compile time:
 //
 //   kRelational  slot-compiled, index-driven join plan (indexed engine);
-//   kShape       the recognized CQ shape for the naive nested-loop
-//                baseline (atom order is still chosen per bind, by
-//                relation size, exactly as the historical engine did);
 //   kGeneric     the slot-compiled active-domain skeleton (the fallback
 //                for non-CQ shapes and the whole plan for kGeneric mode).
 //
@@ -29,10 +26,10 @@
 //   plan may be executed concurrently by any number of exec/ workers and
 //   reentrantly within one job.
 // \invariant `source` retains the compiled formula: every interior
-//   pointer in the plan (ShapeAtom::rel/terms, GenericNode::src,
-//   GenericTerm::src) points into `*source`, so a CompiledQuery is
-//   self-contained — it keeps its formula alive and never dangles, even
-//   when a cache entry outlives the caller's FormulaPtr.
+//   pointer in the plan (GenericNode::src, GenericTerm::src) points into
+//   `*source`, so a CompiledQuery is self-contained — it keeps its
+//   formula alive and never dangles, even when a cache entry outlives
+//   the caller's FormulaPtr.
 // \invariant Correctness of a plan does not depend on the instance it
 //   was compiled against: relation references are by *name* (resolved at
 //   bind time) and BindQuery re-checks arities, falling back to the
@@ -113,13 +110,14 @@ struct RelationalPlan {
   size_t num_guards = 0;
 };
 
-// --- The recognized CQ shape (naive engine artifact) ----------------------
-// Pointers point into *CompiledQuery::source (kept alive by the plan).
+// --- The recognized CQ shape ----------------------------------------------
+// The relational compiler's input: CQ recognition flattens a formula into
+// a QueryShape, which CompileRelational turns into a RelationalPlan. A
+// shape never outlives compilation. Pointers point into the formula.
 
 struct ShapeAtom {
   const std::string* rel = nullptr;
   const std::vector<Term>* terms = nullptr;
-  uint32_t rel_slot = 0;  ///< Index into CompiledQuery::relations.
 };
 
 struct ShapeEq {
@@ -177,7 +175,6 @@ struct GenericPlan {
 
 enum class PlanKind : uint8_t {
   kRelational,  ///< Indexed join plan (relational.has_value()).
-  kShape,       ///< Naive-engine shape (shape.has_value()).
   kGeneric,     ///< Active-domain skeleton (generic.has_value()).
 };
 
@@ -199,7 +196,6 @@ struct CompiledQuery {
   /// against a concrete instance in one pass.
   std::vector<std::string> relations;
   std::optional<RelationalPlan> relational;
-  std::optional<QueryShape> shape;
   std::optional<GenericPlan> generic;
   /// CQ recognition failed because a negated guard body itself contains
   /// a negation (the one-level guard limit). Counted in

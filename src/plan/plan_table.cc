@@ -62,15 +62,14 @@ void PlanTable::PublishLocked(CompiledQueryPtr compiled) {
 }
 
 CompiledQueryPtr GetOrCompile(const CompileRequest& req, const Instance& inst,
-                              JoinEngineMode engine, bool force_generic,
-                              const EngineContext& ctx) {
-  const bool generic_only = force_generic || engine == JoinEngineMode::kGeneric;
-  const uint64_t schema_key = generic_only ? 0 : SchemaFingerprint(inst);
+                              JoinEngineMode engine, const EngineContext& ctx) {
+  const uint64_t schema_key =
+      engine == JoinEngineMode::kGeneric ? 0 : SchemaFingerprint(inst);
   auto compile = [&] {
     CompiledQueryPtr fresh;
     {
       obs::ScopedSpan span(ctx, obs::kPhasePlanCompile);
-      fresh = CompileQuery(req, inst, engine, force_generic, schema_key);
+      fresh = CompileQuery(req, inst, engine, schema_key);
     }
     if (ctx.stats != nullptr) {
       ++ctx.stats->plan_compiles;

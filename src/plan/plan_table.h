@@ -87,7 +87,6 @@ class PlanTable {
   friend CompiledQueryPtr GetOrCompile(const CompileRequest& req,
                                        const Instance& inst,
                                        JoinEngineMode engine,
-                                       bool force_generic,
                                        const EngineContext& ctx);
 
   /// Lock-free scan of the published prefix; nullptr on miss.
@@ -112,11 +111,10 @@ class PlanTable {
 /// EngineStats counters: plan_cache_hits (probes the table answered),
 /// plan_cache_misses (compiles done through a table), plan_compiles and
 /// guard_depth_fallbacks (every compile). The schema key is
-/// SchemaFingerprint(inst), or 0 for generic-forced compiles (the generic
+/// SchemaFingerprint(inst) for kIndexed, or 0 for kGeneric (the generic
 /// skeleton is schema-independent, so it is shared across schemas).
 CompiledQueryPtr GetOrCompile(const CompileRequest& req, const Instance& inst,
-                              JoinEngineMode engine, bool force_generic,
-                              const EngineContext& ctx);
+                              JoinEngineMode engine, const EngineContext& ctx);
 
 }  // namespace plan
 }  // namespace ocdx

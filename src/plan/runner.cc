@@ -1,7 +1,6 @@
 #include "plan/runner.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "obs/trace.h"
 #include "util/str.h"
@@ -172,70 +171,6 @@ class RelationalRunner {
   Tuple out_scratch_;
 };
 
-// ---------------------------------------------------------------------------
-// Naive execution: the original string-keyed backtracking scan, preserved
-// verbatim as the reference baseline.
-// ---------------------------------------------------------------------------
-
-using NaiveEnv = std::map<std::string, Value>;
-
-bool NaiveTermValue(const Term& t, const NaiveEnv& env, Value* out) {
-  if (t.IsConst()) {
-    *out = t.constant;
-    return true;
-  }
-  auto it = env.find(t.name);
-  if (it == env.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-// Checks the equalities decidable under the current (partial) binding.
-bool NaiveEqualitiesOk(const std::vector<ShapeEq>& equalities,
-                       const NaiveEnv& env) {
-  for (const ShapeEq& eq : equalities) {
-    Value l, r;
-    if (!NaiveTermValue(eq.lhs, env, &l)) continue;
-    if (!NaiveTermValue(eq.rhs, env, &r)) continue;
-    if (l != r) return false;
-  }
-  return true;
-}
-
-// Does the guard's sub-CQ have a match extending `env`? Nested scans.
-bool NaiveGuardMatches(const ShapeGuard& guard, const BoundQuery& bound,
-                       NaiveEnv* env, size_t idx) {
-  if (!NaiveEqualitiesOk(guard.equalities, *env)) return false;
-  if (idx == guard.atoms.size()) return true;
-  const ShapeAtom& atom = guard.atoms[idx];
-  const Relation* rel = bound.rels[atom.rel_slot];
-  if (rel == nullptr) return false;
-  for (TupleRef tuple : rel->tuples()) {
-    std::vector<std::string> added;
-    bool ok = true;
-    for (size_t p = 0; p < atom.terms->size() && ok; ++p) {
-      const Term& term = (*atom.terms)[p];
-      if (term.IsConst()) {
-        ok = term.constant == tuple[p];
-      } else {
-        auto it = env->find(term.name);
-        if (it != env->end()) {
-          ok = it->second == tuple[p];
-        } else {
-          (*env)[term.name] = tuple[p];
-          added.push_back(term.name);
-        }
-      }
-    }
-    if (ok && NaiveGuardMatches(guard, bound, env, idx + 1)) {
-      for (const std::string& v : added) env->erase(v);
-      return true;
-    }
-    for (const std::string& v : added) env->erase(v);
-  }
-  return false;
-}
-
 }  // namespace
 
 BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst) {
@@ -277,20 +212,6 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst) {
       }
       break;
     }
-    case PlanKind::kShape: {
-      const QueryShape& shape = *q.shape;
-      auto check_shape_atom = [&b](const ShapeAtom& a) {
-        const Relation* rel = b.rels[a.rel_slot];
-        if (rel != nullptr && rel->arity() != a.terms->size()) {
-          b.arity_ok = false;
-        }
-      };
-      for (const ShapeAtom& a : shape.atoms) check_shape_atom(a);
-      for (const ShapeGuard& g : shape.guards) {
-        for (const ShapeAtom& a : g.atoms) check_shape_atom(a);
-      }
-      break;
-    }
     case PlanKind::kGeneric:
       // Arity mismatches surface as the generic evaluator's
       // InvalidArgument during execution, as they always have.
@@ -313,63 +234,6 @@ bool RunRelational(const BoundQuery& b,
                    Relation* out) {
   RelationalRunner runner(b, out);
   return runner.Run(binding);
-}
-
-void RunShape(const BoundQuery& b, const std::vector<std::string>& order,
-              Relation* out) {
-  const QueryShape& shape = *b.query->shape;
-  // Greedy atom ordering: prefer atoms over smaller relations first.
-  // Instance-dependent, so it happens per bind — ordering was never the
-  // naive engine's compiled artifact, the recognized shape is.
-  std::vector<ShapeAtom> atoms = shape.atoms;
-  std::sort(atoms.begin(), atoms.end(),
-            [&](const ShapeAtom& x, const ShapeAtom& y) {
-              const Relation* rx = b.rels[x.rel_slot];
-              const Relation* ry = b.rels[y.rel_slot];
-              size_t sx = rx == nullptr ? 0 : rx->size();
-              size_t sy = ry == nullptr ? 0 : ry->size();
-              return sx < sy;
-            });
-
-  NaiveEnv env;
-  std::function<void(size_t)> join = [&](size_t idx) {
-    if (idx == atoms.size()) {
-      if (!NaiveEqualitiesOk(shape.equalities, env)) return;
-      for (const ShapeGuard& guard : shape.guards) {
-        NaiveEnv genv = env;
-        if (NaiveGuardMatches(guard, b, &genv, 0)) return;
-      }
-      Tuple t;
-      t.reserve(order.size());
-      for (const std::string& v : order) t.push_back(env.at(v));
-      out->Add(std::move(t));
-      return;
-    }
-    const ShapeAtom& atom = atoms[idx];
-    const Relation* rel = b.rels[atom.rel_slot];
-    if (rel == nullptr) return;
-    for (TupleRef tuple : rel->tuples()) {
-      std::vector<std::string> added;
-      bool ok = true;
-      for (size_t p = 0; p < atom.terms->size() && ok; ++p) {
-        const Term& term = (*atom.terms)[p];
-        if (term.IsConst()) {
-          ok = term.constant == tuple[p];
-        } else {
-          auto it = env.find(term.name);
-          if (it != env.end()) {
-            ok = it->second == tuple[p];
-          } else {
-            env[term.name] = tuple[p];
-            added.push_back(term.name);
-          }
-        }
-      }
-      if (ok && NaiveEqualitiesOk(shape.equalities, env)) join(idx + 1);
-      for (const std::string& v : added) env.erase(v);
-    }
-  };
-  join(0);
 }
 
 // ---------------------------------------------------------------------------

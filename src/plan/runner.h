@@ -73,13 +73,6 @@ bool RunRelational(const BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out);
 
-/// Executes a bound shape (kind kShape, arity_ok) with the naive
-/// backtracking nested-loop scan, projecting matches over `order` into
-/// `out`. Atom order is chosen here, by bound relation size — the
-/// instance-dependent half of the historical naive engine.
-void RunShape(const BoundQuery& b, const std::vector<std::string>& order,
-              Relation* out);
-
 /// Executes a bound generic plan (kind kGeneric) over a dense frame.
 /// One runner per evaluation call; for Answers-style enumeration the
 /// caller seeds frame() slots per domain tuple and calls Run repeatedly.

@@ -98,7 +98,7 @@ class HomSearch {
 
   size_t PickItem() const {
     if (!indexed_) {
-      // Naive engine: static insertion order, as in the original code.
+      // kGeneric: static insertion order, the reference search order.
       for (size_t i = 0; i < items_.size(); ++i) {
         if (!matched_[i]) return i;
       }

@@ -99,8 +99,8 @@ class RepASearch {
   /// Condition (b) alone: every ground tuple coincides with some annotated
   /// tuple on its closed positions. At a search leaf condition (a) holds
   /// by construction — every proper tuple was unified with an actual
-  /// ground tuple — so re-verifying it (as the naive engine does via
-  /// InRepAUnder) is pure overhead.
+  /// ground tuple — so re-verifying it (as the kGeneric reference does
+  /// via InRepAUnder) is pure overhead.
   bool GroundCovered() const {
     for (const auto& [grel, arel] : cover_) {
       for (TupleRef r : grel->tuples()) {
@@ -138,7 +138,7 @@ class RepASearch {
   /// Forward check on condition (b): binding nulls only ever shrinks the
   /// set of annotated tuples that can cover a ground tuple, so a ground
   /// tuple with no potential cover left kills the whole branch. This is
-  /// what collapses the exponential leaf count of the naive search.
+  /// what collapses the exponential leaf count of the unpruned search.
   bool GroundCoverStillPossible() const {
     for (const auto& [grel, arel] : cover_) {
       for (TupleRef r : grel->tuples()) {
@@ -212,8 +212,8 @@ class RepASearch {
 
     // Candidate fetch. The indexed engine probes the ground relation's
     // hash index on the pattern's determined positions (constants and
-    // already-valuated nulls); the probe counts against max_steps. The
-    // naive engine — and patterns with no determined position — scan.
+    // already-valuated nulls); the probe counts against max_steps.
+    // kGeneric — and patterns with no determined position — scan.
     const std::vector<uint32_t>* ids = nullptr;
     if (indexed_ && grel->arity() <= 64 && grel->arity() > 0 &&
         pattern.size() == grel->arity()) {

@@ -63,8 +63,9 @@ Result<bool> SatisfiesStds(const Mapping& mapping,
     // Semijoin form: forall w . T |= psi(w)  iff  the projection of the
     // witnesses onto the requirement's free variables is contained in the
     // requirement's answer set over T — one compiled join plus hashed
-    // containment instead of a (re-compiled) Holds call per witness. The
-    // naive engine keeps the per-witness loop as the benchable baseline.
+    // containment instead of a (re-compiled) Holds call per witness.
+    // kGeneric keeps the per-witness loop: the definition, checked
+    // literally, as the reference for this semijoin.
     const std::vector<std::string> req_vars = FreeVars(requirement);
     if (ctx.indexed() && !body_vars.empty() && !req_vars.empty()) {
       std::optional<Relation> req_answers =

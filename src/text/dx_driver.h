@@ -7,7 +7,7 @@
 //   - chase nulls are renamed canonically by their justification
 //     (std index, witness, existential variable) — names are `@1, @2, ...`
 //     in justification order, independent of minting order, so kIndexed
-//     and kNaive engine runs produce byte-identical output;
+//     and kGeneric engine runs produce byte-identical output;
 //   - engine-dependent counters (members visited, probe counts) are
 //     never printed.
 //

@@ -23,6 +23,7 @@
 #include "base/instance.h"
 #include "exec/batch_runner.h"
 #include "exec/pool.h"
+#include "generic_corpus.h"
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
 #include "obs/trace.h"
@@ -86,11 +87,14 @@ TEST(ThreadPool, ZeroWorkersClampsToOne) {
 // ---------------------------------------------------------------------------
 
 TEST(BatchExec, ParallelOutputIsByteIdenticalToSequential) {
-  std::vector<std::string> files = CorpusFiles();
-  ASSERT_FALSE(files.empty());
+  const std::vector<std::string> corpus = CorpusFiles();
+  ASSERT_FALSE(corpus.empty());
   for (JoinEngineMode mode :
-       {JoinEngineMode::kIndexed, JoinEngineMode::kNaive}) {
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
     SCOPED_TRACE(static_cast<int>(mode));
+    const std::vector<std::string> files =
+        mode == JoinEngineMode::kGeneric ? GenericAffordableFiles(corpus)
+                                         : corpus;
     BatchOptions seq;
     seq.workers = 1;
     seq.engine = EngineContext::ForMode(mode);

@@ -1,8 +1,11 @@
 // Randomized parity tests for the indexed evaluation engine: the
-// slot-compiled, hash-indexed join plans (TryEvalCQ), the indexed
-// homomorphism search, and the indexed RepA search must be
-// observationally identical to the preserved naive implementations and —
-// for CQ evaluation — to the generic active-domain evaluator. Also pins
+// slot-compiled, hash-indexed join plans (TryEvalCQ), the indexed chase,
+// homomorphism search and RepA search must be observationally identical
+// to the generic engine (JoinEngineMode::kGeneric), which applies the
+// definitions literally: active-domain CQ evaluation, the per-witness
+// chase loop, the static-order homomorphism scan and the unpruned RepA
+// search. Several test names still say "Naive": they predate the removal
+// of the nested-loop engine and are kept as stable test IDs. Also pins
 // the HomSearch step-accounting contract: max_steps counts index probes.
 
 #include <gtest/gtest.h>
@@ -88,9 +91,6 @@ TEST_P(CqEngineParity, IndexedNaiveAndGenericAgree) {
 
       std::optional<Relation> fast = TryEvalCQ(f, order, *inst);
       ASSERT_TRUE(fast.has_value());
-      std::optional<Relation> naive = TryEvalCQNaive(f, order, *inst);
-      ASSERT_TRUE(naive.has_value());
-      EXPECT_TRUE(*fast == *naive) << "seed " << GetParam() << " query " << q;
 
       Evaluator ev(*inst, u, EngineContext::ForMode(JoinEngineMode::kGeneric));
       Result<Relation> slow = ev.Answers(f, order);
@@ -104,7 +104,8 @@ TEST_P(CqEngineParity, IndexedNaiveAndGenericAgree) {
 INSTANTIATE_TEST_SUITE_P(Random, CqEngineParity, ::testing::Range(0, 8));
 
 // ---------------------------------------------------------------------------
-// Homomorphism parity: indexed vs naive vs brute force.
+// Homomorphism parity: indexed vs generic (static-order scan) vs brute
+// force.
 // ---------------------------------------------------------------------------
 
 // Exhaustive reference: does any map Null(a) -> Null(b) send every proper
@@ -193,13 +194,13 @@ TEST_P(HomEngineParity, IndexedAgreesWithNaiveAndBruteForce) {
 
   Result<std::optional<NullMap>> indexed = FindHomomorphism(a, b);
   ASSERT_TRUE(indexed.ok());
-  Result<std::optional<NullMap>> naive = FindHomomorphism(
-      a, b, {}, EngineContext::ForMode(JoinEngineMode::kNaive));
-  ASSERT_TRUE(naive.ok());
+  Result<std::optional<NullMap>> generic = FindHomomorphism(
+      a, b, {}, EngineContext::ForMode(JoinEngineMode::kGeneric));
+  ASSERT_TRUE(generic.ok());
   bool brute = BruteForceHomExists(a, b);
 
   EXPECT_EQ(indexed.value().has_value(), brute) << "seed " << GetParam();
-  EXPECT_EQ(naive.value().has_value(), brute) << "seed " << GetParam();
+  EXPECT_EQ(generic.value().has_value(), brute) << "seed " << GetParam();
   // A returned witness must actually be a homomorphism.
   if (indexed.value().has_value()) {
     const NullMap& h = *indexed.value();
@@ -221,24 +222,21 @@ INSTANTIATE_TEST_SUITE_P(Random, HomEngineParity, ::testing::Range(0, 30));
 // ---------------------------------------------------------------------------
 
 TEST(EndToEndParity, ChaseAgreesAcrossEngines) {
-  for (JoinEngineMode mode :
-       {JoinEngineMode::kNaive, JoinEngineMode::kGeneric}) {
-    Universe u1, u2;
-    Result<ConferenceScenario> sc1 = BuildConferenceScenario(13, 6, &u1);
-    Result<ConferenceScenario> sc2 = BuildConferenceScenario(13, 6, &u2);
-    ASSERT_TRUE(sc1.ok() && sc2.ok());
-    Result<CanonicalSolution> indexed =
-        Chase(sc1.value().mapping, sc1.value().source, &u1);
-    ASSERT_TRUE(indexed.ok());
-    Result<CanonicalSolution> other =
-        Chase(sc2.value().mapping, sc2.value().source, &u2,
-              EngineContext::ForMode(mode));
-    ASSERT_TRUE(other.ok());
-    // Same deterministic firing order in both engines: identical null ids,
-    // hence identical annotated instances and trigger counts.
-    EXPECT_TRUE(indexed.value().annotated == other.value().annotated);
-    EXPECT_EQ(indexed.value().triggers.size(), other.value().triggers.size());
-  }
+  Universe u1, u2;
+  Result<ConferenceScenario> sc1 = BuildConferenceScenario(13, 6, &u1);
+  Result<ConferenceScenario> sc2 = BuildConferenceScenario(13, 6, &u2);
+  ASSERT_TRUE(sc1.ok() && sc2.ok());
+  Result<CanonicalSolution> indexed =
+      Chase(sc1.value().mapping, sc1.value().source, &u1);
+  ASSERT_TRUE(indexed.ok());
+  Result<CanonicalSolution> generic =
+      Chase(sc2.value().mapping, sc2.value().source, &u2,
+            EngineContext::ForMode(JoinEngineMode::kGeneric));
+  ASSERT_TRUE(generic.ok());
+  // Same deterministic firing order in both engines: identical null ids,
+  // hence identical annotated instances and trigger counts.
+  EXPECT_TRUE(indexed.value().annotated == generic.value().annotated);
+  EXPECT_EQ(indexed.value().triggers.size(), generic.value().triggers.size());
 }
 
 TEST(EndToEndParity, MembershipAgreesAcrossEngines) {
@@ -255,8 +253,7 @@ TEST(EndToEndParity, MembershipAgreesAcrossEngines) {
       for (bool all_open : {true, false}) {
         std::vector<bool> members;
         for (JoinEngineMode mode :
-             {JoinEngineMode::kIndexed, JoinEngineMode::kNaive,
-              JoinEngineMode::kGeneric}) {
+             {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
           Universe u;
           Result<TripartiteReduction> red =
               BuildTripartiteReduction(*tri, &u);
@@ -272,7 +269,6 @@ TEST(EndToEndParity, MembershipAgreesAcrossEngines) {
           members.push_back(r.value().member);
         }
         EXPECT_EQ(members[0], members[1]) << "seed " << seed;
-        EXPECT_EQ(members[0], members[2]) << "seed " << seed;
       }
     }
   }
@@ -292,16 +288,16 @@ TEST(EndToEndParity, InRepAAgreesAcrossEngines) {
     }
     Result<bool> indexed = InRepA(t, ground);
     ASSERT_TRUE(indexed.ok());
-    Result<bool> naive =
+    Result<bool> generic =
         InRepA(t, ground, nullptr, {},
-               EngineContext::ForMode(JoinEngineMode::kNaive));
-    ASSERT_TRUE(naive.ok());
-    EXPECT_EQ(indexed.value(), naive.value()) << "seed " << seed;
+               EngineContext::ForMode(JoinEngineMode::kGeneric));
+    ASSERT_TRUE(generic.ok());
+    EXPECT_EQ(indexed.value(), generic.value()) << "seed " << seed;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Certain-answer parity: the kIndexed/kNaive/kGeneric triangle over the
+// Certain-answer parity: kIndexed against kGeneric over the
 // certain/ engines (CertainVerdict dispatch + RepA member enumeration),
 // not just raw CQ evaluation. Randomizes the mapping's annotations, the
 // source, the query, and whether the general (member_enum) engine is
@@ -343,8 +339,7 @@ TEST_P(CertainEngineParity, VerdictsAgreeAcrossEngines) {
   std::vector<bool> exhaustives;
   std::vector<std::vector<Tuple>> answer_sets;
   for (JoinEngineMode mode :
-       {JoinEngineMode::kIndexed, JoinEngineMode::kNaive,
-        JoinEngineMode::kGeneric}) {
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
     Universe u;
     Schema src, tgt;
     src.Add("Papers", {"paper", "title"});
@@ -383,7 +378,7 @@ TEST_P(CertainEngineParity, VerdictsAgreeAcrossEngines) {
     certains.push_back(v.value().certain);
     exhaustives.push_back(v.value().exhaustive);
 
-    // Non-boolean certain answers through the same triangle.
+    // Non-boolean certain answers through the same pair.
     Result<FormulaPtr> qa = ParseFormula("exists a. Submissions(p, a)", &u);
     ASSERT_TRUE(qa.ok());
     Result<Relation> ans =
@@ -393,17 +388,14 @@ TEST_P(CertainEngineParity, VerdictsAgreeAcrossEngines) {
   }
 
   EXPECT_EQ(certains[0], certains[1]) << "seed " << seed;
-  EXPECT_EQ(certains[0], certains[2]) << "seed " << seed;
   EXPECT_EQ(exhaustives[0], exhaustives[1]) << "seed " << seed;
-  EXPECT_EQ(exhaustives[0], exhaustives[2]) << "seed " << seed;
   EXPECT_EQ(answer_sets[0], answer_sets[1]) << "seed " << seed;
-  EXPECT_EQ(answer_sets[0], answer_sets[2]) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, CertainEngineParity, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Plan-cache parity: the cached / uncached / naive triangle over the
+// Plan-cache parity: the cached / uncached / generic triangle over the
 // certain/ engines, and the compile-once pin for enumeration workloads
 // (PR 5: compile-once query plans).
 // ---------------------------------------------------------------------------
@@ -436,7 +428,7 @@ TEST_P(PlanCacheParity, CachedUncachedAndNaiveAgree) {
   const CacheTriangleLeg legs[] = {
       {JoinEngineMode::kIndexed, /*cache_opt_out=*/false},
       {JoinEngineMode::kIndexed, /*cache_opt_out=*/true},
-      {JoinEngineMode::kNaive, /*cache_opt_out=*/false},
+      {JoinEngineMode::kGeneric, /*cache_opt_out=*/false},
   };
   std::vector<bool> certains;
   std::vector<bool> exhaustives;
@@ -559,12 +551,12 @@ TEST(HomBudget, MaxStepsCountsIndexProbes) {
   a.Add("R", {u.FreshNull(), u.FreshNull()}, AllClosed(2));
   b.Add("R", {u.FreshNull(), u.FreshNull()}, AllClosed(2));
 
-  // Two search nodes suffice for the naive engine (root + leaf)...
+  // Two search nodes suffice for the generic scan (root + leaf)...
   HomOptions tight;
   tight.max_steps = 2;
   {
     Result<std::optional<NullMap>> r = FindHomomorphism(
-        a, b, tight, EngineContext::ForMode(JoinEngineMode::kNaive));
+        a, b, tight, EngineContext::ForMode(JoinEngineMode::kGeneric));
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().has_value());
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "logic/classify.h"
+#include "logic/engine_config.h"
 #include "logic/evaluator.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
@@ -108,6 +109,21 @@ TEST_F(LogicTest, RoundTripThroughToString) {
     FormulaPtr f1 = Parse(text);
     FormulaPtr f2 = Parse(f1->ToString(u_));
     EXPECT_EQ(f1->ToString(u_), f2->ToString(u_)) << text;
+  }
+}
+
+// --- Engine names ---------------------------------------------------------
+
+TEST(EngineModeTest, ParsesExactlyTheTwoEngineNames) {
+  JoinEngineMode mode = JoinEngineMode::kGeneric;
+  ASSERT_TRUE(ParseJoinEngineMode("indexed", &mode));
+  EXPECT_EQ(mode, JoinEngineMode::kIndexed);
+  ASSERT_TRUE(ParseJoinEngineMode("generic", &mode));
+  EXPECT_EQ(mode, JoinEngineMode::kGeneric);
+  // Rejected names leave the output untouched.
+  for (const char* bad : {"naive", "", "Indexed"}) {
+    EXPECT_FALSE(ParseJoinEngineMode(bad, &mode)) << '"' << bad << '"';
+    EXPECT_EQ(mode, JoinEngineMode::kGeneric) << '"' << bad << '"';
   }
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/batch_runner.h"
+#include "generic_corpus.h"
 #include "logic/engine_context.h"
 #include "obs/report.h"
 #include "obs/stats_registry.h"
@@ -173,10 +174,13 @@ TEST(TraceDeterminism, SpanStructureStableAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(NonInterference, CorpusByteIdenticalWithSinksAttached) {
-  std::vector<std::string> files = CorpusFiles();
-  ASSERT_FALSE(files.empty());
+  const std::vector<std::string> corpus = CorpusFiles();
+  ASSERT_FALSE(corpus.empty());
   for (JoinEngineMode mode :
-       {JoinEngineMode::kIndexed, JoinEngineMode::kNaive}) {
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
+    const std::vector<std::string> files =
+        mode == JoinEngineMode::kGeneric ? GenericAffordableFiles(corpus)
+                                         : corpus;
     // Reference: no sinks, sequential.
     BatchOptions plain;
     plain.command = "all";

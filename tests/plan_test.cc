@@ -118,16 +118,20 @@ TEST_F(PlanTest, CacheKeysDistinguishModeOrderAndSchema) {
   b.Add("F", {u_.Const("a"), u_.Const("b")});  // Different shape.
   FormulaPtr f = Parse("E(x, y)");
   EngineContext ctx = Cached();
+  // Same table and stats, generic mode.
+  EngineContext generic_ctx = ctx;
+  generic_ctx.mode = JoinEngineMode::kGeneric;
+  Evaluator generic(a, u_, generic_ctx);
 
   ASSERT_TRUE(TryEvalCQ(f, {"x", "y"}, a, ctx).has_value());
-  ASSERT_TRUE(TryEvalCQNaive(f, {"x", "y"}, a, ctx).has_value());  // Mode.
-  ASSERT_TRUE(TryEvalCQ(f, {"y", "x"}, a, ctx).has_value());       // Order.
-  ASSERT_TRUE(TryEvalCQ(f, {"x", "y"}, b, ctx).has_value());       // Schema.
+  ASSERT_TRUE(generic.Answers(f, {"x", "y"}).ok());           // Mode.
+  ASSERT_TRUE(TryEvalCQ(f, {"y", "x"}, a, ctx).has_value());  // Order.
+  ASSERT_TRUE(TryEvalCQ(f, {"x", "y"}, b, ctx).has_value());  // Schema.
   EXPECT_EQ(stats_.plan_compiles, 4u);
   EXPECT_EQ(stats_.plan_cache_hits, 0u);
   // And each re-run is a hit.
   ASSERT_TRUE(TryEvalCQ(f, {"x", "y"}, a, ctx).has_value());
-  ASSERT_TRUE(TryEvalCQNaive(f, {"x", "y"}, a, ctx).has_value());
+  ASSERT_TRUE(generic.Answers(f, {"x", "y"}).ok());
   EXPECT_EQ(stats_.plan_cache_hits, 2u);
   EXPECT_EQ(stats_.plan_compiles, 4u);
 }
@@ -217,8 +221,7 @@ TEST_F(PlanTest, RacingThreadsCompileOneKeyOnce) {
       EngineContext ctx;
       ctx.plans = table;
       ctx.stats = &stats[t];
-      got[t] = plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed,
-                                  /*force_generic=*/false, ctx);
+      got[t] = plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed, ctx);
     });
   }
   for (std::thread& th : threads) th.join();

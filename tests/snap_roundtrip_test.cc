@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "generic_corpus.h"
 #include "logic/engine_context.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
@@ -63,8 +64,8 @@ struct EngineCase {
 const EngineCase kEngines[] = {
     {JoinEngineMode::kIndexed, 1},
     {JoinEngineMode::kIndexed, 4},
-    {JoinEngineMode::kNaive, 1},
-    {JoinEngineMode::kNaive, 4},
+    {JoinEngineMode::kGeneric, 1},
+    {JoinEngineMode::kGeneric, 4},
 };
 
 TEST(SnapRoundtrip, CorpusWarmRunsAreByteIdentical) {
@@ -85,10 +86,13 @@ TEST(SnapRoundtrip, CorpusWarmRunsAreByteIdentical) {
     ASSERT_TRUE(warm_bundle.ok()) << warm_bundle.status().ToString();
 
     for (const EngineCase& ec : kEngines) {
+      if (ec.mode == JoinEngineMode::kGeneric && !GenericAffordable(file)) {
+        continue;
+      }
       for (const char* command : kCommands) {
         SCOPED_TRACE(std::string(command) + " engine=" +
                      (ec.mode == JoinEngineMode::kIndexed ? "indexed"
-                                                          : "naive") +
+                                                          : "generic") +
                      " shards=" + std::to_string(ec.shards));
         DxDriverOptions options;
         options.engine = EngineContext::ForMode(ec.mode);

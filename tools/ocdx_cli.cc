@@ -24,7 +24,7 @@
 //                                    the cold `ocdx CMD FILE.dx` output
 //
 // Flags:
-//   --engine=indexed|naive|generic   join-engine mode (default: indexed)
+//   --engine=indexed|generic         join-engine mode (default: indexed)
 //   --mapping=NAME                   chase/certain/membership: one mapping
 //   --sigma=NAME --delta=NAME        compose: mapping selection
 //   --source=NAME --target=NAME      compose: instance selection
@@ -74,6 +74,7 @@
 
 #include "exec/batch_runner.h"
 #include "logic/budget.h"
+#include "logic/engine_config.h"
 #include "logic/engine_context.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -88,7 +89,7 @@ namespace {
 constexpr char kUsage[] =
     "usage: ocdx <chase|certain|classify|membership|compose|all|print> "
     "FILE.dx\n"
-    "            [--engine=indexed|naive|generic] [--mapping=NAME]\n"
+    "            [--engine=indexed|generic] [--mapping=NAME]\n"
     "            [--sigma=NAME] [--delta=NAME] [--source=NAME] "
     "[--target=NAME]\n"
     "            [--chase-max-triggers=N] [--max-members=N] "
@@ -160,19 +161,6 @@ int EmitObservability(bool stats_table, const std::string& stats_json,
     return 1;
   }
   return 0;
-}
-
-bool ParseEngine(const std::string& engine, ocdx::JoinEngineMode* mode) {
-  if (engine == "indexed") {
-    *mode = ocdx::JoinEngineMode::kIndexed;
-  } else if (engine == "naive") {
-    *mode = ocdx::JoinEngineMode::kNaive;
-  } else if (engine == "generic") {
-    *mode = ocdx::JoinEngineMode::kGeneric;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -249,7 +237,7 @@ int main(int argc, char** argv) {
   const std::string& command = positional[0];
 
   JoinEngineMode mode;
-  if (!ParseEngine(engine, &mode)) {
+  if (!ParseJoinEngineMode(engine, &mode)) {
     std::fprintf(stderr, "ocdx: unknown engine '%s'\n%s", engine.c_str(),
                  kUsage);
     return 2;

@@ -1,6 +1,6 @@
 // ocdxd — a minimal line-protocol server over `.dx` scenario files.
 //
-//   ocdxd serve [--engine=indexed|naive|generic]
+//   ocdxd serve [--engine=indexed|generic]
 //               [--chase-max-triggers=N] [--max-members=N]
 //               [--deadline-ms=N] [--shards=N]
 //               [--preload=SNAP.snap ...]
@@ -65,6 +65,7 @@
 
 #include "exec/batch_runner.h"
 #include "logic/budget.h"
+#include "logic/engine_config.h"
 #include "logic/engine_context.h"
 #include "obs/stats_registry.h"
 #include "snap/snapshot.h"
@@ -74,7 +75,7 @@
 namespace {
 
 constexpr char kUsage[] =
-    "usage: ocdxd serve [--engine=indexed|naive|generic]\n"
+    "usage: ocdxd serve [--engine=indexed|generic]\n"
     "                   [--chase-max-triggers=N] [--max-members=N]\n"
     "                   [--deadline-ms=N] [--shards=N]\n"
     "                   [--preload=SNAP.snap ...]\n";
@@ -173,13 +174,7 @@ int main(int argc, char** argv) {
   }
 
   JoinEngineMode mode;
-  if (engine == "indexed") {
-    mode = JoinEngineMode::kIndexed;
-  } else if (engine == "naive") {
-    mode = JoinEngineMode::kNaive;
-  } else if (engine == "generic") {
-    mode = JoinEngineMode::kGeneric;
-  } else {
+  if (!ParseJoinEngineMode(engine, &mode)) {
     std::fprintf(stderr, "ocdxd: unknown engine '%s'\n%s", engine.c_str(),
                  kUsage);
     return 2;

@@ -104,6 +104,24 @@ Result<std::vector<Token>> Tokenize(std::string_view src) {
   return out;
 }
 
+class FormulaParser::DepthScope {
+ public:
+  explicit DepthScope(int* depth) : depth_(depth) { ++*depth_; }
+  ~DepthScope() { --*depth_; }
+  DepthScope(const DepthScope&) = delete;
+  DepthScope& operator=(const DepthScope&) = delete;
+
+  bool too_deep() const { return *depth_ > kMaxDepth; }
+
+ private:
+  int* depth_;
+};
+
+Status FormulaParser::TooDeep() const {
+  return Status::ParseError(StrCat("formula nested deeper than ", kMaxDepth,
+                                   " levels at offset ", Peek().pos));
+}
+
 Status FormulaParser::MakeError(std::string_view message) const {
   return Status::ParseError(StrCat(message, " at offset ", Peek().pos,
                                    Peek().kind == TokKind::kEnd
@@ -130,6 +148,8 @@ Result<FormulaPtr> FormulaParser::ParseComplete() {
 }
 
 Result<FormulaPtr> FormulaParser::ParseFormulaExpr() {
+  DepthScope scope(&depth_);
+  if (scope.too_deep()) return TooDeep();
   if (Peek().kind == TokKind::kIdent &&
       (Peek().text == "exists" || Peek().text == "forall")) {
     bool is_exists = Peek().text == "exists";
@@ -188,6 +208,8 @@ Result<FormulaPtr> FormulaParser::ParseConjunction() {
 
 Result<FormulaPtr> FormulaParser::ParseUnary() {
   if (Accept(TokKind::kBang)) {
+    DepthScope scope(&depth_);
+    if (scope.too_deep()) return TooDeep();
     OCDX_ASSIGN_OR_RETURN(FormulaPtr inner, ParseUnary());
     return Formula::Not(std::move(inner));
   }
@@ -242,6 +264,8 @@ Result<Term> FormulaParser::ParseTerm() {
   }
   std::string name = Advance().text;
   if (Accept(TokKind::kLParen)) {
+    DepthScope scope(&depth_);
+    if (scope.too_deep()) return TooDeep();
     OCDX_ASSIGN_OR_RETURN(std::vector<Term> args, ParseTermList());
     OCDX_RETURN_IF_ERROR(Expect(TokKind::kRParen, "')'"));
     return Term::Func(std::move(name), std::move(args));

@@ -16,6 +16,11 @@
 // Identifiers are variables; `R(...)` in a formula position is an atom,
 // in a comparison position it is a function (Skolem) term. Constants are
 // single-quoted ('a', 'John') or bare integers.
+//
+// Nesting is capped at FormulaParser::kMaxDepth levels (parentheses,
+// `!`, quantifiers, `->` consequents and function-term arguments each
+// add one), so hostile input gets a positioned ParseError instead of
+// overflowing the stack.
 
 #ifndef OCDX_LOGIC_PARSER_H_
 #define OCDX_LOGIC_PARSER_H_
@@ -65,6 +70,10 @@ Result<FormulaPtr> ParseFormula(std::string_view text, Universe* universe);
 /// parser (src/mapping/parser.cc) can reuse formula parsing mid-stream.
 class FormulaParser {
  public:
+  /// Deepest nesting the recursive descent accepts; a fixed limit, not a
+  /// setting.
+  static constexpr int kMaxDepth = 256;
+
   FormulaParser(std::vector<Token> tokens, Universe* universe)
       : tokens_(std::move(tokens)), universe_(universe) {}
 
@@ -98,9 +107,14 @@ class FormulaParser {
   Result<FormulaPtr> ParsePrimary();
   Result<std::vector<Term>> ParseTermList();
 
+  /// Counts one nesting level for the lifetime of a recursive call.
+  class DepthScope;
+  Status TooDeep() const;
+
   std::vector<Token> tokens_;
   Universe* universe_;
   size_t cursor_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace ocdx

@@ -37,6 +37,11 @@ void StatsRegistry::Record(const EngineStats& job_stats,
   }
 }
 
+void StatsRegistry::Merge(const EngineStats& stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  total_ += stats;
+}
+
 EngineStats StatsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_;

@@ -31,6 +31,11 @@ class StatsRegistry {
   void Record(const EngineStats& job_stats, const Status& governed,
               bool failed);
 
+  /// Folds in work that belongs to no request, such as the snapshot
+  /// loads of `ocdxd --preload` at startup: the stats merge, and no
+  /// request counter moves.
+  void Merge(const EngineStats& stats);
+
   /// One-line JSON aggregate: requests served, ok/governed/failed
   /// counts, governed counts per cause, plan-cache hit rate, shard
   /// fan-out totals, uptime, and the full merged EngineStats (every

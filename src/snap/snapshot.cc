@@ -625,7 +625,7 @@ Result<SnapshotBundle> ParseSnapshot(std::span<const uint8_t> bytes) {
 
   // The embedded text is still the authority on scenario *structure*
   // (schemas, mappings, queries, instance declarations), but its
-  // instance rows are elided at the lexer — the rows come back from the
+  // instance rows are skipped unparsed — the rows come back from the
   // binary instances section instead, through the same bulk load path
   // the chased section uses. Rule and query constants resolve against
   // the pre-interned table; a parse that mints anything new names

@@ -1,29 +1,17 @@
 #include "text/dx_lexer.h"
 
 #include <algorithm>
-#include <array>
-#include <cctype>
 #include <cstring>
 
 #include "util/str.h"
 
 namespace ocdx {
 
-namespace {
-
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-}  // namespace
+using namespace dx_chars;
 
 DxLineIndex::DxLineIndex(std::string_view src) {
   line_starts_.push_back(0);
-  // memchr, not a per-char loop: the index is built on every lex,
+  // memchr, not a per-char loop: the index is built on every parse,
   // including the snapshot loader's elided parse, where this scan is a
   // measurable slice of warm-start time on MB-scale files.
   size_t i = 0;
@@ -47,149 +35,97 @@ std::string DxLineIndex::Describe(size_t offset) const {
   return StrCat("line ", LineOf(offset), ", col ", ColOf(offset));
 }
 
-Result<std::vector<DxToken>> DxLex(std::string_view src) {
-  return DxLex(src, DxLexOptions{});
+DxToken DxLexer::Fail(size_t pos, std::string_view what) {
+  status_ = Status::ParseError(StrCat(what, " at ", lines_.Describe(pos)));
+  error_offset_ = pos;
+  pos_ = src_.size();
+  return DxToken{DxTokKind::kError, src_.substr(pos, 1), pos};
 }
 
-Result<std::vector<DxToken>> DxLex(std::string_view src,
-                                   const DxLexOptions& options) {
-  DxLineIndex lines(src);
-  std::vector<DxToken> out;
-  size_t i = 0;
-  auto push = [&](DxTokKind k, std::string text, size_t pos) {
-    out.push_back(DxToken{k, std::move(text), pos});
-  };
-  auto error = [&](size_t pos, std::string_view what) {
-    return Status::ParseError(StrCat(what, " at ", lines.Describe(pos)));
-  };
-  // True right after the `{` of `instance NAME over SCHEMA {` when the
-  // caller asked for elision: tokenizing the facts is most of the lexing
-  // cost of a fact-heavy file, so the body is skipped with a raw
-  // character scan (honoring comments and quotes, which may contain
-  // `}`) that leaves `i` on the closing brace. Offsets of everything
-  // outside instance bodies are untouched.
-  auto at_instance_body = [&]() {
-    size_t n = out.size();
-    return options.elide_instance_rows && n >= 5 &&
-           out[n - 1].kind == DxTokKind::kLBrace &&
-           out[n - 5].kind == DxTokKind::kIdent &&
-           out[n - 5].text == "instance" &&
-           out[n - 4].kind == DxTokKind::kIdent &&
-           out[n - 3].kind == DxTokKind::kIdent &&
-           out[n - 3].text == "over" &&
-           out[n - 2].kind == DxTokKind::kIdent;
-  };
-  auto skip_instance_body = [&]() {
-    // Table-driven scan: run over uninteresting bytes in a single-branch
-    // loop and only dispatch on the four characters that matter (`}`
-    // ends the body, quotes and comments may hide one).
-    static constexpr std::array<bool, 256> kStop = [] {
-      std::array<bool, 256> t{};
-      t[static_cast<unsigned char>('}')] = true;
-      t[static_cast<unsigned char>('\'')] = true;
-      t[static_cast<unsigned char>('#')] = true;
-      t[static_cast<unsigned char>('/')] = true;
-      return t;
-    }();
-    while (i < src.size()) {
-      while (i < src.size() && !kStop[static_cast<unsigned char>(src[i])]) {
-        ++i;
-      }
-      if (i >= src.size() || src[i] == '}') return;
-      if (src[i] == '\'') {
-        ++i;
-        while (i < src.size() && src[i] != '\'' && src[i] != '\n') ++i;
-        if (i < src.size()) ++i;  // closing quote (or keep the newline)
-      } else if (src[i] == '#' ||
-                 (src[i] == '/' && i + 1 < src.size() && src[i + 1] == '/')) {
-        const void* nl = std::memchr(src.data() + i, '\n', src.size() - i);
-        i = nl ? static_cast<size_t>(static_cast<const char*>(nl) -
-                                     src.data())
-               : src.size();
-      } else {
-        ++i;  // a lone '/', ordinary body content
-      }
-    }
-  };
-  while (i < src.size()) {
-    char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '#' || (c == '/' && i + 1 < src.size() && src[i + 1] == '/')) {
-      while (i < src.size() && src[i] != '\n') ++i;
-      continue;
-    }
-    size_t pos = i;
-    switch (c) {
-      case '{':
-        push(DxTokKind::kLBrace, "{", pos);
-        ++i;
-        if (at_instance_body()) skip_instance_body();
-        continue;
-      case '}': push(DxTokKind::kRBrace, "}", pos); ++i; continue;
-      case '[': push(DxTokKind::kLBracket, "[", pos); ++i; continue;
-      case ']': push(DxTokKind::kRBracket, "]", pos); ++i; continue;
-      case '(': push(DxTokKind::kLParen, "(", pos); ++i; continue;
-      case ')': push(DxTokKind::kRParen, ")", pos); ++i; continue;
-      case ',': push(DxTokKind::kComma, ",", pos); ++i; continue;
-      case ';': push(DxTokKind::kSemicolon, ";", pos); ++i; continue;
-      case '^': push(DxTokKind::kCaret, "^", pos); ++i; continue;
-      case '.': push(DxTokKind::kDot, ".", pos); ++i; continue;
-      case '=': push(DxTokKind::kEq, "=", pos); ++i; continue;
-      case '&': push(DxTokKind::kAmp, "&", pos); ++i; continue;
-      case '|': push(DxTokKind::kPipe, "|", pos); ++i; continue;
-      default: break;
-    }
-    if (c == '!') {
-      if (i + 1 < src.size() && src[i + 1] == '=') {
-        push(DxTokKind::kNeq, "!=", pos);
-        i += 2;
-      } else {
-        push(DxTokKind::kBang, "!", pos);
-        ++i;
-      }
-    } else if (c == '-') {
-      if (i + 1 < src.size() && src[i + 1] == '>') {
-        push(DxTokKind::kArrow, "->", pos);
-        i += 2;
-      } else {
-        return error(pos, "unexpected '-' (did you mean '->')");
-      }
-    } else if (c == ':') {
-      if (i + 1 < src.size() && src[i + 1] == '-') {
-        push(DxTokKind::kColonDash, ":-", pos);
-        i += 2;
-      } else {
-        return error(pos, "unexpected ':' (did you mean ':-')");
-      }
-    } else if (c == '\'') {
+DxToken DxLexer::NextSlow(size_t i) {
+  if (!status_.ok()) {
+    return DxToken{DxTokKind::kError, src_.substr(error_offset_, 1),
+                   error_offset_};
+  }
+  const size_t n = src_.size();
+  while (true) {
+    while (i < n && (ClassOf(src_[i]) & kSpace)) ++i;
+    const bool comment =
+        i < n && (src_[i] == '#' ||
+                  (src_[i] == '/' && i + 1 < n && src_[i + 1] == '/'));
+    if (!comment) break;
+    const void* nl = std::memchr(src_.data() + i, '\n', n - i);
+    i = nl ? static_cast<size_t>(static_cast<const char*>(nl) - src_.data())
+           : n;
+  }
+  if (i >= n) {
+    pos_ = n;
+    return DxToken{DxTokKind::kEnd, {}, n};
+  }
+  if (ClassOf(src_[i]) & (kPunct | kDigit | kIdentStart)) {
+    pos_ = i;
+    return Next();  // lexed inline; Next() will not come back here
+  }
+  const char c = src_[i];
+  const char next = i + 1 < n ? src_[i + 1] : '\0';
+  DxTokKind kind = DxTokKind::kError;
+  switch (c) {
+    case '!':
+      kind = next == '=' ? DxTokKind::kNeq : DxTokKind::kBang;
+      break;
+    case '-':
+      if (next != '>') return Fail(i, "unexpected '-' (did you mean '->')");
+      kind = DxTokKind::kArrow;
+      break;
+    case ':':
+      if (next != '-') return Fail(i, "unexpected ':' (did you mean ':-')");
+      kind = DxTokKind::kColonDash;
+      break;
+    case '\'': {
       size_t j = i + 1;
-      while (j < src.size() && src[j] != '\'' && src[j] != '\n') ++j;
-      if (j >= src.size() || src[j] != '\'') {
-        return error(pos, "unterminated quoted string");
+      while (j < n && src_[j] != '\'' && src_[j] != '\n') ++j;
+      if (j >= n || src_[j] != '\'') {
+        return Fail(i, "unterminated quoted string");
       }
-      push(DxTokKind::kQuoted, std::string(src.substr(i + 1, j - i - 1)), pos);
-      i = j + 1;
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t j = i;
-      while (j < src.size() && std::isdigit(static_cast<unsigned char>(src[j])))
-        ++j;
-      push(DxTokKind::kInt, std::string(src.substr(i, j - i)), pos);
-      i = j;
-    } else if (IsIdentStart(c)) {
-      size_t j = i;
-      while (j < src.size() && IsIdentChar(src[j])) ++j;
-      push(DxTokKind::kIdent, std::string(src.substr(i, j - i)), pos);
-      i = j;
+      pos_ = j + 1;
+      return DxToken{DxTokKind::kQuoted, src_.substr(i + 1, j - i - 1), i};
+    }
+    default:
+      return Fail(i, StrCat("unexpected character '", std::string(1, c), "'"));
+  }
+  const size_t len = kind == DxTokKind::kBang ? 1 : 2;
+  pos_ = i + len;
+  return DxToken{kind, src_.substr(i, len), i};
+}
+
+void DxLexer::SkipInstanceBody() {
+  // Table-driven scan: run over uninteresting bytes in a single-branch
+  // loop and only dispatch on the four characters that matter (`}` ends
+  // the body, quotes and comments may hide one).
+  static constexpr std::array<bool, 256> kStop = [] {
+    std::array<bool, 256> t{};
+    for (unsigned char c : {'}', '\'', '#', '/'}) t[c] = true;
+    return t;
+  }();
+  const size_t n = src_.size();
+  size_t i = pos_;
+  while (i < n) {
+    while (i < n && !kStop[static_cast<unsigned char>(src_[i])]) ++i;
+    if (i >= n || src_[i] == '}') break;
+    if (src_[i] == '\'') {
+      ++i;
+      while (i < n && src_[i] != '\'' && src_[i] != '\n') ++i;
+      if (i < n) ++i;  // closing quote (or keep the newline)
+    } else if (src_[i] == '#' || (src_[i] == '/' && i + 1 < n &&
+                                  src_[i + 1] == '/')) {
+      const void* nl = std::memchr(src_.data() + i, '\n', n - i);
+      i = nl ? static_cast<size_t>(static_cast<const char*>(nl) - src_.data())
+             : n;
     } else {
-      return error(pos, StrCat("unexpected character '", std::string(1, c),
-                               "'"));
+      ++i;  // a lone '/', ordinary body content
     }
   }
-  push(DxTokKind::kEnd, "", src.size());
-  return out;
+  pos_ = i;
 }
 
 }  // namespace ocdx

@@ -1,8 +1,9 @@
 #include "text/dx_parser.h"
 
+#include <functional>
 #include <map>
-#include <optional>
 #include <set>
+#include <unordered_map>
 
 #include "logic/budget.h"
 #include "logic/parser.h"
@@ -36,27 +37,33 @@ Status TranslatePositions(const Status& status, const DxLineIndex& lines) {
                                       msg.substr(end)));
 }
 
-// One parsed instance fact, held until the whole block is read so the
-// plain-vs-annotated decision can consider every fact.
-struct ParsedFact {
-  std::string rel;
-  Tuple values;                 ///< Empty for an empty marker.
-  std::optional<AnnVec> ann;    ///< Set iff any position was annotated.
-  size_t offset = 0;
-};
-
 class DxParser {
  public:
-  DxParser(std::string_view src, std::vector<DxToken> tokens,
-           Universe* universe)
-      : lines_(src), tokens_(std::move(tokens)), universe_(universe) {}
+  DxParser(std::string_view src, Universe* universe, bool elide_instance_rows)
+      : lexer_(src),
+        tok_(lexer_.Next()),
+        universe_(universe),
+        elide_instance_rows_(elide_instance_rows) {}
 
   Result<DxScenario> ParseFile();
 
+  /// After ParseFile failed: lexes the rest of the source and returns the
+  /// first lexical error, if any. A lexical error anywhere in the file
+  /// outranks a parse error, as it would if the whole file were lexed
+  /// before parsing began.
+  Status LexicalError() {
+    while (tok_.kind != DxTokKind::kEnd && tok_.kind != DxTokKind::kError) {
+      tok_ = lexer_.Next();
+    }
+    return lexer_.status();
+  }
+
  private:
-  const DxToken& Peek() const { return tokens_[cursor_]; }
+  const DxToken& Peek() const { return tok_; }
   DxToken Advance() {
-    return tokens_[cursor_ < tokens_.size() - 1 ? cursor_++ : cursor_];
+    DxToken t = tok_;
+    tok_ = lexer_.Next();
+    return t;
   }
   bool AtEnd() const { return Peek().kind == DxTokKind::kEnd; }
   bool Accept(DxTokKind kind) {
@@ -78,7 +85,7 @@ class DxParser {
   }
   Status ErrorAt(size_t offset, std::string_view message) const {
     return Status::ParseError(
-        StrCat(message, " at ", lines_.Describe(offset)));
+        StrCat(message, " at ", lines().Describe(offset)));
   }
   Status Expect(DxTokKind kind, std::string_view what) {
     if (Peek().kind != kind) return Error(StrCat("expected ", what));
@@ -89,8 +96,9 @@ class DxParser {
     if (Peek().kind != DxTokKind::kIdent) {
       return Error(StrCat("expected ", what));
     }
-    return Advance().text;
+    return std::string(Advance().text);
   }
+  const DxLineIndex& lines() const { return lexer_.lines(); }
 
   Status ParseScenarioDecl(DxScenario* out);
   Status ParseBudgetDecl(DxScenario* out);
@@ -99,31 +107,53 @@ class DxParser {
   Status ParseInstanceDecl(DxScenario* out);
   Status ParseQueryDecl(DxScenario* out);
 
-  Result<ParsedFact> ParseFact(const Schema& schema);
-  Result<Value> ParseValue();
-  Result<Ann> ParseAnnName();
+  /// An instance's schema relation, resolved once per instance block.
+  struct FactTarget {
+    size_t arity;
+    AnnotatedRelation* rel;
+  };
+  using FactTargets = std::unordered_map<std::string_view, FactTarget>;
+
+  /// Parses one fact into its relation; sets `*annotated` if any of its
+  /// positions carries an annotation.
+  Status ParseFact(const FactTargets& targets, bool* annotated);
+  // The fact path reports success as a bool and builds a Status only on
+  // failure: it runs once per value of every fact in the file.
+  /// Interns the value at the cursor and advances past it; on anything
+  /// else returns an invalid Value and consumes nothing.
+  Value TakeValue();
+  Status ValueError() const;
+  /// Takes `op` or `cl` (the token after a `^`) into `*ann`.
+  bool TakeAnnName(Ann* ann);
+  Status AnnNameError() const {
+    return Error("expected 'op' or 'cl' after '^'");
+  }
 
   /// Converts the tokens between the cursor and the next `}` into logic
   /// tokens (absolute offsets preserved) and advances past the `}`.
   /// `block_what` names the block for error messages.
   Result<std::vector<Token>> TakeBlockTokens(std::string_view block_what);
 
-  DxLineIndex lines_;
-  std::vector<DxToken> tokens_;
-  size_t cursor_ = 0;
+  DxLexer lexer_;
+  DxToken tok_;  ///< The one lookahead token.
   Universe* universe_;
+  const bool elide_instance_rows_;
   bool saw_scenario_decl_ = false;
   bool saw_budget_decl_ = false;
   /// Null literals are interned per file: `_n1` denotes the same null
   /// everywhere it appears.
-  std::map<std::string, Value> nulls_;
+  std::map<std::string, Value, std::less<>> nulls_;
+  /// Per-fact scratch, reused by every fact: values, and one annotation
+  /// per position (`cl` where the text gives none).
+  Tuple values_;
+  AnnVec ann_;
 };
 
 Result<std::vector<Token>> DxParser::TakeBlockTokens(
     std::string_view block_what) {
   std::vector<Token> out;
   while (true) {
-    const DxToken& t = Peek();
+    const DxToken t = Peek();
     TokKind kind;
     switch (t.kind) {
       case DxTokKind::kRBrace:
@@ -155,7 +185,7 @@ Result<std::vector<Token>> DxParser::TakeBlockTokens(
       default:
         return Error(StrCat("unexpected token inside ", block_what));
     }
-    out.push_back(Token{kind, t.text, t.offset});
+    out.push_back(Token{kind, std::string(t.text), t.offset});
     Advance();
   }
 }
@@ -168,7 +198,7 @@ Status DxParser::ParseScenarioDecl(DxScenario* out) {
   if (Peek().kind != DxTokKind::kQuoted && Peek().kind != DxTokKind::kIdent) {
     return Error("expected a scenario name");
   }
-  out->name = Advance().text;
+  out->name = std::string(Advance().text);
   return Expect(DxTokKind::kSemicolon, "';' after scenario declaration");
 }
 
@@ -285,8 +315,8 @@ Status DxParser::ParseMappingDecl(DxScenario* out) {
   decl.name = std::move(name);
   decl.from = std::move(from);
   decl.to = std::move(to);
-  decl.line = lines_.LineOf(name_offset);
-  decl.col = lines_.ColOf(name_offset);
+  decl.line = lines().LineOf(name_offset);
+  decl.col = lines().ColOf(name_offset);
   if (Accept(DxTokKind::kLBracket)) {
     while (true) {
       if (AcceptKeyword("default")) {
@@ -316,17 +346,17 @@ Status DxParser::ParseMappingDecl(DxScenario* out) {
   Mapping mapping(source->schema, target->schema);
   while (!rules.AtEnd()) {
     Result<AnnotatedStd> std_ = ParseStdAt(&rules, decl.default_ann);
-    if (!std_.ok()) return TranslatePositions(std_.status(), lines_);
+    if (!std_.ok()) return TranslatePositions(std_.status(), lines());
     mapping.AddStd(std::move(std_).value());
     if (!rules.Accept(TokKind::kSemicolon) && !rules.AtEnd()) {
       return TranslatePositions(rules.MakeError("expected ';' between rules"),
-                                lines_);
+                                lines());
     }
   }
   Status valid = mapping.Validate(/*allow_functions=*/decl.skolem);
   if (!valid.ok()) {
     return Status(valid.code(), StrCat("in mapping '", decl.name, "' (",
-                                       lines_.Describe(name_offset), "): ",
+                                       lines().Describe(name_offset), "): ",
                                        valid.message()));
   }
   decl.mapping = std::move(mapping);
@@ -334,67 +364,80 @@ Status DxParser::ParseMappingDecl(DxScenario* out) {
   return Status::OK();
 }
 
-Result<Ann> DxParser::ParseAnnName() {
-  if (Peek().kind == DxTokKind::kIdent &&
-      (Peek().text == "op" || Peek().text == "cl")) {
-    return Advance().text == "op" ? Ann::kOpen : Ann::kClosed;
+bool DxParser::TakeAnnName(Ann* ann) {
+  if (Peek().kind != DxTokKind::kIdent) return false;
+  if (Peek().text == "op") {
+    *ann = Ann::kOpen;
+  } else if (Peek().text == "cl") {
+    *ann = Ann::kClosed;
+  } else {
+    return false;
   }
-  return Error("expected 'op' or 'cl' after '^'");
+  Advance();
+  return true;
 }
 
-Result<Value> DxParser::ParseValue() {
+Value DxParser::TakeValue() {
   const DxToken& t = Peek();
   if (t.kind == DxTokKind::kQuoted || t.kind == DxTokKind::kInt) {
     return universe_->Const(Advance().text);
   }
-  if (t.kind == DxTokKind::kIdent && t.text[0] == '_') {
-    if (t.text.size() == 1) {
-      return Error("a null literal needs a name after '_'");
-    }
-    std::string name = Advance().text;
-    auto it = nulls_.find(name);
-    if (it != nulls_.end()) return it->second;
-    // Label without the '_': Universe::Describe prepends it back.
-    Value null = universe_->FreshNull(name.substr(1));
-    nulls_.emplace(std::move(name), null);
-    return null;
+  if (t.kind != DxTokKind::kIdent || t.text[0] != '_' || t.text.size() == 1) {
+    return Value();
+  }
+  std::string_view name = Advance().text;
+  auto it = nulls_.find(name);
+  if (it != nulls_.end()) return it->second;
+  // Label without the '_': Universe::Describe prepends it back.
+  Value null = universe_->FreshNull(std::string(name.substr(1)));
+  nulls_.emplace(std::string(name), null);
+  return null;
+}
+
+Status DxParser::ValueError() const {
+  if (Peek().kind == DxTokKind::kIdent && Peek().text == "_") {
+    return Error("a null literal needs a name after '_'");
   }
   return Error("expected a value ('const', integer, or _null)");
 }
 
-Result<ParsedFact> DxParser::ParseFact(const Schema& schema) {
-  ParsedFact fact;
-  fact.offset = Peek().offset;
-  OCDX_ASSIGN_OR_RETURN(fact.rel, ExpectIdent("a relation name"));
-  const RelationDecl* decl = schema.Find(fact.rel);
-  if (decl == nullptr) {
-    return ErrorAt(fact.offset,
-                   StrCat("relation '", fact.rel,
+Status DxParser::ParseFact(const FactTargets& targets, bool* annotated) {
+  const size_t offset = Peek().offset;
+  if (Peek().kind != DxTokKind::kIdent) {
+    return Error("expected a relation name");
+  }
+  const std::string_view rel = Advance().text;
+  const auto target_it = targets.find(rel);
+  if (target_it == targets.end()) {
+    return ErrorAt(offset,
+                   StrCat("relation '", rel,
                           "' is not declared in the instance's schema"));
   }
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kLParen, "'(' after relation name"));
-  AnnVec ann;
+  values_.clear();
+  ann_.clear();
   size_t marker_positions = 0;
   bool any_annotated = false;
   if (!Accept(DxTokKind::kRParen)) {
     while (true) {
+      Ann a = Ann::kClosed;
       if (Accept(DxTokKind::kCaret)) {
         // Bare annotation: an empty-marker position.
-        OCDX_ASSIGN_OR_RETURN(Ann a, ParseAnnName());
-        ann.push_back(a);
+        if (!TakeAnnName(&a)) return AnnNameError();
         ++marker_positions;
         any_annotated = true;
       } else {
-        OCDX_ASSIGN_OR_RETURN(Value v, ParseValue());
-        fact.values.push_back(v);
+        Value v = TakeValue();
+        if (!v.IsValid()) return ValueError();
+        values_.push_back(v);
+        // Positions without an explicit annotation default to `cl`
+        // (matching the rule parser's default).
         if (Accept(DxTokKind::kCaret)) {
-          OCDX_ASSIGN_OR_RETURN(Ann a, ParseAnnName());
-          ann.push_back(a);
+          if (!TakeAnnName(&a)) return AnnNameError();
           any_annotated = true;
-        } else {
-          ann.push_back(Ann::kClosed);  // Placeholder; checked below.
         }
       }
+      ann_.push_back(a);
       if (Accept(DxTokKind::kComma)) continue;
       OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kRParen, "')' or ','"));
       break;
@@ -402,22 +445,22 @@ Result<ParsedFact> DxParser::ParseFact(const Schema& schema) {
   }
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kSemicolon, "';' after fact"));
 
-  if (marker_positions > 0 && marker_positions != ann.size()) {
-    return ErrorAt(fact.offset,
-                   StrCat("fact for '", fact.rel,
-                          "' mixes empty-marker positions with values"));
+  if (marker_positions > 0 && marker_positions != ann_.size()) {
+    return ErrorAt(offset, StrCat("fact for '", rel,
+                                  "' mixes empty-marker positions with "
+                                  "values"));
   }
-  // Positions without an explicit annotation default to `cl` (matching
-  // the rule parser's default); the fact counts as annotated as soon as
-  // any position carries one.
-  if (any_annotated) fact.ann = std::move(ann);
-  size_t arity = marker_positions > 0 ? marker_positions : fact.values.size();
-  if (arity != decl->arity()) {
-    return ErrorAt(fact.offset,
-                   StrCat("fact for '", fact.rel, "' has arity ", arity,
-                          " but the schema declares arity ", decl->arity()));
+  const FactTarget& target = target_it->second;
+  const size_t arity =
+      marker_positions > 0 ? marker_positions : values_.size();
+  if (arity != target.arity) {
+    return ErrorAt(offset, StrCat("fact for '", rel, "' has arity ", arity,
+                                  " but the schema declares arity ",
+                                  target.arity));
   }
-  return fact;
+  target.rel->Add(AnnotatedTupleRef{values_, ann_});
+  *annotated |= any_annotated;
+  return Status::OK();
 }
 
 Status DxParser::ParseInstanceDecl(DxScenario* out) {
@@ -434,35 +477,27 @@ Status DxParser::ParseInstanceDecl(DxScenario* out) {
                                        "' refers to undeclared schema '",
                                        over, "'"));
   }
-  OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kLBrace, "'{' before instance facts"));
-
-  std::vector<ParsedFact> facts;
-  while (!Accept(DxTokKind::kRBrace)) {
-    OCDX_ASSIGN_OR_RETURN(ParsedFact fact, ParseFact(schema->schema));
-    facts.push_back(std::move(fact));
+  if (Peek().kind != DxTokKind::kLBrace) {
+    return Error("expected '{' before instance facts");
   }
+  // The lookahead is the `{`, and nothing after it has been lexed yet.
+  if (elide_instance_rows_) lexer_.SkipInstanceBody();
+  Advance();
 
   DxInstanceDecl decl;
   decl.name = std::move(name);
   decl.over = std::move(over);
-  for (const ParsedFact& fact : facts) {
-    if (fact.ann.has_value()) decl.annotated = true;
-  }
   // Pre-declare every schema relation so empty relations print and chase
-  // over the instance sees the full vocabulary.
+  // over the instance sees the full vocabulary; each fact then goes
+  // straight into its relation.
+  FactTargets targets;
   for (const RelationDecl& rd : schema->schema.decls()) {
-    decl.annotated_instance.GetOrCreate(rd.name, rd.arity());
+    AnnotatedRelation& rel =
+        decl.annotated_instance.GetOrCreate(rd.name, rd.arity());
+    targets.emplace(rd.name, FactTarget{rd.arity(), &rel});
   }
-  for (const ParsedFact& fact : facts) {
-    if (fact.ann.has_value()) {
-      decl.annotated_instance.Add(
-          fact.rel, AnnotatedTupleRef{fact.values, *fact.ann});
-    } else {
-      decl.annotated_instance.Add(
-          fact.rel,
-          AnnotatedTupleRef{fact.values, AnnVec(fact.values.size(),
-                                                Ann::kClosed)});
-    }
+  while (!Accept(DxTokKind::kRBrace)) {
+    OCDX_RETURN_IF_ERROR(ParseFact(targets, &decl.annotated));
   }
   decl.plain = decl.annotated_instance.RelPart();
   out->instances.push_back(std::move(decl));
@@ -477,8 +512,8 @@ Status DxParser::ParseQueryDecl(DxScenario* out) {
   }
   DxQuery query;
   query.name = std::move(name);
-  query.line = lines_.LineOf(name_offset);
-  query.col = lines_.ColOf(name_offset);
+  query.line = lines().LineOf(name_offset);
+  query.col = lines().ColOf(name_offset);
   OCDX_RETURN_IF_ERROR(Expect(DxTokKind::kLParen, "'(' after query name"));
   if (!Accept(DxTokKind::kRParen)) {
     while (true) {
@@ -490,7 +525,7 @@ Status DxParser::ParseQueryDecl(DxScenario* out) {
     }
   }
   if (Peek().kind == DxTokKind::kQuoted) {
-    query.description = Advance().text;
+    query.description = std::string(Advance().text);
   }
   OCDX_RETURN_IF_ERROR(
       Expect(DxTokKind::kLBrace, "'{' before the query formula"));
@@ -498,7 +533,7 @@ Status DxParser::ParseQueryDecl(DxScenario* out) {
                         TakeBlockTokens("query block"));
   FormulaParser formula_parser(std::move(block), universe_);
   Result<FormulaPtr> formula = formula_parser.ParseComplete();
-  if (!formula.ok()) return TranslatePositions(formula.status(), lines_);
+  if (!formula.ok()) return TranslatePositions(formula.status(), lines());
   query.formula = std::move(formula).value();
 
   // The declared head must name exactly the free variables (in the
@@ -568,11 +603,11 @@ Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe) {
 
 Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe,
                                    const DxParseOptions& options) {
-  DxLexOptions lex;
-  lex.elide_instance_rows = options.elide_instance_rows;
-  OCDX_ASSIGN_OR_RETURN(std::vector<DxToken> tokens, DxLex(src, lex));
-  DxParser parser(src, std::move(tokens), universe);
-  return parser.ParseFile();
+  DxParser parser(src, universe, options.elide_instance_rows);
+  Result<DxScenario> out = parser.ParseFile();
+  if (out.ok()) return out;
+  Status lexical = parser.LexicalError();
+  return lexical.ok() ? out : Result<DxScenario>(std::move(lexical));
 }
 
 }  // namespace ocdx

@@ -1,15 +1,21 @@
 // Tests for the `.dx` scenario parser, printer and the rule-parser error
-// paths: feature coverage, positioned errors on malformed input, and the
+// paths: feature coverage, positioned errors on malformed input, the
+// formula nesting cap, what the streaming parser must keep (id order,
+// error positions deep in a block, elided-parse offsets), and the
 // parse -> print -> parse round-trip over the whole golden corpus.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "logic/parser.h"
 #include "mapping/rule_parser.h"
+#include "text/dx_lexer.h"
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
 
@@ -20,6 +26,14 @@ namespace fs = std::filesystem;
 
 Result<DxScenario> Parse(std::string_view src, Universe* u) {
   return ParseDxScenario(src, u);
+}
+
+std::string ReadFileOrDie(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 constexpr char kConference[] = R"(
@@ -283,23 +297,219 @@ TEST(RuleParserErrors, ErrorsCarryOffsets) {
       << r.status().message();
 }
 
-// --- Round-trips over the corpus --------------------------------------------
+// --- Formula nesting cap ------------------------------------------------------
 
-std::string ReadFileOrDie(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+std::string Repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
 }
 
-TEST(DxRoundTrip, ParsePrintParseIsIdentityOverTheCorpus) {
+// 10^5 levels of each recursive construct, in a query block and in a
+// mapping rule body: a positioned ParseError, not a stack overflow.
+TEST(DxParserErrors, DeepNestingIsAPositionedError) {
+  constexpr int kDeep = 100000;
+  const std::string schema = "schema s { R(a); }\n";
+  const std::string parens = Repeat("(", kDeep) + "R(x)" + Repeat(")", kDeep);
+  const std::string bangs = Repeat("!", kDeep) + "R(x)";
+  const std::string quantifiers = Repeat("exists y. ", kDeep) + "R(x)";
+  const std::string terms =
+      "R(x) & x = " + Repeat("f(", kDeep) + "x" + Repeat(")", kDeep);
+  const struct {
+    const char* name;
+    std::string body;
+  } cases[] = {{"parens", parens},
+               {"bangs", bangs},
+               {"quantifiers", quantifiers},
+               {"function terms", terms}};
+  for (const auto& c : cases) {
+    for (bool in_rule : {false, true}) {
+      SCOPED_TRACE(std::string(c.name) + (in_rule ? " in a rule" : " in a query"));
+      const std::string src =
+          schema + (in_rule ? "mapping M from s to s { R(x^cl) :- " + c.body +
+                                  "; }\n"
+                            : "query q(x) { " + c.body + " }\n");
+      Universe u;
+      Result<DxScenario> result = Parse(src, &u);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+      EXPECT_EQ(result.status().message().rfind(
+                    "formula nested deeper than 256 levels at line 2, col ", 0),
+                0u)
+          << result.status().message();
+    }
+  }
+}
+
+TEST(DxParserErrors, NestingCapCountsLevels) {
+  // The formula itself is level 1 and each parenthesis one more: 255
+  // parentheses fit, and the 256th is reported at the token after it.
+  const std::string prefix = "schema s { R(a); }\nquery q() { ";
+  for (int parens : {255, 256}) {
+    SCOPED_TRACE(parens);
+    Universe u;
+    Result<DxScenario> result = Parse(prefix + Repeat("(", parens) + "true" +
+                                          Repeat(")", parens) + " }\n",
+                                      &u);
+    if (parens < FormulaParser::kMaxDepth) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    } else {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().message(),
+                "formula nested deeper than 256 levels at line 2, col " +
+                    std::to_string(13 + parens));
+    }
+  }
+}
+
+// --- What the streaming parser must keep --------------------------------------
+
+// Constants and nulls get ids in order of first appearance in the text,
+// whichever block they appear in: byte-identical output and the snapshot
+// loader's elided re-parse both depend on it.
+TEST(DxParserOrder, IdsFollowFirstAppearance) {
+  constexpr char kSrc[] = R"(
+schema s { R(a, b); P(a); }
+schema t { T(a, b); }
+mapping M from s to t { T(x^cl, y^op) :- R(x, y) & P('r1') & R(x, 'r2'); }
+instance I over s { R('f1', 7); R(_n2, 'f2'); P('r2'); P(_n1); R('f1', 'f3'); }
+query q(x) { T(x, 'q1') | T(x, 7) | R(x, 'q2') }
+)";
+  Universe u;
+  Result<DxScenario> full = Parse(kSrc, &u);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const std::vector<std::string> want = {"r1", "r2", "f1", "7",
+                                         "f2", "f3", "q1", "q2"};
+  ASSERT_EQ(u.num_consts(), want.size());
+  for (uint32_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(u.ConstName(i), want[i]) << "const id " << i;
+  }
+  // Null literals are instance-only; `_n2` is seen first.
+  ASSERT_EQ(u.num_nulls(), 2u);
+  EXPECT_EQ(u.null_info(Value::MakeNull(0)).label, "n2");
+  EXPECT_EQ(u.null_info(Value::MakeNull(1)).label, "n1");
+
+  // With instance rows elided only rule and query constants remain, still
+  // in text order.
+  Universe elided_u;
+  Result<DxScenario> elided = ParseDxScenario(
+      kSrc, &elided_u, DxParseOptions{.elide_instance_rows = true});
+  ASSERT_TRUE(elided.ok()) << elided.status().ToString();
+  const std::vector<std::string> want_elided = {"r1", "r2", "q1", "7", "q2"};
+  ASSERT_EQ(elided_u.num_consts(), want_elided.size());
+  for (uint32_t i = 0; i < want_elided.size(); ++i) {
+    EXPECT_EQ(elided_u.ConstName(i), want_elided[i]) << "const id " << i;
+  }
+  EXPECT_EQ(elided_u.num_nulls(), 0u);
+}
+
+// An error deep inside a large instance block reports the position a
+// hand count gives: fact i sits alone on line i + 2.
+TEST(DxParserErrors, ErrorInTheTwentyThousandthFactIsPositioned) {
+  constexpr int kBadFact = 20000;
+  std::string head = "schema s { R(a, b); }\ninstance I over s {\n";
+  for (int i = 1; i < kBadFact; ++i) {
+    head += "  R('v" + std::to_string(i) + "', " + std::to_string(i) + ");\n";
+  }
+  const struct {
+    const char* name;
+    const char* fact;
+    const char* message;
+  } cases[] = {
+      {"unknown relation", "  Q('x', 1);",
+       "relation 'Q' is not declared in the instance's schema at line 20002, "
+       "col 3"},
+      {"wrong arity", "  R('x');",
+       "fact for 'R' has arity 1 but the schema declares arity 2 at line "
+       "20002, col 3"},
+      {"bare underscore", "  R(_, 1);",
+       "a null literal needs a name after '_' near '_' at line 20002, col 5"},
+      {"missing semicolon", "  R('x', 1)",
+       "expected ';' after fact near '}' at line 20003, col 1"},
+      {"marker mixed with values", "  R('x', ^cl);",
+       "fact for 'R' mixes empty-marker positions with values at line 20002, "
+       "col 3"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Universe u;
+    Result<DxScenario> result = Parse(head + c.fact + "\n}\n", &u);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(result.status().message(), c.message);
+  }
+}
+
+std::vector<fs::path> CorpusFiles() {
   std::vector<fs::path> files;
   for (const char* dir : {OCDX_CORPUS_DIR, OCDX_EXAMPLES_DX_DIR}) {
     for (const auto& entry : fs::directory_iterator(dir)) {
       if (entry.path().extension() == ".dx") files.push_back(entry.path());
     }
   }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Byte offsets just past the closing `}` of every instance body in `src`
+// (a full lex: fact bodies hold no braces outside quotes).
+std::vector<size_t> InstanceBodyEnds(std::string_view src) {
+  std::vector<size_t> ends;
+  DxLexer lexer(src);
+  std::vector<DxToken> seen;
+  bool in_instance = false;
+  for (DxToken t = lexer.Next();
+       t.kind != DxTokKind::kEnd && t.kind != DxTokKind::kError;
+       t = lexer.Next()) {
+    const size_t n = seen.size();
+    if (t.kind == DxTokKind::kLBrace && n >= 4 &&
+        seen[n - 4].text == "instance" && seen[n - 2].text == "over") {
+      in_instance = true;
+    } else if (t.kind == DxTokKind::kRBrace && in_instance) {
+      ends.push_back(t.offset + 1);
+      in_instance = false;
+    }
+    seen.push_back(t);
+  }
+  return ends;
+}
+
+// The elided parse lexes everything outside instance bodies at the same
+// offsets as the full parse: a bad token right after any instance gives
+// the same positioned error either way.
+TEST(DxParserElision, OffsetsOutsideInstanceBodiesMatchTheFullParse) {
+  for (const fs::path& file : CorpusFiles()) {
+    const std::string src = ReadFileOrDie(file);
+    const std::vector<size_t> ends = InstanceBodyEnds(src);
+    for (size_t end : ends) {
+      for (const char* bad : {" oops", " $", "\n  'unterminated"}) {
+        SCOPED_TRACE(file.filename().string() + " at offset " +
+                     std::to_string(end) + " with" + bad);
+        const std::string mutant =
+            src.substr(0, end) + bad + src.substr(end);
+        Universe full_u;
+        Result<DxScenario> full = Parse(mutant, &full_u);
+        Universe elided_u;
+        Result<DxScenario> elided = ParseDxScenario(
+            mutant, &elided_u, DxParseOptions{.elide_instance_rows = true});
+        ASSERT_FALSE(full.ok());
+        ASSERT_FALSE(elided.ok());
+        EXPECT_EQ(full.status(), elided.status());
+        const size_t at = mutant.find_first_not_of(" \n", end);
+        EXPECT_NE(full.status().message().find(
+                      " at " + DxLineIndex(mutant).Describe(at)),
+                  std::string::npos)
+            << full.status().message();
+      }
+    }
+  }
+}
+
+// --- Round-trips over the corpus --------------------------------------------
+
+TEST(DxRoundTrip, ParsePrintParseIsIdentityOverTheCorpus) {
+  const std::vector<fs::path> files = CorpusFiles();
   ASSERT_FALSE(files.empty());
   for (const fs::path& file : files) {
     SCOPED_TRACE(file.string());

@@ -311,5 +311,24 @@ TEST(StatsRegistry, AggregatesRequestsByOutcome) {
   EXPECT_NE(json.find("\"chase_triggers\":25"), std::string::npos) << json;
 }
 
+// The ocdxd --preload path: a startup snapshot load is timed into the
+// aggregate but is not a request.
+TEST(StatsRegistry, MergeFoldsStatsWithoutCountingARequest) {
+  obs::StatsRegistry registry;
+  EngineStats load;
+  load.snap_load_ns = 1234;
+  registry.Merge(load);
+
+  EXPECT_EQ(registry.Snapshot().snap_load_ns, 1234u);
+  std::string json = registry.RenderJson();
+  EXPECT_NE(json.find("\"requests\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ok\":0"), std::string::npos) << json;
+
+  registry.Record(EngineStats{}, Status::OK(), /*failed=*/false);
+  json = registry.RenderJson();
+  EXPECT_NE(json.find("\"requests\":1"), std::string::npos) << json;
+  EXPECT_EQ(registry.Snapshot().snap_load_ns, 1234u);
+}
+
 }  // namespace
 }  // namespace ocdx

@@ -27,7 +27,8 @@
 //              failed counts, plan-cache hit rate, shard fan-out totals,
 //              uptime, and the merged EngineStats of every command
 //              request served so far ("stats" requests themselves are
-//              not counted)
+//              not counted), plus the startup --preload loads
+//              (snap_load_ns; they count as no request)
 //              and the optional trailing fields tighten the request's
 //              resource budget: deadline-ms, chase-max-triggers,
 //              max-members, hom-max-steps, repa-max-steps — or set its
@@ -68,6 +69,7 @@
 #include "logic/engine_config.h"
 #include "logic/engine_context.h"
 #include "obs/stats_registry.h"
+#include "obs/trace.h"
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
 #include "util/fault.h"
@@ -209,6 +211,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Process-lifetime metrics, folded in at request completion only (the
+  // registry's mutex is never touched inside evaluation). Startup
+  // snapshot loads merge in too, timed but not counted as requests.
+  obs::StatsRegistry registry;
+
   // Warm set: each entry keeps the snapshot's own file path alongside the
   // bundle (whose source_path is the `.dx` path recorded at write time);
   // a request may address the bundle by either name. The bundle is
@@ -221,7 +228,12 @@ int main(int argc, char** argv) {
   std::vector<PreloadedEntry> preloaded;
   preloaded.reserve(preload_paths.size());
   for (const std::string& snap_path : preload_paths) {
-    Result<snap::SnapshotBundle> bundle = snap::LoadSnapshotFile(snap_path);
+    EngineStats load_stats;
+    Result<snap::SnapshotBundle> bundle = [&] {
+      obs::ScopedSpan span(&load_stats, nullptr, obs::kPhaseSnapLoad);
+      return snap::LoadSnapshotFile(snap_path);
+    }();
+    registry.Merge(load_stats);
     if (!bundle.ok()) {
       std::fprintf(stderr, "ocdxd: --preload=%s: %s\n", snap_path.c_str(),
                    bundle.status().ToString().c_str());
@@ -243,10 +255,6 @@ int main(int argc, char** argv) {
   sa.sa_flags = 0;
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
-
-  // Process-lifetime metrics, folded in at request completion only (the
-  // registry's mutex is never touched inside evaluation).
-  obs::StatsRegistry registry;
 
   std::string line;
   while (!g_stop && std::getline(std::cin, line)) {

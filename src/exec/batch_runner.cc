@@ -319,14 +319,16 @@ std::string RenderBatchSummary(const BatchReport& report,
   }
   std::snprintf(buf, sizeof(buf),
                 "batch: phase ms: parse=%.2f chase=%.2f plan_compile=%.2f "
-                "plan_bind=%.2f member_enum=%.2f hom=%.2f repa=%.2f\n",
+                "plan_bind=%.2f member_enum=%.2f hom=%.2f repa=%.2f "
+                "render=%.2f\n",
                 static_cast<double>(report.stats.parse_ns) / 1e6,
                 static_cast<double>(report.stats.chase_ns) / 1e6,
                 static_cast<double>(report.stats.plan_compile_ns) / 1e6,
                 static_cast<double>(report.stats.plan_bind_ns) / 1e6,
                 static_cast<double>(report.stats.member_enum_ns) / 1e6,
                 static_cast<double>(report.stats.hom_search_ns) / 1e6,
-                static_cast<double>(report.stats.repa_search_ns) / 1e6);
+                static_cast<double>(report.stats.repa_search_ns) / 1e6,
+                static_cast<double>(report.stats.render_ns) / 1e6);
   out += buf;
   out += StrCat("batch: governance: chase_budget_trips=",
                 report.stats.chase_budget_trips, ", deadline_trips=",

@@ -2,12 +2,12 @@
 //
 // The engine's phase boundaries — parse, chase, plan compile/bind,
 // member enumeration and its shard tasks, the NP searches, snapshot
-// write/load, whole job lifecycles — are bracketed by RAII ScopedSpan
-// objects. A span reads the monotonic clock and records anything ONLY
-// when the job's EngineContext has a stats sink or a trace sink
-// attached; detached, construction and destruction are two null checks,
-// so instrumented code paths cost nothing in production runs (pinned by
-// the bench --check gate).
+// write/load, canonical rendering, whole job lifecycles — are bracketed
+// by RAII ScopedSpan objects. A span reads the monotonic clock and
+// records anything ONLY when the job's EngineContext has a stats sink or
+// a trace sink attached; detached, construction and destruction are two
+// null checks, so instrumented code paths cost nothing in production
+// runs (pinned by the bench --check gate).
 //
 // When attached, a span does two independent things:
 //
@@ -69,6 +69,7 @@ inline constexpr PhaseDef kPhaseSnapLoad{"snap-load",
 inline constexpr PhaseDef kPhaseJob{"job", &EngineStats::job_ns};
 inline constexpr PhaseDef kPhaseFanoutSetup{"fanout-setup",
                                             &EngineStats::fanout_setup_ns};
+inline constexpr PhaseDef kPhaseRender{"render", &EngineStats::render_ns};
 
 /// One completed span. `track` separates concurrent timelines inside a
 /// job (0 = the job's own thread, s = shard s's worker); `depth` is the

@@ -162,10 +162,20 @@ void EncodeChased(const PrechasedStore& store, Sink* out) {
 // parsed *afterwards*, into this same universe, with instance rows
 // elided — its rule/query constants resolve to the pre-interned ids, and
 // ParseSnapshot verifies the parse introduced nothing new.
+//
+// A constant name holding `'` or a newline is corrupt: the `.dx` lexer
+// can never produce one, and it would make the rendered output of a
+// snapshot run ambiguous (see text/canonical_render.h).
 Status DecodeUniverse(Source* src, Universe* u) {
   OCDX_ASSIGN_OR_RETURN(uint64_t num_consts, src->U64());
   for (uint64_t c = 0; c < num_consts; ++c) {
     OCDX_ASSIGN_OR_RETURN(std::string name, src->Str());
+    if (size_t bad = name.find_first_of("'\n"); bad != std::string::npos) {
+      return src->Corrupt(StrCat("constant ", c, " holds ",
+                                 name[bad] == '\'' ? "a quote" : "a newline",
+                                 " at offset ", bad,
+                                 ", which no .dx text can write"));
+    }
     if (u->Const(name).id() != c) {
       return src->Corrupt(StrCat("constant ", c, " '", name,
                                  "' duplicates an earlier table entry"));

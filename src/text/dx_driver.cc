@@ -1,22 +1,20 @@
 #include "text/dx_driver.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
-#include <span>
-#include <tuple>
+#include <optional>
 
 #include "certain/certain.h"
 #include "chase/canonical.h"
 #include "compose/compose.h"
 #include "logic/budget.h"
 #include "logic/classify.h"
+#include "obs/trace.h"
 #include "plan/compile.h"
 #include "semantics/membership.h"
 #include "semantics/repa.h"
 #include "semantics/solutions.h"
 #include "skolem/compose.h"
 #include "skolem/skolem.h"
+#include "text/canonical_render.h"
 #include "util/str.h"
 
 namespace ocdx {
@@ -69,101 +67,6 @@ constexpr char kNoMembershipInput[] =
     "pair";
 constexpr char kUnknownCommand[] =
     "' (expected chase, certain, classify, membership, compose or all)";
-
-// ---------------------------------------------------------------------------
-// Canonical null naming
-// ---------------------------------------------------------------------------
-
-// Chase-minted nulls get canonical names `@1, @2, ...` ordered by their
-// justification (STD index, witness tuple, existential variable) — a key
-// that both engine modes agree on — so golden output never depends on the
-// order in which nulls happened to be minted. Hand-declared nulls (from
-// `.dx` instance literals) keep their `_name` form.
-std::map<Value, std::string> CanonicalNullNames(const AnnotatedInstance& inst,
-                                                const Universe& u) {
-  std::set<Value> nulls;
-  for (const auto& [name, rel] : inst.relations()) {
-    for (const AnnotatedTupleRef& t : rel.tuples()) {
-      for (Value v : t.values) {
-        if (v.IsNull()) nulls.insert(v);
-      }
-    }
-  }
-  std::map<Value, std::string> names;
-  // Structured key, not a concatenated string: constants may contain any
-  // separator character, and a key collision would make the sort fall
-  // through to minting order — the engine-dependence this renaming
-  // exists to remove.
-  using JustKey = std::tuple<int32_t, std::vector<std::string>, std::string>;
-  std::vector<std::pair<JustKey, Value>> justified;
-  for (Value v : nulls) {
-    const NullInfo& info = u.null_info(v);
-    if (info.std_index < 0) {
-      names[v] = u.Describe(v);
-      continue;
-    }
-    std::span<const Value> wvals = u.WitnessOf(info.witness);
-    std::vector<std::string> witness;
-    witness.reserve(wvals.size());
-    for (Value w : wvals) witness.push_back(u.Describe(w));
-    justified.emplace_back(
-        JustKey{info.std_index, std::move(witness), info.var}, v);
-  }
-  std::sort(justified.begin(), justified.end());
-  for (size_t i = 0; i < justified.size(); ++i) {
-    names[justified[i].second] = StrCat("@", i + 1);
-  }
-  return names;
-}
-
-std::string RenderValue(Value v, const Universe& u,
-                        const std::map<Value, std::string>& null_names) {
-  if (v.IsConst()) return StrCat("'", u.Describe(v), "'");
-  auto it = null_names.find(v);
-  return it != null_names.end() ? it->second : u.Describe(v);
-}
-
-std::string RenderAnnotatedTuple(const AnnotatedTupleRef& t, const Universe& u,
-                                 const std::map<Value, std::string>& names) {
-  std::vector<std::string> anns;
-  for (Ann a : t.ann) anns.push_back(AnnToString(a));
-  if (t.IsEmptyMarker()) {
-    return StrCat("(_)^(", Join(anns, ","), ")");
-  }
-  std::vector<std::string> vals;
-  for (Value v : t.values) vals.push_back(RenderValue(v, u, names));
-  return StrCat("(", Join(vals, ", "), ")^(", Join(anns, ","), ")");
-}
-
-std::string RenderAnnotatedInstance(const AnnotatedInstance& inst,
-                                    const Universe& u,
-                                    const std::map<Value, std::string>& names,
-                                    std::string_view indent) {
-  std::string out;
-  for (const auto& [name, rel] : inst.relations()) {
-    std::vector<std::string> lines;
-    for (const AnnotatedTupleRef& t : rel.tuples()) {
-      lines.push_back(RenderAnnotatedTuple(t, u, names));
-    }
-    std::sort(lines.begin(), lines.end());
-    out += lines.empty()
-               ? StrCat(indent, name, " = { }\n")
-               : StrCat(indent, name, " = { ", Join(lines, ", "), " }\n");
-  }
-  return out;
-}
-
-std::string RenderRelation(const Relation& rel, const Universe& u) {
-  std::map<Value, std::string> no_names;
-  std::vector<std::string> lines;
-  for (TupleRef t : rel.tuples()) {
-    std::vector<std::string> vals;
-    for (Value v : t) vals.push_back(RenderValue(v, u, no_names));
-    lines.push_back(StrCat("(", Join(vals, ", "), ")"));
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines.empty() ? "{ }" : StrCat("{ ", Join(lines, ", "), " }");
-}
 
 // ---------------------------------------------------------------------------
 // Input enumeration
@@ -354,8 +257,6 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
         continue;
       }
       CanonicalSolution csol = std::move(chased).value();
-      std::map<Value, std::string> names =
-          CanonicalNullNames(csol.annotated, *u);
       size_t markers = 0;
       for (const auto& [rel_name, rel] : csol.annotated.relations()) {
         markers += rel.size() - rel.NumProperTuples();
@@ -365,7 +266,12 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
         fresh += t.fresh_nulls.size();
       }
       out += StrCat("chase ", m.name, " / ", inst.name, ":\n");
-      out += RenderAnnotatedInstance(csol.annotated, *u, names, "  ");
+      {
+        obs::ScopedSpan span(options.engine, obs::kPhaseRender);
+        RenderAnnotatedInstance(csol.annotated, *u,
+                                CanonicalNullNames(csol.annotated, *u), "  ",
+                                &out);
+      }
       out += StrCat("  triggers=", csol.triggers.size(), ", fresh nulls=",
                     fresh, ", empty markers=", markers, "\n");
     }
@@ -455,8 +361,12 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
             OCDX_RETURN_IF_ERROR(query_error(answers.status()));
             continue;
           }
-          out += StrCat(head, " = ", RenderRelation(answers.value(), *u),
-                        "  [", verdict.method, "; exhaustive=",
+          out += StrCat(head, " = ");
+          {
+            obs::ScopedSpan span(options.engine, obs::kPhaseRender);
+            RenderRelation(answers.value(), *u, &out);
+          }
+          out += StrCat("  [", verdict.method, "; exhaustive=",
                         YesNo(verdict.exhaustive), "]\n");
         }
       }

@@ -3,7 +3,8 @@
 // (tests/dx_golden_test.cc).
 //
 // Each command renders *canonical, diff-stable* text:
-//   - relations print sorted by name, tuples sorted by rendered form;
+//   - relations print sorted by name, tuples in the byte order of their
+//     rendered lines (text/canonical_render.h);
 //   - chase nulls are renamed canonically by their justification
 //     (std index, witness, existential variable) — names are `@1, @2, ...`
 //     in justification order, independent of minting order, so kIndexed

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -149,6 +150,78 @@ TEST(SnapFuzz, HeaderBytesExhaustive) {
                    std::to_string(bit));
       ExpectCleanOutcome(mutant, "header flip", at);
     }
+  }
+}
+
+// `base` with one more constant, `name`, appended to the universe
+// section's constant table. The section's length and checksum are
+// rewritten to match, so the container is valid and only the universe
+// decoder itself can reject the new entry.
+std::string WithExtraConstant(const std::string& base,
+                              const std::string& name) {
+  Result<std::vector<snap::SectionView>> sections =
+      snap::ParseContainer(AsBytes(base));
+  EXPECT_TRUE(sections.ok()) << sections.status().ToString();
+  if (!sections.ok()) return "";
+  for (const snap::SectionView& view : sections.value()) {
+    if (view.id != static_cast<uint32_t>(snap::SectionId::kUniverse)) {
+      continue;
+    }
+    const size_t at = static_cast<size_t>(
+        view.payload.data() - reinterpret_cast<const uint8_t*>(base.data()));
+    std::string payload = base.substr(at, view.payload.size());
+    // Payload: u64 count, then count x (u64 length, bytes).
+    uint64_t count;
+    std::memcpy(&count, payload.data(), sizeof count);
+    size_t end = sizeof count;
+    for (uint64_t c = 0; c < count; ++c) {
+      uint64_t len;
+      std::memcpy(&len, payload.data() + end, sizeof len);
+      end += sizeof len + len;
+    }
+    ++count;
+    std::memcpy(payload.data(), &count, sizeof count);
+    const uint64_t name_len = name.size();
+    payload.insert(end, std::string(reinterpret_cast<const char*>(&name_len),
+                                    sizeof name_len) +
+                            name);
+    // The section header ends with payload_len:u64 checksum:u64.
+    const uint64_t len = payload.size();
+    const uint64_t sum = snap::Checksum64(AsBytes(payload));
+    std::string out = base.substr(0, at - 2 * sizeof(uint64_t));
+    out.append(reinterpret_cast<const char*>(&len), sizeof len);
+    out.append(reinterpret_cast<const char*>(&sum), sizeof sum);
+    return out + payload + base.substr(at + view.payload.size());
+  }
+  ADD_FAILURE() << "no universe section";
+  return "";
+}
+
+// The `.dx` lexer cannot produce a constant holding `'` or a newline,
+// and canonical output could not render one unambiguously; a snapshot
+// carrying one is corrupt, reported at its position in the section.
+TEST(SnapFuzz, ConstantsNoDxTextCanWriteAreCorrupt) {
+  const std::string base = BaselineSnapshot();
+  ASSERT_FALSE(base.empty());
+  // Control: the same surgery with an ordinary name loads.
+  Result<snap::SnapshotBundle> control =
+      snap::ParseSnapshot(AsBytes(WithExtraConstant(base, "its")));
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  const std::pair<std::string, std::string> cases[] = {
+      {"it's", "holds a quote at offset 2"},
+      {"a\nb", "holds a newline at offset 1"},
+      {"'", "holds a quote at offset 0"}};
+  for (const auto& [name, what] : cases) {
+    SCOPED_TRACE(name);
+    Result<snap::SnapshotBundle> loaded =
+        snap::ParseSnapshot(AsBytes(WithExtraConstant(base, name)));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    const std::string message(loaded.status().message());
+    EXPECT_NE(message.find("section 'universe' corrupt at byte "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find(what), std::string::npos) << message;
   }
 }
 

@@ -153,6 +153,20 @@ class ValueArena {
     }
   }
 
+  /// Forgets every value handed out at or after `ref` (a handle this
+  /// arena returned for a non-empty span): the undo of the InternRef
+  /// calls from that one on. Chunks opened after `ref`'s are freed, so
+  /// the offset space stays dense. Invalidates spans past `ref`.
+  void TruncateTo(ArenaRef ref) {
+    assert(ref.chunk < chunks_.size() && "ArenaRef from another arena");
+    chunks_.resize(ref.chunk + 1);
+    Chunk& c = chunks_.back();
+    assert(ref.pos <= c.used && "ArenaRef range out of bounds");
+    c.used = ref.pos;
+    left_ = c.size - c.used;
+    size_ = c.base + c.used;
+  }
+
   /// Total values stored.
   size_t size() const { return size_; }
 

@@ -42,6 +42,29 @@ class DedupIndex {
     ++used_;
   }
 
+  /// Removes the entry (`hash`, `id`), which must be present, by
+  /// backward-shift deletion: later entries of its probe run move up, so
+  /// no tombstones are left behind and Find stays exact.
+  void Erase(size_t hash, uint32_t id) {
+    size_t mask = slots_.size() - 1;
+    size_t hole = hash & mask;
+    while (slots_[hole].id != id) hole = (hole + 1) & mask;
+    for (size_t j = (hole + 1) & mask; slots_[j].id != kNone;
+         j = (j + 1) & mask) {
+      // The entry at j may fill the hole unless its home slot lies
+      // cyclically in (hole, j] — then moving it would put it before its
+      // home, where Find never looks.
+      size_t home = slots_[j].hash & mask;
+      bool stays = hole <= j ? (hole < home && home <= j)
+                             : (hole < home || home <= j);
+      if (stays) continue;
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+    slots_[hole] = Slot{};
+    --used_;
+  }
+
   size_t size() const { return used_; }
 
   /// Empties the table but keeps its capacity (scratch-reuse pattern).

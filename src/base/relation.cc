@@ -182,6 +182,23 @@ void Relation::Clear() {
   indexes_.Clear();
 }
 
+void Relation::Truncate(size_t n) {
+  OCDX_ASSERT_NOT_FROZEN();
+  OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
+  if (n >= rows_.size()) return;
+  EnsureDedup();
+  // Newest first: each row's index ids sit at their bucket ends.
+  for (size_t id = rows_.size(); id-- > n;) {
+    TupleRef t = row(id);
+    set_.Erase(TupleHash{}(t), static_cast<uint32_t>(id));
+    indexes_.ForEach([&](PositionIndex& index) {
+      index.EraseLast(t, static_cast<uint32_t>(id));
+    });
+  }
+  if (arity_ > 0) arena_.TruncateTo(rows_[n]);
+  rows_.resize(n);
+}
+
 const std::vector<uint32_t>* Relation::Probe(uint64_t mask,
                                              std::span<const Value> key) const {
   assert(mask != 0 && "use tuples() for unkeyed iteration");

@@ -15,7 +15,7 @@
 //   by tuples() stays valid for the relation's lifetime, across any
 //   number of later Adds. Clear() is the one exception: it recycles the
 //   arena and invalidates every previously returned span and bucket
-//   pointer.
+//   pointer. Truncate(n) invalidates the spans of the rows it removes.
 //
 // \invariant Serialization contract (dedup-before-intern): Add checks the
 //   dedup table *before* interning, so the arena holds exactly the
@@ -32,8 +32,9 @@
 //   index_maintenance_stats(); the differential tests pin builds ==
 //   distinct probed masks). Bucket pointers returned by Probe /
 //   ProbeProper stay valid across later Adds (buckets live in a
-//   node-stable unordered_map): a bucket only ever *grows*, append-only,
-//   in ascending id order — never shrinks, reorders, or moves. A nullptr
+//   node-stable unordered_map): under Add a bucket only ever *grows*,
+//   append-only, in ascending id order — never reorders or moves; only
+//   Truncate shrinks one, popping the ids it removes. A nullptr
 //   probe result is NOT a stable answer: the key's bucket can appear
 //   with a later Add.
 //
@@ -220,6 +221,14 @@ class Relation {
   /// relations filled and cleared in a loop (e.g. per search leaf).
   /// Invalidates all previously returned spans and bucket pointers.
   void Clear();
+
+  /// Removes the rows with ids >= `n` — the undo of the Adds that
+  /// created them — unwinding the dedup table, every live index and the
+  /// arena with them, so the relation is exactly as it was at size `n`
+  /// (indexes stay live). No-op when `n >= size()`. Member enumeration
+  /// pushes extra tuples onto one reusable image with Add and pops them
+  /// with this. Invalidates spans of the removed rows.
+  void Truncate(size_t n);
 
   bool Contains(TupleRef t) const;
   bool Contains(std::initializer_list<Value> t) const {

@@ -12,10 +12,12 @@
 //
 // \invariant Buckets are node-stable: they live in an unordered_map whose
 //   mapped values never move, so a pointer returned by Probe stays valid
-//   across any number of later Insert calls. A bucket only ever *grows*,
-//   append-only, with ids in ascending insertion order — never shrinks,
-//   reorders, or moves. A nullptr probe result is not stable: the key's
-//   bucket can appear with a later Insert.
+//   across any number of later Insert calls. Under Insert a bucket only
+//   ever *grows*, append-only, with ids in ascending insertion order —
+//   never reorders or moves. The one way it shrinks is EraseLast, the
+//   undo of the latest Insert (Relation::Truncate), which pops ids off
+//   bucket ends in the reverse order they came. A nullptr probe result
+//   is not stable: the key's bucket can appear with a later Insert.
 //
 // \invariant Iterating a bucket while inserting into the same relation
 //   can grow it mid-iteration — snapshot the size first. Debug builds
@@ -146,20 +148,36 @@ class PositionIndex {
                      std::vector<uint32_t>{id});
   }
 
+  /// Removes `id` from the end of the bucket of `t`'s projection, where
+  /// the caller's latest Insert put it: the undo of that Insert
+  /// (Relation::Truncate). The emptied bucket stays allocated for reuse;
+  /// Probe reports it as no match.
+  void EraseLast(TupleRef t, uint32_t id) {
+    thread_local Tuple key;
+    key.clear();
+    for (uint64_t m = mask_; m != 0; m &= m - 1) {
+      key.push_back(t[static_cast<size_t>(__builtin_ctzll(m))]);
+    }
+    auto it = buckets_.find(std::span<const Value>(key));
+    assert(it != buckets_.end() && !it->second.empty() &&
+           it->second.back() == id && "EraseLast must undo the last Insert");
+    (void)id;
+    it->second.pop_back();
+  }
+
   /// The bucket for `key`, or nullptr if empty.
   const std::vector<uint32_t>* Probe(std::span<const Value> key) const {
     assert(key.size() ==
                static_cast<size_t>(__builtin_popcountll(mask_)) &&
            "probe key width must match the index's bound positions");
-    auto it = buckets_.find(key);
-    return it == buckets_.end() ? nullptr : &it->second;
+    return ProbeRaw(key);
   }
 
   /// Probe with an explicit key layout (AnnotatedRelation prepends an
   /// annotation pseudo-value, so the key is one wider than the mask).
   const std::vector<uint32_t>* ProbeRaw(std::span<const Value> key) const {
     auto it = buckets_.find(key);
-    return it == buckets_.end() ? nullptr : &it->second;
+    return it == buckets_.end() || it->second.empty() ? nullptr : &it->second;
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -65,6 +66,29 @@ size_t LeadingForallCount(const FormulaPtr& q) {
   }
   return l;
 }
+
+// A shard visitor's evaluation state: the query, prepared at the
+// shard's first member, and an evaluator over the shard's member image.
+// The enumerator hands a shard the same image object for every member
+// (certain/member_enum.h), so the evaluator — and the context copy it
+// holds, whose plan-table refcount every shard shares — is built once
+// per shard, not per member; a different object gets a new evaluator.
+struct ShardEvaluator {
+  std::optional<PreparedQuery> query;
+
+  Evaluator& For(const Instance& member, const Universe& universe,
+                 const EngineContext& ctx) {
+    if (image_ != &member) {
+      image_ = &member;
+      ev_.emplace(member, universe, ctx);
+    }
+    return *ev_;
+  }
+
+ private:
+  const Instance* image_ = nullptr;
+  std::optional<Evaluator> ev_;
+};
 
 }  // namespace
 
@@ -207,9 +231,14 @@ Result<CertainVerdict> CertainAnswerEngine::IsCertain(
   // One flag per shard, written only by that shard's visitor (the factory
   // runs serially before the fan-out starts); merged by AND afterwards —
   // order-independent, so the verdict is identical for every shard count.
+  // The query is prepared once per shard, at its first member; every
+  // member after that is one bind and one run.
   struct ShardCheck {
     bool certain = true;
+    ShardEvaluator eval;
   };
+  Env env;  // Read-only once the fan-out starts: shared by every shard.
+  for (size_t i = 0; i < order.size(); ++i) env[order[i]] = t[i];
   std::vector<std::unique_ptr<ShardCheck>> checks;
   Status st = en.ForEachMember(
       [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
@@ -217,12 +246,12 @@ Result<CertainVerdict> CertainAnswerEngine::IsCertain(
         ShardCheck* state = checks.back().get();
         const Universe* su = shard.universe;
         const EngineContext* sctx = shard.ctx;
-        return [state, su, sctx, &q, &order, &t](
+        return [state, su, sctx, &q, &env](
                    const Instance& member) -> Result<bool> {
-          Evaluator ev(member, *su, *sctx);
-          Env env;
-          for (size_t i = 0; i < order.size(); ++i) env[order[i]] = t[i];
-          OCDX_ASSIGN_OR_RETURN(bool holds, ev.Holds(q, env));
+          ShardEvaluator& se = state->eval;
+          Evaluator& ev = se.For(member, *su, *sctx);
+          if (!se.query) se.query = ev.PrepareHolds(q, env);
+          OCDX_ASSIGN_OR_RETURN(bool holds, ev.Holds(*se.query, env));
           if (!holds) {
             state->certain = false;  // Concrete counterexample.
             return false;            // First success: stop every shard.
@@ -298,6 +327,7 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
   struct ShardAnswers {
     bool first = true;
     Relation candidates;
+    ShardEvaluator eval;
     explicit ShardAnswers(size_t arity) : candidates(arity) {}
   };
   std::vector<std::unique_ptr<ShardAnswers>> parts;
@@ -309,8 +339,12 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
         const EngineContext* sctx = shard.ctx;
         return [state, su, sctx, &q, &order, &allowed](
                    const Instance& member) -> Result<bool> {
-          Evaluator ev(member, *su, *sctx);
-          OCDX_ASSIGN_OR_RETURN(Relation ans, ev.Answers(q, order));
+          ShardEvaluator& se = state->eval;
+          Evaluator& ev = se.For(member, *su, *sctx);
+          if (!se.query) {
+            OCDX_ASSIGN_OR_RETURN(se.query, ev.PrepareAnswers(q, order));
+          }
+          OCDX_ASSIGN_OR_RETURN(Relation ans, ev.Answers(*se.query));
           if (state->first) {
             state->first = false;
             // Seed filtered to `allowed`: certain answers are ground

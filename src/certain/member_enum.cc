@@ -1,5 +1,6 @@
 #include "certain/member_enum.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <utility>
@@ -69,7 +70,43 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
            parent_cancel->load(std::memory_order_relaxed);
   };
 
+  // The shard's member image: one Instance holding every relation of T
+  // (including ones populated only by markers — downstream consumers
+  // iterate relations), resolved to slots once. Per valuation each slot
+  // is refilled with v(rel(T)); extras are pushed onto it and popped off
+  // (Relation::Truncate) as the subset recursion chooses them, so every
+  // member is an edit of this one image. `extras` dedups the valuation's
+  // extra-tuple universe per relation and owns the tuples.
+  struct Slot {
+    const AnnotatedRelation* source;
+    Relation* image;
+    Relation extras;
+  };
+  Instance image;
+  std::vector<Slot> slots;
+  slots.reserve(t_.relations().size());
+  for (const auto& [name, rel] : t_.relations()) {
+    slots.push_back(Slot{&rel, &image.GetOrCreate(name, rel.arity()),
+                         Relation(rel.arity())});
+  }
+
+  // Open positions and all-open markers are the templates of extras;
+  // without any (all-closed T) every valuation has exactly one member.
+  bool has_templates = false;
+  for (const Slot& slot : slots) {
+    for (const AnnotatedTupleRef& at : slot.source->tuples()) {
+      has_templates = has_templates || (at.IsEmptyMarker()
+                                            ? IsAllOpen(at.ann)
+                                            : CountOpen(at.ann) > 0);
+    }
+  }
+
   std::vector<Value> nulls = t_.Nulls();
+  // fixed_ plus the fresh constants, sorted; minted at the first valuation
+  // this shard owns, where they have always been minted.
+  std::vector<Value> fixed_and_fresh;
+  std::vector<Value> pool;
+  Tuple scratch;
   ValuationEnumerator valuations(nulls, fixed_, universe);
   Valuation v;
   uint64_t vindex = UINT64_MAX;
@@ -100,67 +137,79 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
       stop->store(true, std::memory_order_release);
       return;
     }
-    // Base member: v(rel(T)).
-    Instance base = v.ApplyRelPart(t_);
-    // Make sure every relation of T exists in the member (including ones
-    // populated only by markers): queries distinguish empty from absent
-    // only through our Instance equality, which treats them alike, but
-    // downstream consumers iterate relations.
-    for (const auto& [name, rel] : t_.relations()) {
-      base.GetOrCreate(name, rel.arity());
+    // Base member: v(rel(T)), rows in T's order (first occurrence wins).
+    for (Slot& slot : slots) {
+      slot.image->Clear();
+      if (!slot.extras.empty()) slot.extras.Clear();
+      for (const AnnotatedTupleRef& at : slot.source->tuples()) {
+        if (at.IsEmptyMarker()) continue;
+        scratch.assign(at.values.begin(), at.values.end());
+        for (Value& x : scratch) x = v.Apply(x);
+        slot.image->Add(scratch);
+      }
     }
 
-    // Extra-value pool: fixed constants + constants of the base + fresh
+    // Extra-value pool: fixed constants + constants of the base (those of
+    // T are in fixed_, so only the nulls' images are new) + fresh
     // (collision-free names precomputed in the constructor).
-    std::set<Value> pool_set(fixed_.begin(), fixed_.end());
-    for (Value c : base.ActiveDomain()) pool_set.insert(c);
-    for (const std::string& name : fresh_names_) {
-      pool_set.insert(universe->Const(name));
+    if (fixed_and_fresh.empty()) {
+      fixed_and_fresh = fixed_;
+      for (const std::string& name : fresh_names_) {
+        fixed_and_fresh.push_back(universe->Const(name));
+      }
+      std::sort(fixed_and_fresh.begin(), fixed_and_fresh.end());
     }
-    std::vector<Value> pool(pool_set.begin(), pool_set.end());
+    if (has_templates) {
+      pool = fixed_and_fresh;
+      for (Value n : nulls) pool.push_back(v.Apply(n));
+      std::sort(pool.begin(), pool.end());
+      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+    }
 
     // Extra-tuple universe U: fillings of open positions of proper
     // tuples, plus arbitrary tuples for all-open markers. Each extra
     // remembers its template so the Section 6 "1-to-m" replication limit
-    // can be enforced per template.
+    // can be enforced per template. A candidate already in the base or
+    // already in U is skipped before the size cap is consulted: only a
+    // genuinely new tuple that does not fit truncates U.
     struct Extra {
-      std::string rel;
-      Tuple tuple;
+      uint32_t slot;
+      uint32_t row;  ///< Row of slots[slot].extras.
       size_t template_id;
     };
     std::vector<Extra> extras;
-    std::set<std::pair<std::string, Tuple>> extras_seen;
     std::vector<size_t> template_cap;
     size_t current_template = 0;
     bool truncated = false;
-    auto add_extra = [&](const std::string& rel, Tuple tuple) {
+    auto add_extra = [&](uint32_t slot_id, TupleRef tuple) {
+      Slot& slot = slots[slot_id];
+      if (slot.image->Contains(tuple) || slot.extras.Contains(tuple)) return;
       if (extras.size() >= options_.max_universe) {
         truncated = true;
         return;
       }
-      const Relation* brel = base.Find(rel);
-      if (brel != nullptr && brel->Contains(tuple)) return;
-      auto key = std::make_pair(rel, tuple);
-      if (extras_seen.insert(key).second) {
-        extras.push_back(Extra{rel, std::move(tuple), current_template});
-      }
+      slot.extras.Add(tuple);
+      extras.push_back(Extra{slot_id,
+                             static_cast<uint32_t>(slot.extras.size() - 1),
+                             current_template});
     };
 
-    for (const auto& [name, rel] : t_.relations()) {
-      for (const AnnotatedTupleRef& at : rel.tuples()) {
+    for (uint32_t slot_id = 0; has_templates && slot_id < slots.size();
+         ++slot_id) {
+      for (const AnnotatedTupleRef& at : slots[slot_id].source->tuples()) {
         if (at.IsEmptyMarker()) {
           if (!IsAllOpen(at.ann)) continue;
           // All-open marker: any tuple over the pool; the marker itself
           // contributes no base tuple, so a 1-to-m limit allows m extras.
           current_template = template_cap.size();
           template_cap.push_back(options_.open_replication_limit);
+          scratch.resize(at.arity());
           ForEachTuple(at.arity(), pool.size(),
                        [&](const std::vector<uint32_t>& digits) {
-                         Tuple cand(at.arity());
                          for (size_t p = 0; p < at.arity(); ++p) {
-                           cand[p] = pool[digits[p]];
+                           scratch[p] = pool[digits[p]];
                          }
-                         add_extra(name, std::move(cand));
+                         add_extra(slot_id, scratch);
                          return !truncated;
                        });
           continue;
@@ -183,11 +232,11 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
         Tuple pattern = v.Apply(at.values);
         ForEachTuple(open_pos.size(), pool.size(),
                      [&](const std::vector<uint32_t>& digits) {
-                       Tuple cand = pattern;
+                       scratch = pattern;
                        for (size_t j = 0; j < open_pos.size(); ++j) {
-                         cand[open_pos[j]] = pool[digits[j]];
+                         scratch[open_pos[j]] = pool[digits[j]];
                        }
-                       add_extra(name, std::move(cand));
+                       add_extra(slot_id, scratch);
                        return !truncated;
                      });
       }
@@ -201,7 +250,6 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
     // Combination enumeration, smallest subsets first (counterexamples
     // tend to be small, and early exit then prunes the rest). The
     // per-template usage counters enforce the 1-to-m replication limit.
-    std::vector<size_t> chosen;
     std::vector<size_t> used(template_cap.size(), 0);
     bool stop_run = false;  // This shard recorded a terminal event.
     bool stopped_by_peer = false;
@@ -243,11 +291,7 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
           stop_run = true;
           return false;
         }
-        Instance member = base;
-        for (size_t idx : chosen) {
-          member.Add(extras[idx].rel, extras[idx].tuple);
-        }
-        Result<bool> r = fn(member);
+        Result<bool> r = fn(image);
         if (!r.ok()) {
           out->event = ShardOutcome::Event::kTrip;
           out->event_index = vindex;
@@ -267,9 +311,14 @@ void RepAMemberEnumerator::RunShard(const MemberShard& shard,
         size_t tpl = extras[i].template_id;
         if (used[tpl] >= template_cap[tpl]) continue;
         ++used[tpl];
-        chosen.push_back(i);
+        // Push the extra onto the image; it is neither in the base nor a
+        // duplicate of another extra, so the Add always inserts, and the
+        // Truncate after the recursion pops exactly it.
+        Slot& slot = slots[extras[i].slot];
+        const size_t before = slot.image->size();
+        slot.image->Add(slot.extras.row(extras[i].row));
         bool cont = rec(i + 1, remaining - 1);
-        chosen.pop_back();
+        slot.image->Truncate(before);
         --used[tpl];
         if (!cont) return false;
       }

@@ -11,6 +11,17 @@
 //     instance's own constants, and a budget of fresh constants;
 //   * subsets of the extra-tuple universe are visited in increasing size.
 //
+// Members are edits of one image, not fresh instances: each shard keeps
+// one Instance with every relation of T resolved once, refills it with
+// v(rel(T)) per valuation (Relation::Clear keeps the capacity), and pushes
+// and pops the chosen extras as the subset recursion descends and returns
+// (Relation::Truncate unwinds dedup and index state with the rows). The
+// Instance a visitor receives is that image — the same object for every
+// member of a shard, edited between calls — so a visitor that keeps a
+// member must copy it. A
+// universe holding exactly max_universe distinct extras is complete;
+// only a further distinct candidate marks the run truncated.
+//
 // Exactness guarantees, following the paper:
 //   - all-closed T: no extras exist; enumeration is exact (Lemma 1 +
 //     genericity), matching the coNP procedure of [Lib06] (Theorem 3.1).
@@ -113,7 +124,8 @@ struct MemberShard {
 /// Enumerates ground members of RepA(T) and reports exhaustiveness.
 class RepAMemberEnumerator {
  public:
-  /// Sequential visitor: receives each member; returning false stops.
+  /// Sequential visitor: receives each member (the shard's image, valid
+  /// for the call only; see the header comment); returning false stops.
   using MemberFn = std::function<bool(const Instance&)>;
   /// Sharded visitor: returning Ok(false) stops the whole fan-out (first
   /// success); a non-OK status aborts it and surfaces from ForEachMember.

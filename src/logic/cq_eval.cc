@@ -21,9 +21,7 @@ std::optional<Relation> TryEvalCQ(const FormulaPtr& f,
   if (!bound.arity_ok) return std::nullopt;  // Generic reports the error.
   if (ctx.stats != nullptr) ++ctx.stats->cq_plans;
   Relation out(order.size());
-  if (!bound.trivially_empty) {
-    plan::RunRelational(bound, /*binding=*/nullptr, &out);
-  }
+  plan::RunRelational(bound, /*binding=*/nullptr, &out);
   return out;
 }
 
@@ -44,7 +42,6 @@ std::optional<bool> TryHoldsCQ(const FormulaPtr& f,
   plan::BoundQuery bound = plan::BindQuery(*cq, inst, &ctx);
   if (!bound.arity_ok) return std::nullopt;
   if (ctx.stats != nullptr) ++ctx.stats->cq_plans;
-  if (bound.trivially_empty) return false;
   return plan::RunRelational(bound, &binding, /*out=*/nullptr);
 }
 

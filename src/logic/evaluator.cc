@@ -1,8 +1,6 @@
 #include "logic/evaluator.h"
 
 #include <algorithm>
-#include <optional>
-#include <set>
 
 #include "logic/budget.h"
 #include "plan/plan_table.h"
@@ -32,47 +30,107 @@ plan::CompiledQueryPtr FreshGeneric(const plan::CompileRequest& req,
 }  // namespace
 
 std::vector<Value> Evaluator::Domain(const FormulaPtr& f) const {
-  std::set<Value> acc;
-  for (Value v : inst_.ActiveDomain()) acc.insert(v);
-  for (Value v : ConstantsIn(f)) acc.insert(v);
-  for (Value v : extra_domain_) acc.insert(v);
-  return std::vector<Value>(acc.begin(), acc.end());
+  return Domain(ConstantsIn(f));
 }
 
-Result<bool> Evaluator::Holds(const FormulaPtr& f, const Env& binding) {
-  // Fast path: CQ-shaped sentences under a full binding run as compiled
-  // boolean joins with early exit (positive-CQ truth is independent of the
-  // quantification domain, so extra domain values cannot change it).
-  plan::CompileRequest req;
-  req.formula = f;
-  req.boolean_mode = true;
+std::vector<Value> Evaluator::GenericDomain(const PreparedQuery& q) const {
+  // A relational plan reaches the generic path only when binding fails
+  // (an arity mismatch, rare); its constants were never collected.
+  if (q.plan_->kind == plan::PlanKind::kGeneric) return Domain(q.constants_);
+  return Domain(q.req_.formula);
+}
+
+std::vector<Value> Evaluator::Domain(
+    const std::vector<Value>& constants) const {
+  std::vector<Value> acc(constants.begin(), constants.end());
+  for (const auto& [name, rel] : inst_.relations()) {
+    for (TupleRef t : rel.tuples()) acc.insert(acc.end(), t.begin(), t.end());
+  }
+  acc.insert(acc.end(), extra_domain_.begin(), extra_domain_.end());
+  std::sort(acc.begin(), acc.end());
+  acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
+  return acc;
+}
+
+plan::CompiledQueryPtr Evaluator::Compile(const plan::CompileRequest& req,
+                                          bool cq_eligible) const {
+  return plan::GetOrCompile(
+      req, inst_,
+      cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric, ctx_);
+}
+
+PreparedQuery Evaluator::PrepareHolds(const FormulaPtr& f,
+                                      const Env& binding) {
+  // CQ-shaped sentences under a full binding run as compiled boolean
+  // joins with early exit (positive-CQ truth is independent of the
+  // quantification domain, so extra domain values cannot change it), as
+  // do universal sentences through their negated dual (plan/compile.h).
+  PreparedQuery q;
+  q.req_.formula = f;
+  q.req_.boolean_mode = true;
   bool all_bound = true;
   for (const std::string& v : FreeVars(f)) {
     if (binding.find(v) == binding.end()) {
       all_bound = false;
       break;
     }
-    req.prebound.insert(v);
+    q.req_.prebound.insert(v);
   }
   const bool cq_eligible = oracle_ == nullptr && ctx_.indexed() && all_bound;
-  if (!cq_eligible) req.prebound.clear();
+  if (!cq_eligible) q.req_.prebound.clear();
+  q.plan_ = Compile(q.req_, cq_eligible);
+  if (q.plan_->kind == plan::PlanKind::kGeneric) q.constants_ = ConstantsIn(f);
+  return q;
+}
 
+Result<PreparedQuery> Evaluator::PrepareAnswers(
+    const FormulaPtr& f, const std::vector<std::string>& order) {
+  for (const std::string& v : FreeVars(f)) {
+    if (std::find(order.begin(), order.end(), v) == order.end()) {
+      return Status::InvalidArgument(
+          StrCat("free variable '", v, "' missing from output order"));
+    }
+  }
+  // Safe conjunctive queries evaluate by index-driven joins instead of
+  // domain^k enumeration (rule bodies are usually CQs). The context's
+  // mode selects the compiled/indexed plan or no fast path at all (see
+  // logic/engine_context.h).
+  PreparedQuery q;
+  q.req_.formula = f;
+  q.req_.order = order;
+  q.plan_ = Compile(q.req_, oracle_ == nullptr && ctx_.indexed());
+  if (q.plan_->kind == plan::PlanKind::kGeneric) q.constants_ = ConstantsIn(f);
+  return q;
+}
+
+Result<bool> Evaluator::Holds(const FormulaPtr& f, const Env& binding) {
+  return Holds(PrepareHolds(f, binding), binding);
+}
+
+Result<Relation> Evaluator::Answers(const FormulaPtr& f,
+                                    const std::vector<std::string>& order) {
+  OCDX_ASSIGN_OR_RETURN(PreparedQuery q, PrepareAnswers(f, order));
+  return Answers(q);
+}
+
+Result<bool> Evaluator::Holds(const PreparedQuery& q, const Env& binding) {
   OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
-  plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst_,
-      cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric, ctx_);
+  // A raw pointer, not a shared_ptr copy: shards run one prepared plan
+  // per member, and refcount traffic on it would bounce between cores.
+  const plan::CompiledQuery* cq = q.plan_.get();
+  plan::CompiledQueryPtr fallback;
   if (cq->kind == plan::PlanKind::kRelational) {
     plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
     if (bound.arity_ok) {
       if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
-      if (bound.trivially_empty) return false;
       return plan::RunRelational(bound, &binding, /*out=*/nullptr);
     }
-    cq = FreshGeneric(req, inst_);
+    fallback = FreshGeneric(q.req_, inst_);
+    cq = fallback.get();
   }
 
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
-  std::vector<Value> domain = Domain(f);
+  std::vector<Value> domain = GenericDomain(q);
   const plan::GenericPlan& gp = *cq->generic;
   plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
   plan::GenericRunner runner(bound, oracle_);
@@ -85,43 +143,27 @@ Result<bool> Evaluator::Holds(const FormulaPtr& f, const Env& binding) {
   return runner.Run(domain);
 }
 
-Result<Relation> Evaluator::Answers(const FormulaPtr& f,
-                                    const std::vector<std::string>& order) {
-  // Check the order covers the free variables.
-  std::vector<std::string> free = FreeVars(f);
-  for (const std::string& v : free) {
-    if (std::find(order.begin(), order.end(), v) == order.end()) {
-      return Status::InvalidArgument(
-          StrCat("free variable '", v, "' missing from output order"));
-    }
-  }
-  // Fast path: safe conjunctive queries evaluate by index-driven joins
-  // instead of domain^k enumeration (rule bodies are usually CQs). The
-  // context's mode selects the compiled/indexed plan or no fast path at
-  // all (see logic/engine_context.h).
-  plan::CompileRequest req;
-  req.formula = f;
-  req.order = order;
-  const bool cq_eligible = oracle_ == nullptr && ctx_.indexed();
+Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
+  const std::vector<std::string>& order = q.req_.order;
   OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
-  plan::CompiledQueryPtr cq = plan::GetOrCompile(
-      req, inst_,
-      cq_eligible ? JoinEngineMode::kIndexed : JoinEngineMode::kGeneric, ctx_);
+  // A raw pointer, not a shared_ptr copy: shards run one prepared plan
+  // per member, and refcount traffic on it would bounce between cores.
+  const plan::CompiledQuery* cq = q.plan_.get();
+  plan::CompiledQueryPtr fallback;
   if (cq->kind == plan::PlanKind::kRelational) {
     plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
     if (bound.arity_ok) {
       if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
       Relation out(order.size());
-      if (!bound.trivially_empty) {
-        plan::RunRelational(bound, /*binding=*/nullptr, &out);
-      }
+      plan::RunRelational(bound, /*binding=*/nullptr, &out);
       return out;
     }
-    cq = FreshGeneric(req, inst_);
+    fallback = FreshGeneric(q.req_, inst_);
+    cq = fallback.get();
   }
 
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
-  std::vector<Value> domain = Domain(f);
+  std::vector<Value> domain = GenericDomain(q);
   Relation out(order.size());
   size_t k = order.size();
   if (k == 0) {

@@ -20,6 +20,7 @@
 #include "logic/engine_context.h"
 #include "logic/formula.h"
 #include "logic/function_oracle.h"
+#include "plan/compile.h"
 #include "util/status.h"
 
 namespace ocdx {
@@ -28,6 +29,29 @@ namespace ocdx {
 /// named binding, which is compiled onto dense slots before evaluation —
 /// the evaluation loop itself never touches variable names).
 using Env = std::map<std::string, Value>;
+
+/// A query prepared for evaluation over many instances of one schema —
+/// the member-enumeration loops evaluate one query over thousands of
+/// members. Preparing does the per-query work once: the free-variable
+/// and prebound analysis, the compile request, the plan-table lookup
+/// and, for a generic plan, the formula's constants. Each
+/// Evaluator::Holds / Answers on a prepared query then costs one
+/// BindQuery and one run. The formula overloads of Holds / Answers
+/// prepare and run in one call, so there is one evaluation path.
+///
+/// Run a prepared query only through evaluators with the context and
+/// function oracle it was prepared under. A boolean one must be run
+/// under bindings that bind exactly the names it was prepared with; an
+/// instance of another schema is still evaluated correctly (plans
+/// reference relations by name), just with a plan tuned for the first.
+class PreparedQuery {
+ private:
+  friend class Evaluator;
+  plan::CompileRequest req_;
+  plan::CompiledQueryPtr plan_;
+  /// ConstantsIn(formula), sorted; collected for generic plans only.
+  std::vector<Value> constants_;
+};
 
 /// Evaluates FO formulas over one instance.
 class Evaluator {
@@ -60,11 +84,28 @@ class Evaluator {
   Result<Relation> Answers(const FormulaPtr& f,
                            const std::vector<std::string>& free_order);
 
+  /// Prepares `f` for Holds under bindings with the keys of `binding`.
+  PreparedQuery PrepareHolds(const FormulaPtr& f, const Env& binding = {});
+
+  /// Prepares `f` for Answers in `free_order`; InvalidArgument when the
+  /// order misses a free variable.
+  Result<PreparedQuery> PrepareAnswers(
+      const FormulaPtr& f, const std::vector<std::string>& free_order);
+
+  /// Holds / Answers of a prepared query over this evaluator's instance.
+  Result<bool> Holds(const PreparedQuery& q, const Env& binding = {});
+  Result<Relation> Answers(const PreparedQuery& q);
+
   /// The evaluation domain for `f`: active domain + constants of f +
-  /// extras, deduplicated.
+  /// extras, deduplicated and sorted.
   std::vector<Value> Domain(const FormulaPtr& f) const;
 
  private:
+  std::vector<Value> Domain(const std::vector<Value>& constants) const;
+  std::vector<Value> GenericDomain(const PreparedQuery& q) const;
+  plan::CompiledQueryPtr Compile(const plan::CompileRequest& req,
+                                 bool cq_eligible) const;
+
   const Instance& inst_;
   const Universe& universe_;
   EngineContext ctx_;

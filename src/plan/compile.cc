@@ -528,6 +528,42 @@ GenericPlan CompileGeneric(const FormulaPtr& f,
   return compiler.Finish(std::move(root), std::move(out_slots));
 }
 
+/// The existential dual of a boolean-mode universal sentence:
+/// `forall x-bar. phi -> psi` (a chain of leading foralls, then one
+/// implication) becomes `exists x-bar. phi & !psi`, whose negation is the
+/// sentence. A consequent that is itself a negation `!chi` contributes
+/// `chi` directly. nullptr when `f` has another shape.
+FormulaPtr NegatedUniversal(const FormulaPtr& f) {
+  std::vector<std::string> vars;
+  const FormulaPtr* body = &f;
+  while ((*body)->kind() == Formula::Kind::kForall) {
+    vars.insert(vars.end(), (*body)->bound().begin(), (*body)->bound().end());
+    body = &(*body)->children()[0];
+  }
+  if (vars.empty() || (*body)->kind() != Formula::Kind::kImplies) {
+    return nullptr;
+  }
+  const FormulaPtr& phi = (*body)->children()[0];
+  const FormulaPtr& psi = (*body)->children()[1];
+  FormulaPtr not_psi = psi->kind() == Formula::Kind::kNot
+                           ? psi->children()[0]
+                           : Formula::Not(psi);
+  return Formula::Exists(std::move(vars), Formula::And(phi, not_psi));
+}
+
+/// Recognizes and compiles `f` as a relational plan; false when the
+/// shape is unsupported or not plannable. `deep_guard` (may be null) as
+/// RecognizeCq.
+bool TryCompileRelational(const FormulaPtr& f,
+                          const std::vector<std::string>& order,
+                          const std::set<std::string>& prebound,
+                          const Instance& inst, RelInterner* rels,
+                          RelationalPlan* plan, bool* deep_guard) {
+  QueryShape shape;
+  return RecognizeCq(f, order, prebound, inst, &shape, deep_guard) &&
+         CompileRelational(shape, order, prebound, inst, rels, plan);
+}
+
 }  // namespace
 
 uint64_t SchemaFingerprint(const Instance& inst) {
@@ -571,21 +607,30 @@ CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
   const std::vector<std::string>& order =
       req.boolean_mode ? kNoOrder : req.order;
   if (engine == JoinEngineMode::kIndexed) {
-    QueryShape shape;
+    // Table entries from an abandoned relational compile stay (bind
+    // resolves a few unused names; harmless).
+    RelationalPlan plan;
     bool deep = false;
-    if (RecognizeCq(req.formula, order, req.prebound, inst, &shape, &deep)) {
-      RelationalPlan plan;
-      if (CompileRelational(shape, order, req.prebound, inst, &rels, &plan)) {
-        out->kind = PlanKind::kRelational;
-        out->relational = std::move(plan);
-        return out;
+    if (TryCompileRelational(req.formula, order, req.prebound, inst, &rels,
+                             &plan, &deep)) {
+      out->kind = PlanKind::kRelational;
+      out->relational = std::move(plan);
+      return out;
+    }
+    // The one-level guard limit is reported for the formula as written;
+    // the dual below is an implementation detail of boolean mode.
+    out->guard_depth_fallback = deep;
+    if (req.boolean_mode) {
+      if (FormulaPtr dual = NegatedUniversal(req.formula)) {
+        RelationalPlan negated;
+        if (TryCompileRelational(dual, order, req.prebound, inst, &rels,
+                                 &negated, /*deep_guard=*/nullptr)) {
+          negated.negate = true;
+          out->kind = PlanKind::kRelational;
+          out->relational = std::move(negated);
+          return out;
+        }
       }
-      // Recognized but not plannable (arity > 64): generic fallback,
-      // matching the historical TryEvalCQ decline. Table entries from
-      // the abandoned relational compile stay (bind resolves a few
-      // unused names; harmless).
-    } else {
-      out->guard_depth_fallback = deep;
     }
   }
 

@@ -4,6 +4,17 @@
 // modes. Under kIndexed it recognizes the safe-CQ(+guards) shape where
 // one exists and emits a relational join plan; otherwise (and always
 // under kGeneric) it emits the generic active-domain skeleton.
+//
+// Boolean mode also plans universal sentences: `forall x-bar. phi ->
+// psi` (all free variables prebound) compiles to the relational plan of
+// its existential dual `exists x-bar. phi & !psi` with
+// RelationalPlan::negate set, so keys, functional dependencies and
+// inclusion constraints — the coNP checks of Thm 3.1 / Prop 5 — run as
+// anti-joins. The dual passes the same safety check as any CQ, so
+// domain-dependent shapes (`forall x. A(x)`, a consequent variable the
+// antecedent does not bind) stay generic. The plan is keyed under the
+// formula as written; GuardDepthExceeded and guard_depth_fallback are
+// decided on that formula too, never on the dual.
 // Compilation consults the given instance only for *heuristics*
 // (join-order selectivity) and for the compile-time arity sanity check;
 // the emitted plan references relations by name and is executable — via

@@ -12,6 +12,9 @@
 // executable artifacts, chosen at compile time:
 //
 //   kRelational  slot-compiled, index-driven join plan (indexed engine);
+//                in boolean mode possibly *negated*: the plan of a
+//                universal sentence's existential dual, whose truth is
+//                the absence of a match (RelationalPlan::negate);
 //   kGeneric     the slot-compiled active-domain skeleton (the fallback
 //                for non-CQ shapes and the whole plan for kGeneric mode).
 //
@@ -29,7 +32,10 @@
 //   pointer in the plan (GenericNode::src, GenericTerm::src) points into
 //   `*source`, so a CompiledQuery is self-contained — it keeps its
 //   formula alive and never dangles, even when a cache entry outlives
-//   the caller's FormulaPtr.
+//   the caller's FormulaPtr. A negated plan is compiled from a dual
+//   built at compile time, but a relational plan holds no pointer into
+//   any formula, so the dual is dropped once compilation returns and
+//   `source` stays the formula as written (the cache key).
 // \invariant Correctness of a plan does not depend on the instance it
 //   was compiled against: relation references are by *name* (resolved at
 //   bind time) and BindQuery re-checks arities, falling back to the
@@ -108,6 +114,11 @@ struct RelationalPlan {
   std::vector<std::vector<PlanEq>> eqs_after;      ///< Size atoms+1.
   std::vector<std::vector<PlanGuard>> guards_after;
   size_t num_guards = 0;
+  /// Boolean mode: the plan decides the existential dual `exists x-bar.
+  /// phi & !psi` of a universal sentence `forall x-bar. phi -> psi`, and
+  /// the sentence holds iff the dual has no match (RunRelational applies
+  /// the negation; a trivially empty dual reads true).
+  bool negate = false;
 };
 
 // --- The recognized CQ shape ----------------------------------------------

@@ -14,6 +14,13 @@ namespace {
 // Relational execution (the indexed engine).
 // ---------------------------------------------------------------------------
 
+// Relations smaller than this are scanned with the key checked in place
+// instead of probed: for a handful of rows that is cheaper than hashing
+// the key, and it spares relations refilled per call (member images,
+// certain/member_enum.cc) an index build each time. A scan visits the
+// matches in ascending id order, exactly as a bucket would.
+constexpr size_t kScanBelow = 16;
+
 /// Executes a bound relational plan. In boolean mode stops at the first
 /// full match; otherwise projects every match into `out`.
 class RelationalRunner {
@@ -61,6 +68,17 @@ class RelationalRunner {
     return true;
   }
 
+  /// True iff `t` agrees with the step's key (the scan-path filter).
+  bool KeyMatches(const PlanAtomStep& ap, TupleRef t) const {
+    size_t i = 0;
+    for (uint64_t m = ap.mask; m != 0; m &= m - 1, ++i) {
+      const PlanTerm& k = ap.key[i];
+      Value want = k.is_const ? k.constant : frame_[k.slot];
+      if (t[static_cast<size_t>(__builtin_ctzll(m))] != want) return false;
+    }
+    return true;
+  }
+
   bool Descend(size_t step) {
     if (step == plan_.atoms.size()) {
       if (out_ == nullptr) return true;  // Boolean mode: witness found.
@@ -72,7 +90,7 @@ class RelationalRunner {
     }
     const PlanAtomStep& ap = plan_.atoms[step];
     const Relation* rel = Rel(ap);
-    if (ap.mask != 0) {
+    if (ap.mask != 0 && rel->size() >= kScanBelow) {
       std::vector<Value>& key = key_scratch_[step];
       key.clear();
       for (const PlanTerm& k : ap.key) {
@@ -89,7 +107,7 @@ class RelationalRunner {
       }
     } else {
       for (TupleRef t : rel->tuples()) {
-        if (TryTuple(ap, t, step)) return true;
+        if (KeyMatches(ap, t) && TryTuple(ap, t, step)) return true;
       }
     }
     return false;
@@ -144,7 +162,7 @@ class RelationalRunner {
       for (const auto& [pos, slot] : ap.binds) frame_[slot] = Value();
       return found;
     };
-    if (ap.mask != 0) {
+    if (ap.mask != 0 && rel->size() >= kScanBelow) {
       key.reserve(ap.key.size());
       for (const PlanTerm& k : ap.key) {
         key.push_back(k.is_const ? k.constant : frame_[k.slot]);
@@ -157,7 +175,7 @@ class RelationalRunner {
       }
     } else {
       for (TupleRef t : rel->tuples()) {
-        if (try_tuple(t)) return true;
+        if (KeyMatches(ap, t) && try_tuple(t)) return true;
       }
     }
     return false;
@@ -232,8 +250,10 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
 bool RunRelational(const BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out) {
+  const bool negate = b.query->relational->negate;
+  if (b.trivially_empty) return negate;
   RelationalRunner runner(b, out);
-  return runner.Run(binding);
+  return runner.Run(binding) != negate;
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ struct BoundQuery {
   /// mismatch as the historical InvalidArgument.
   bool arity_ok = true;
   /// Relational plans: some positive atom ranges over a missing or empty
-  /// relation, so the answer is empty (boolean: false) without running.
+  /// relation, so the answer is empty (boolean: false, or true for a
+  /// negated plan) without running.
   bool trivially_empty = false;
   /// Relational plans, by PlanGuard::guard_id: a guard over a missing or
   /// empty relation can never match and is skipped.
@@ -63,12 +64,13 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst);
 BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
                      const EngineContext* ctx);
 
-/// Executes a bound relational plan (kind kRelational, arity_ok, and not
-/// trivially_empty). In boolean mode (`out` == nullptr) stops at the
-/// first full match; otherwise projects every match into `out`.
-/// `binding` supplies the boolean-mode preset values by variable name
-/// (may be nullptr when the plan has no presets). Returns true iff at
-/// least one match was found.
+/// Executes a bound relational plan (kind kRelational, arity_ok). In
+/// boolean mode (`out` == nullptr) stops at the first full match;
+/// otherwise projects every match into `out`. `binding` supplies the
+/// boolean-mode preset values by variable name (may be nullptr when the
+/// plan has no presets). Returns true iff at least one match was found —
+/// or, for a negated plan (RelationalPlan::negate), iff none was. A
+/// trivially empty binding runs nothing.
 bool RunRelational(const BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out);

@@ -46,15 +46,15 @@ bool ValuationEnumerator::NextAssignment() {
     // Skip assignments where two blocks share a fixed constant: that
     // isomorphism class is covered by the coarser partition merging them.
     const std::vector<uint32_t>& d = assign_.digits();
-    std::vector<bool> used(fixed_.size(), false);
+    used_.assign(fixed_.size(), false);
     bool ok = true;
     for (uint32_t digit : d) {
       if (digit < fixed_.size()) {
-        if (used[digit]) {
+        if (used_[digit]) {
           ok = false;
           break;
         }
-        used[digit] = true;
+        used_[digit] = true;
       }
     }
     if (ok) return true;
@@ -77,21 +77,27 @@ bool ValuationEnumerator::Next(Valuation* out) {
     }
     const std::vector<uint32_t>& d = assign_.digits();
     // Materialize block values.
-    std::vector<Value> block_value(num_blocks_);
+    block_value_.resize(num_blocks_);
     for (uint32_t b = 0; b < num_blocks_; ++b) {
       if (d[b] < fixed_.size()) {
-        block_value[b] = fixed_[d[b]];
+        block_value_[b] = fixed_[d[b]];
       } else {
         while (fresh_.size() <= b) {
           fresh_.push_back(
               universe_->Const(StrCat("#f", fresh_offset_ + fresh_.size())));
         }
-        block_value[b] = fresh_[b];
+        block_value_[b] = fresh_[b];
       }
     }
-    *out = Valuation();
+    // Callers loop with one Valuation: when it already maps exactly these
+    // nulls, overwrite it in place instead of rebuilding the map.
+    bool reuse = out->size() == nulls_.size();
+    for (size_t i = 0; reuse && i < nulls_.size(); ++i) {
+      reuse = out->Defined(nulls_[i]);
+    }
+    if (!reuse) *out = Valuation();
     for (size_t i = 0; i < nulls_.size(); ++i) {
-      out->Set(nulls_[i], block_value[blocks_[i]]);
+      out->Set(nulls_[i], block_value_[blocks_[i]]);
     }
     return true;
   }

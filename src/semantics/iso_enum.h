@@ -61,6 +61,9 @@ class ValuationEnumerator {
   uint32_t num_blocks_ = 0;
   AssignmentEnumerator assign_;   ///< blocks -> 0..|fixed| (|fixed|=fresh).
   std::vector<Value> fresh_;      ///< Lazily minted fresh representatives.
+  // Per-step scratch, kept to spare the enumeration an allocation each.
+  std::vector<bool> used_;
+  std::vector<Value> block_value_;
   size_t fresh_offset_ = 0;       ///< First safe "#f<i>" index.
 };
 

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "base/arena.h"
+#include "base/dedup.h"
 #include "base/instance.h"
 #include "base/relation.h"
 #include "base/tuple_index.h"
@@ -132,6 +136,189 @@ TEST_P(RelationMaintenance, ProbesMatchScratchRebuildAtEveryStep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, RelationMaintenance, ::testing::Range(0, 4));
+
+// ---------------------------------------------------------------------------
+// Relation::Truncate: undoing Adds (the member image's pop) vs a shadow.
+// ---------------------------------------------------------------------------
+
+class RelationTruncate : public ::testing::TestWithParam<int> {};
+
+TEST_P(RelationTruncate, MatchesShadowAfterInterleavedAddsAndTruncates) {
+  const size_t kArity = 2;
+  Universe u;
+  Rng rng(77100 + GetParam());
+  std::vector<Value> pool = MakePool(&u, 5, 2);
+
+  Relation rel(kArity);
+  std::vector<Tuple> shadow;
+  const uint64_t all_masks = (uint64_t{1} << kArity) - 1;
+
+  for (size_t op = 0; op < 3000; ++op) {
+    switch (rng.Below(4)) {
+      case 0:
+      case 1: {  // Add (often a duplicate: then nothing to undo).
+        Tuple t = RandomTuple(pool, kArity, &rng);
+        bool fresh =
+            std::find(shadow.begin(), shadow.end(), t) == shadow.end();
+        if (fresh) shadow.push_back(t);
+        EXPECT_EQ(rel.Add(t), fresh);
+        break;
+      }
+      case 2: {  // Truncate to a random earlier size (or a no-op).
+        size_t n = rng.Below(shadow.size() + 2);
+        rel.Truncate(n);
+        if (n < shadow.size()) shadow.resize(n);
+        break;
+      }
+      default: {  // Probe a random mask, building or using its index.
+        uint64_t mask = 1 + rng.Below(all_masks);
+        Tuple key;
+        for (uint64_t m = mask; m != 0; m &= m - 1) {
+          key.push_back(pool[rng.Below(pool.size())]);
+        }
+        std::vector<uint32_t> expect;
+        for (uint32_t id = 0; id < shadow.size(); ++id) {
+          bool match = true;
+          size_t ki = 0;
+          for (uint64_t m = mask; m != 0; m &= m - 1) {
+            if (shadow[id][static_cast<size_t>(__builtin_ctzll(m))] !=
+                key[ki++]) {
+              match = false;
+            }
+          }
+          if (match) expect.push_back(id);
+        }
+        const std::vector<uint32_t>* ids = rel.Probe(mask, key);
+        if (expect.empty()) {
+          EXPECT_EQ(ids, nullptr) << "an emptied bucket reads as no match";
+        } else {
+          ASSERT_NE(ids, nullptr);
+          EXPECT_EQ(*ids, expect);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(rel.size(), shadow.size());
+  }
+  // Rows, dedup and the arena agree with the shadow; removed rows are
+  // gone from the dedup table.
+  for (uint32_t id = 0; id < shadow.size(); ++id) {
+    EXPECT_TRUE(rel.tuples()[id] == TupleRef(shadow[id]));
+    EXPECT_TRUE(rel.Contains(shadow[id]));
+  }
+  for (Value a : pool) {
+    for (Value b : pool) {
+      Tuple t = {a, b};
+      bool in_shadow =
+          std::find(shadow.begin(), shadow.end(), t) != shadow.end();
+      EXPECT_EQ(rel.Contains(t), in_shadow);
+    }
+  }
+  // A truncated relation serializes as its surviving rows (the arena
+  // holds exactly the accepted rows): a copy equals the shadow in order.
+  Relation copy = rel;
+  ASSERT_EQ(copy.size(), shadow.size());
+  for (uint32_t id = 0; id < shadow.size(); ++id) {
+    EXPECT_TRUE(copy.tuples()[id] == TupleRef(shadow[id]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, RelationTruncate, ::testing::Range(0, 4));
+
+TEST(DedupIndexErase, BackwardShiftKeepsEveryProbeRunIntact) {
+  // Hashes chosen to collide: homes 14, 15, 15, 0, 14 in a 16-slot table
+  // make one probe run that wraps around the end. Erasing from the
+  // middle of the run must shift later entries up (a tombstone-free
+  // delete), in any order, not only newest-first.
+  const size_t kHashes[] = {14, 15, 31, 16, 30, 3, 19};
+  for (size_t victim = 0; victim < std::size(kHashes); ++victim) {
+    DedupIndex index;
+    for (uint32_t id = 0; id < std::size(kHashes); ++id) {
+      index.Insert(kHashes[id], id);
+    }
+    index.Erase(kHashes[victim], static_cast<uint32_t>(victim));
+    EXPECT_EQ(index.size(), std::size(kHashes) - 1);
+    for (uint32_t id = 0; id < std::size(kHashes); ++id) {
+      uint32_t found =
+          index.Find(kHashes[id], [id](uint32_t got) { return got == id; });
+      EXPECT_EQ(found, id == victim ? DedupIndex::kNone : id)
+          << "victim " << victim << ", id " << id;
+    }
+  }
+  // Erase everything in a scrambled order, re-checking the survivors.
+  DedupIndex index;
+  for (uint32_t id = 0; id < std::size(kHashes); ++id) {
+    index.Insert(kHashes[id], id);
+  }
+  const uint32_t kOrder[] = {3, 0, 5, 1, 6, 2, 4};
+  std::set<uint32_t> live(std::begin(kOrder), std::end(kOrder));
+  for (uint32_t gone : kOrder) {
+    index.Erase(kHashes[gone], gone);
+    live.erase(gone);
+    for (uint32_t id : live) {
+      EXPECT_EQ(
+          index.Find(kHashes[id], [id](uint32_t got) { return got == id; }),
+          id);
+    }
+  }
+  EXPECT_EQ(index.size(), 0u);
+}
+
+TEST(ValueArenaTruncate, ForgetsTheTailAcrossChunks) {
+  Universe u;
+  ValueArena arena;
+  std::vector<ArenaRef> refs;
+  std::vector<Value> all;
+  // 100 three-value spans outgrow the first chunks (64, 128, ...).
+  for (int i = 0; i < 100; ++i) {
+    std::vector<Value> span = {u.IntConst(i), u.IntConst(i + 1),
+                               u.IntConst(i + 2)};
+    refs.push_back(arena.InternRef(span));
+    all.insert(all.end(), span.begin(), span.end());
+  }
+  for (size_t keep : {size_t{90}, size_t{40}, size_t{21}, size_t{1}}) {
+    arena.TruncateTo(refs[keep]);
+    refs.resize(keep);
+    all.resize(keep * 3);
+    EXPECT_EQ(arena.size(), all.size());
+    std::vector<Value> flat;
+    arena.AppendTo(&flat);
+    EXPECT_EQ(flat, all) << "keep " << keep;
+    for (size_t i = 0; i < keep; ++i) {
+      std::span<const Value> got = arena.Resolve(refs[i], 3);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin() + 3 * i));
+    }
+  }
+  // Appending after a truncate continues the dense offset space.
+  ArenaRef next = arena.InternRef(std::vector<Value>{u.Const("z")});
+  EXPECT_EQ(arena.OffsetOf(next), 3u);
+  EXPECT_EQ(arena.size(), 4u);
+}
+
+TEST(RelationTruncate, PopsAcrossArenaChunksAndDedupGrowth) {
+  // Enough rows to grow the dedup table several times and open several
+  // arena chunks, then truncate back past all of them and refill.
+  Universe u;
+  Relation rel(1);
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(rel.Add({u.IntConst(i)}));
+  ASSERT_NE(rel.Probe(0b1, std::vector<Value>{u.IntConst(7)}), nullptr);
+  rel.Truncate(3);
+  ASSERT_EQ(rel.size(), 3u);
+  EXPECT_TRUE(rel.Contains({u.IntConst(2)}));
+  EXPECT_FALSE(rel.Contains({u.IntConst(3)}));
+  EXPECT_EQ(rel.Probe(0b1, std::vector<Value>{u.IntConst(7)}), nullptr);
+  for (int i = 3; i < 500; ++i) ASSERT_TRUE(rel.Add({u.IntConst(i)}));
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_TRUE(rel.tuples()[i] == TupleRef(Tuple{u.IntConst(i)}));
+    const std::vector<uint32_t>* ids =
+        rel.Probe(0b1, std::vector<Value>{u.IntConst(i)});
+    ASSERT_NE(ids, nullptr);
+    EXPECT_EQ(*ids, std::vector<uint32_t>{static_cast<uint32_t>(i)});
+  }
+  rel.Truncate(0);
+  EXPECT_TRUE(rel.empty());
+  EXPECT_FALSE(rel.Contains({u.IntConst(0)}));
+}
 
 // ---------------------------------------------------------------------------
 // Bucket-pointer stability across Adds (the contract relation.h states).

@@ -359,6 +359,31 @@ TEST_F(SemanticsTest, ValuationEnumeratorEmptyNulls) {
   EXPECT_FALSE(en.Next(&v));
 }
 
+TEST_F(SemanticsTest, ValuationEnumeratorResetsAForeignValuation) {
+  // Next overwrites a Valuation that already maps exactly its nulls (the
+  // member loops reuse one); any other Valuation is reset first, so no
+  // stale entry survives, whatever the caller passes in.
+  std::vector<Value> nulls = {u_.FreshNull(), u_.FreshNull()};
+  Value stranger = u_.FreshNull();
+  Valuation same_size;  // Two entries, one of them not a null of ours.
+  same_size.Set(nulls[0], u_.Const("z"));
+  same_size.Set(stranger, u_.Const("z"));
+  Valuation larger = same_size;
+  larger.Set(nulls[1], u_.Const("z"));
+  for (Valuation v : {same_size, larger, Valuation()}) {
+    ValuationEnumerator en(nulls, {u_.Const("a")}, &u_);
+    ValuationEnumerator fresh(nulls, {u_.Const("a")}, &u_);
+    Valuation want;
+    while (en.Next(&v)) {
+      ASSERT_TRUE(fresh.Next(&want));
+      EXPECT_EQ(v.entries(), want.entries());
+      EXPECT_FALSE(v.Defined(stranger));
+      want = Valuation();  // The reference is rebuilt from empty.
+    }
+    EXPECT_FALSE(fresh.Next(&want));
+  }
+}
+
 TEST_F(SemanticsTest, ValuationEnumeratorRepresentsAllIsoClasses) {
   // With 3 nulls and fixed {a}, every concrete valuation into {a, x, y}
   // must be isomorphic (fixing a) to some enumerated representative.

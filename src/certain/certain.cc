@@ -92,33 +92,45 @@ struct ShardEvaluator {
 
 }  // namespace
 
-Result<CertainAnswerEngine> CertainAnswerEngine::Create(
-    const Mapping& mapping, const Instance& source, Universe* universe,
-    const EngineContext& ctx) {
+CertainAnswerEngine::CertainAnswerEngine(const Mapping& mapping,
+                                         const CanonicalSolution& csol,
+                                         Universe* universe,
+                                         const EngineContext& ctx)
+    : mapping_(mapping), csol_(&csol), universe_(universe), ctx_(ctx) {
   // The engine's private context carries a plan table (unless the caller
   // already attached one): the member-enumeration loops below evaluate
   // each query over thousands of member instances, and the table is what
   // makes that O(queries) compilations instead of O(members x queries).
+  ctx_.EnsureCache();
+}
+
+Result<CertainAnswerEngine> CertainAnswerEngine::Create(
+    const Mapping& mapping, const Instance& source, Universe* universe,
+    const EngineContext& ctx) {
+  // The chase shares the engine's plan table.
   EngineContext engine_ctx = ctx;
   engine_ctx.EnsureCache();
   OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
                         Chase(mapping, source, universe, engine_ctx));
-  return CertainAnswerEngine(mapping, std::move(csol), universe, engine_ctx);
+  return FromCanonical(mapping, std::move(csol), universe, engine_ctx);
 }
 
 CertainAnswerEngine CertainAnswerEngine::FromCanonical(
     const Mapping& mapping, CanonicalSolution csol, Universe* universe,
     const EngineContext& ctx) {
-  // Same table policy as Create: member enumeration re-evaluates each
-  // query per member, so the engine wants a plan table regardless of how
-  // the canonical solution was obtained.
-  EngineContext engine_ctx = ctx;
-  engine_ctx.EnsureCache();
-  return CertainAnswerEngine(mapping, std::move(csol), universe, engine_ctx);
+  auto owned = std::make_unique<const CanonicalSolution>(std::move(csol));
+  CertainAnswerEngine engine(mapping, *owned, universe, ctx);
+  engine.owned_ = std::move(owned);
+  return engine;
+}
+
+const Instance& CertainAnswerEngine::Plain() {
+  if (!plain_) plain_ = csol_->Plain();
+  return *plain_;
 }
 
 Result<CertainAnswerEngine::Plan> CertainAnswerEngine::MakePlan(
-    const FormulaPtr& q, QueryClass cls, const CertainOptions& options) const {
+    const FormulaPtr& q, QueryClass cls, const CertainOptions& options) {
   Plan plan;
   plan.enum_options = options.enum_options;
 
@@ -126,13 +138,13 @@ Result<CertainAnswerEngine::Plan> CertainAnswerEngine::MakePlan(
     // Proposition 4 (whose proof subsumes Proposition 3): for monotone Q,
     // certain_{Sigma_alpha}(Q, S) = box-Q(CSol(S)) for *every* annotation,
     // i.e. the all-closed reading of the plain canonical solution.
-    plan.target = Annotate(csol_.Plain(), Ann::kClosed);
+    plan.target = Annotate(Plain(), Ann::kClosed);
     plan.enum_options.fresh_pool = 0;
     plan.method = "monotone->CWA valuation enumeration (Prop 4)";
     return plan;
   }
 
-  plan.target = csol_.annotated;
+  plan.target = csol_->annotated;
   size_t max_open = MaxOpenPerTuple(plan.target);
 
   if (max_open == 0) {
@@ -201,10 +213,9 @@ Result<CertainVerdict> CertainAnswerEngine::IsCertain(
 
   if (cls == QueryClass::kPositive) {
     // Proposition 3: naive evaluation on the plain canonical solution.
-    Instance plain = csol_.Plain();
     Env env;
     for (size_t i = 0; i < order.size(); ++i) env[order[i]] = t[i];
-    Evaluator ev(plain, *universe_, ctx_);
+    Evaluator ev(Plain(), *universe_, ctx_);
     OCDX_ASSIGN_OR_RETURN(bool holds, ev.Holds(q, env));
     // A certain answer must be a ground tuple over the evaluation domain
     // (naive answers range over adom(CSol) and the query's constants).
@@ -294,7 +305,7 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
 
   if (cls == QueryClass::kPositive) {
     OCDX_ASSIGN_OR_RETURN(
-        Relation out, NaiveEval(q, order, csol_.Plain(), *universe_, ctx_));
+        Relation out, NaiveEval(q, order, Plain(), *universe_, ctx_));
     if (verdict != nullptr) {
       verdict->certain = true;
       verdict->exhaustive = true;
@@ -309,7 +320,7 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
   // Certain answers can only mention constants present in every member:
   // the constants of rel(CSolA) and of the query.
   std::set<Value> allowed;
-  for (Value v : csol_.Plain().ActiveDomain()) {
+  for (Value v : Plain().ActiveDomain()) {
     if (v.IsConst()) allowed.insert(v);
   }
   for (Value v : ConstantsIn(q)) allowed.insert(v);

@@ -20,6 +20,8 @@
 #ifndef OCDX_CERTAIN_CERTAIN_H_
 #define OCDX_CERTAIN_CERTAIN_H_
 
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "certain/member_enum.h"
@@ -70,6 +72,13 @@ class CertainAnswerEngine {
       const Mapping& mapping, CanonicalSolution csol, Universe* universe,
       const EngineContext& ctx = EngineContext());
 
+  /// As FromCanonical, but borrows `csol`: the engine reads it in place
+  /// and never copies it, so it must outlive the engine. This is how the
+  /// driver serves a run's memoized or a frozen store's solution.
+  CertainAnswerEngine(const Mapping& mapping, const CanonicalSolution& csol,
+                      Universe* universe,
+                      const EngineContext& ctx = EngineContext());
+
   /// DEQA(Sigma_alpha, Q): is `t` a certain answer of `q`?
   /// `order` names q's free variables in t's column order.
   Result<CertainVerdict> IsCertain(const FormulaPtr& q,
@@ -90,16 +99,13 @@ class CertainAnswerEngine {
                                   CertainVerdict* verdict = nullptr,
                                   const CertainOptions& options = {});
 
-  const CanonicalSolution& canonical() const { return csol_; }
+  const CanonicalSolution& canonical() const { return *csol_; }
   const Mapping& mapping() const { return mapping_; }
 
  private:
-  CertainAnswerEngine(Mapping mapping, CanonicalSolution csol,
-                      Universe* universe, const EngineContext& ctx)
-      : mapping_(std::move(mapping)),
-        csol_(std::move(csol)),
-        universe_(universe),
-        ctx_(ctx) {}
+  /// rel(CSolA): CSol(S), built at its first use and kept for every
+  /// later query.
+  const Instance& Plain();
 
   /// Chooses the annotated instance, pool size and method label for the
   /// general engine; also decides whether the bounded space constitutes a
@@ -111,12 +117,15 @@ class CertainAnswerEngine {
     bool bounds_are_proof = true;
   };
   Result<Plan> MakePlan(const FormulaPtr& q, QueryClass cls,
-                        const CertainOptions& options) const;
+                        const CertainOptions& options);
 
   Mapping mapping_;
-  CanonicalSolution csol_;
+  /// The solution Create and FromCanonical hand over; null when borrowed.
+  std::unique_ptr<const CanonicalSolution> owned_;
+  const CanonicalSolution* csol_;
   Universe* universe_;
   EngineContext ctx_;
+  std::optional<Instance> plain_;
 };
 
 }  // namespace ocdx

@@ -30,25 +30,26 @@ struct FileBuild {
 };
 
 /// Reads, parses and freezes one file: the only parse the file gets.
-void BuildFile(const std::string& path, bool collect_trace,
+/// Only `all` prechases: its jobs are the ones that read the same pairs,
+/// and borrowing them from the store, they chase each pair once.
+void BuildFile(const std::string& path, const BatchOptions& options,
                FileBuild* out) {
   Stopwatch timer;
-  if (collect_trace) out->trace = std::make_unique<obs::TraceSink>();
+  if (options.collect_traces) out->trace = std::make_unique<obs::TraceSink>();
   Result<std::string> source = ReadDxFile(path);
   if (!source.ok()) {
     out->status = source.status();
   } else {
-    std::optional<Result<FrozenScenario>> frozen;
-    {
-      obs::ScopedSpan parse_span(&out->stats, out->trace.get(),
-                                 obs::kPhaseParse);
-      frozen.emplace(ParseFrozenScenario(path, std::move(source).value()));
-    }
-    if (frozen->ok()) {
+    EngineContext ctx = options.engine;
+    ctx.stats = &out->stats;
+    ctx.trace = out->trace.get();
+    Result<FrozenScenario> frozen = BuildFrozenScenario(
+        path, std::move(source).value(), ctx, options.command == "all");
+    if (frozen.ok()) {
       out->scenario =
-          std::make_shared<const FrozenScenario>(std::move(*frozen).value());
+          std::make_shared<const FrozenScenario>(std::move(frozen).value());
     } else {
-      out->status = frozen->status();
+      out->status = frozen.status();
     }
   }
   out->millis = timer.ElapsedMillis();
@@ -180,7 +181,7 @@ Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
     // runs on the calling thread and the workers start on it at once.
     for (size_t f = 0; f < files.size(); ++f) {
       submit([&files, &builds, &options, f] {
-        BuildFile(files[f], options.collect_traces, &builds[f]);
+        BuildFile(files[f], options, &builds[f]);
       });
     }
 

@@ -6,9 +6,10 @@
 // then reassembles per-file canonical output in submission order.
 //
 // Each file is read, parsed and frozen exactly once, by a pool task,
-// into a FrozenScenario (exec/frozen_scenario.h); the calling thread then
-// plans the files' jobs in file order as their scenarios become ready,
-// and every job runs on the shared scenario through RunFrozenCommand.
+// into a FrozenScenario (exec/frozen_scenario.h), prechased under `all`;
+// the calling thread then plans the files' jobs in file order as their
+// scenarios become ready, and every job runs on the shared scenario
+// through RunFrozenCommand.
 //
 // Determinism contract (pinned by tests/batch_exec_test.cc and the CI
 // corpus diff): RenderBatchOutput is *byte-identical* for every worker
@@ -72,8 +73,8 @@ struct BatchFileReport {
   std::string output;  ///< Concatenated job outputs; failed jobs render a
                        ///< deterministic "ocdx: error:" line in place.
   size_t jobs = 0;
-  /// Time of the file's build (read, parse, freeze) plus the sum of its
-  /// job times (not wall time).
+  /// Time of the file's build (read, parse, prechase under `all`,
+  /// freeze) plus the sum of its job times (not wall time).
   double millis = 0;
 };
 

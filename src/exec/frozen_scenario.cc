@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "chase/canonical.h"
+#include "logic/budget.h"
+#include "obs/trace.h"
 #include "text/dx_parser.h"
 
 namespace ocdx {
@@ -15,14 +18,37 @@ void FrozenScenario::Freeze() {
   prechased.Freeze();
 }
 
-Result<FrozenScenario> ParseFrozenScenario(std::string source_path,
-                                           std::string dx_text) {
+Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
+                                           std::string dx_text,
+                                           const EngineContext& engine,
+                                           bool prechase) {
   FrozenScenario frozen;
   frozen.source_path = std::move(source_path);
   frozen.dx_text = std::move(dx_text);
   frozen.universe = std::make_unique<Universe>();
-  OCDX_ASSIGN_OR_RETURN(frozen.scenario,
-                        ParseDxScenario(frozen.dx_text, frozen.universe.get()));
+  {
+    obs::ScopedSpan span(engine, obs::kPhaseParse);
+    OCDX_ASSIGN_OR_RETURN(
+        frozen.scenario,
+        ParseDxScenario(frozen.dx_text, frozen.universe.get()));
+  }
+  if (prechase) {
+    EngineContext ctx = engine;
+    ctx.plans = frozen.plans;
+    ctx = DxRunContext(frozen.scenario, ctx);
+    for (const DxMappingDecl& m : frozen.scenario.mappings) {
+      for (const DxInstanceDecl& inst : frozen.scenario.instances) {
+        if (!DxChasePairOk(m, inst)) continue;
+        Result<CanonicalSolution> chased =
+            Chase(m.mapping, inst.plain, frozen.universe.get(), ctx);
+        if (!chased.ok()) {
+          if (IsBudgetStatusCode(chased.status().code())) continue;
+          return chased.status();
+        }
+        frozen.prechased.Put(m.name, inst.name, std::move(chased).value());
+      }
+    }
+  }
   frozen.Freeze();
   return frozen;
 }
@@ -31,9 +57,9 @@ Result<std::string> RunFrozenCommand(const FrozenScenario& frozen,
                                      const std::string& command,
                                      const DxDriverOptions& options,
                                      Status* governed) {
-  // The warm chase fallback and the member-enumeration loops mint into
-  // the universe they are given; the overlay keeps those mints private
-  // to this run and the frozen scenario reusable. Nothing is copied.
+  // Chases of pairs the store lacks and member enumeration mint into the
+  // universe they are given; the overlay keeps those mints private to
+  // this run and the frozen scenario reusable. Nothing is copied.
   std::unique_ptr<Universe> overlay = frozen.universe->NewOverlay();
   DxDriverOptions run = options;
   run.prechased = &frozen.prechased;

@@ -1,17 +1,18 @@
 // FrozenScenario: one parsed `.dx` file, sealed for concurrent readers —
 // the unit every multi-run path serves from.
 //
-// A scenario is parsed once into its own Universe and then frozen: the
-// Universe (Universe::Freeze) and every relation of every declared
-// instance and of every prechased solution (Relation::Freeze). From then
-// on any number of threads run driver commands on it at once, each
-// through RunFrozenCommand: mint a private copy-on-write overlay of the
-// frozen universe, then RunDxCommand over the shared scenario. Three
-// callers serve this way:
+// A scenario is parsed once into its own Universe, optionally prechased,
+// and then frozen: the Universe (Universe::Freeze) and every relation of
+// every declared instance and of every prechased solution
+// (Relation::Freeze). From then on any number of threads run driver
+// commands on it at once, each through RunFrozenCommand: mint a private
+// copy-on-write overlay of the frozen universe, then RunDxCommand over
+// the shared scenario, borrowing the prechased solutions in place:
 //
 //   - `ocdx batch`: one FrozenScenario per input file, built by a pool
 //     task; every job sliced from the file runs on it
-//     (exec/batch_runner.h);
+//     (exec/batch_runner.h). Under `all` it is prechased, an in-memory
+//     snapshot;
 //   - `ocdx snapshot run` and `ocdxd --preload`: a snapshot builds or
 //     loads into one (snap::SnapshotBundle is this type).
 //
@@ -33,6 +34,7 @@
 #include <string>
 
 #include "base/value.h"
+#include "logic/engine_context.h"
 #include "plan/plan_table.h"
 #include "text/dx_driver.h"
 #include "text/dx_scenario.h"
@@ -48,8 +50,8 @@ struct FrozenScenario {
   std::string dx_text;      ///< The scenario text.
   std::unique_ptr<Universe> universe;
   DxScenario scenario;  ///< Parsed from dx_text over *universe.
-  /// Pre-chased canonical solutions (a snapshot's; empty for a batch
-  /// file). The driver consults it before every chase.
+  /// Pre-chased canonical solutions: a snapshot's, or a batch file's
+  /// under `all`; otherwise empty. Runs borrow them in place.
   PrechasedStore prechased;
   /// The plan table every run on this scenario shares.
   std::shared_ptr<plan::PlanTable> plans =
@@ -60,10 +62,15 @@ struct FrozenScenario {
   void Freeze();
 };
 
-/// Parses `dx_text` into a fresh Universe and freezes the result. A parse
-/// failure returns the parser's positioned status unchanged.
-Result<FrozenScenario> ParseFrozenScenario(std::string source_path,
-                                           std::string dx_text);
+/// The build behind `ocdx batch` and the snapshot writer: parses `dx_text`
+/// into a fresh Universe; with `prechase`, chases every DxChasePairOk pair
+/// into `prechased` under DxRunContext, as a cold run would; then freezes
+/// the result. Governed pairs are left out; any other error, a parse
+/// error included, is returned unchanged.
+Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
+                                           std::string dx_text,
+                                           const EngineContext& engine,
+                                           bool prechase);
 
 /// The one serving function: mints a copy-on-write overlay over the
 /// frozen universe, attaches the scenario's plan table and prechased

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chase/canonical.h"
-#include "logic/budget.h"
 #include "snap/format.h"
 #include "text/dx_parser.h"
 #include "util/fault.h"
@@ -522,50 +521,6 @@ Status DecodeChased(Source* src, const DxScenario& scenario,
 }
 
 }  // namespace
-
-Result<SnapshotBundle> BuildSnapshotBundle(std::string source_path,
-                                           std::string dx_text,
-                                           const EngineContext& engine) {
-  SnapshotBundle b;
-  b.source_path = std::move(source_path);
-  b.dx_text = std::move(dx_text);
-  b.universe = std::make_unique<Universe>();
-  OCDX_ASSIGN_OR_RETURN(b.scenario,
-                        ParseDxScenario(b.dx_text, b.universe.get()));
-
-  // The same budget fold RunDxCommand applies: scenario caps tighten the
-  // caller's, and the deadline (if any) covers the whole build. With the
-  // deterministic count caps this makes build-time governance equal
-  // run-time governance: a pair the cold driver would trip on trips here
-  // too, is left out of the store, and the warm driver re-chases it into
-  // the identical diagnostic.
-  EngineContext ctx = engine;
-  ctx.plans = b.plans;
-  for (const auto& [key, value] : b.scenario.budget_settings) {
-    Budget tight;
-    SetBudgetField(&tight, key, value);
-    ctx.budget.Tighten(tight);
-  }
-  ctx.budget.ArmDeadline();
-
-  for (const DxMappingDecl& m : b.scenario.mappings) {
-    for (const DxInstanceDecl& inst : b.scenario.instances) {
-      if (!DxChasePairOk(m, inst)) continue;
-      Result<CanonicalSolution> chased =
-          Chase(m.mapping, inst.plain, b.universe.get(), ctx);
-      if (!chased.ok()) {
-        if (IsBudgetStatusCode(chased.status().code())) continue;
-        return chased.status();
-      }
-      b.prechased.Put(m.name, inst.name, std::move(chased).value());
-    }
-  }
-  // Seal: from here the bundle serves concurrent readers (ocdxd
-  // preload), and every run mints through a private overlay
-  // (RunFrozenCommand).
-  b.Freeze();
-  return b;
-}
 
 Result<std::string> SerializeSnapshot(const SnapshotBundle& bundle) {
   std::string out;

@@ -6,8 +6,9 @@
 // solutions of every chaseable (mapping, instance) pair — so `ocdx
 // snapshot run` and `ocdxd --preload` answer driver commands without
 // re-parsing or re-chasing, with output byte-identical to a cold run.
-// A bundle is a FrozenScenario (exec/frozen_scenario.h): warm runs take
-// the same overlay → RunDxCommand path as every `ocdx batch` job.
+// A bundle is a FrozenScenario (exec/frozen_scenario.h), built like a
+// batch `all` file: warm runs take the same overlay → RunDxCommand path
+// as every `ocdx batch` job, borrowing the stored solutions in place.
 //
 // Relocatability: rows, witnesses and null justifications are stored as
 // *logical arena offsets* (base/arena.h ArenaRef, base/value.h
@@ -30,6 +31,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "exec/frozen_scenario.h"
 #include "logic/engine_context.h"
@@ -54,14 +56,14 @@ namespace snap {
 /// server's lifetime.
 using SnapshotBundle = FrozenScenario;
 
-/// Parses `dx_text` and chases every applicable (mapping, instance) pair
-/// under the scenario's budget block folded into `engine` — the same fold
-/// RunDxCommand applies, so a stored solution is exactly what a cold run
-/// would compute. Budget-governed chases are skipped; hard errors
-/// (including parse errors) propagate.
-Result<SnapshotBundle> BuildSnapshotBundle(
+/// BuildFrozenScenario with prechasing: a stored solution is exactly what
+/// a cold run would compute, and governed pairs are left out.
+inline Result<SnapshotBundle> BuildSnapshotBundle(
     std::string source_path, std::string dx_text,
-    const EngineContext& engine = EngineContext());
+    const EngineContext& engine = EngineContext()) {
+  return BuildFrozenScenario(std::move(source_path), std::move(dx_text),
+                             engine, /*prechase=*/true);
+}
 
 /// Serializes the bundle to snapshot bytes (format v1, snap/format.h).
 /// Probes fault site "snap-write" once per section.

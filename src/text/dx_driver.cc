@@ -1,5 +1,7 @@
 #include "text/dx_driver.h"
 
+#include <algorithm>
+#include <map>
 #include <optional>
 
 #include "certain/certain.h"
@@ -41,8 +43,12 @@ bool Governed(const Status& status) {
   return IsBudgetStatusCode(status.code());
 }
 
+// Records the run's first trip. Any other error is not a trip, so it is
+// ignored here: the caller either aborts on it or renders it inline.
 void NoteGoverned(const Status& status, Status* governed) {
-  if (governed != nullptr && governed->ok()) *governed = status;
+  if (Governed(status) && governed != nullptr && governed->ok()) {
+    *governed = status;
+  }
 }
 
 // The positioned error block for a failed (mapping, instance) pair. The
@@ -72,21 +78,41 @@ constexpr char kUnknownCommand[] =
 // Input enumeration
 // ---------------------------------------------------------------------------
 
-// Prechased lookup-or-chase: if the caller supplied a snapshot store
-// holding this (mapping, instance) pair, copy the stored solution — the
-// copy re-interns rows into its own arenas, mirroring the ownership of a
-// fresh chase, so one immutable store serves concurrent jobs — otherwise
-// chase live. Governed pairs are never stored (see PrechasedStore::Find),
-// so the fallback reproduces their budget diagnostics byte-identically.
-Result<CanonicalSolution> ChaseOrReuse(const DxMappingDecl& m,
-                                       const DxInstanceDecl& inst,
-                                       Universe* u,
-                                       const DxDriverOptions& options) {
-  if (options.prechased != nullptr) {
-    const CanonicalSolution* hit = options.prechased->Find(m.name, inst.name);
-    if (hit != nullptr) return CanonicalSolution(*hit);
+// The run's canonical solutions, one per (mapping, instance) pair: by
+// Corollary 2 it serves the chase, certain and membership sections alike.
+// A pair in options.prechased is borrowed from that store; any other is
+// chased at first use into the run's universe, and the outcome — the
+// solution or its governed trip — answers every later lookup of the run.
+// Callers read the solution in place.
+class RunSolutions {
+ public:
+  RunSolutions(Universe* u, const DxDriverOptions& options)
+      : u_(u), options_(options) {}
+
+  Result<const CanonicalSolution*> Get(const DxMappingDecl& m,
+                                       const DxInstanceDecl& inst) {
+    if (options_.prechased != nullptr) {
+      const CanonicalSolution* hit =
+          options_.prechased->Find(m.name, inst.name);
+      if (hit != nullptr) return hit;
+    }
+    std::optional<Result<CanonicalSolution>>& slot = chased_[{&m, &inst}];
+    if (!slot) slot.emplace(Chase(m.mapping, inst.plain, u_, options_.engine));
+    if (!slot->ok()) return slot->status();
+    return &slot->value();
   }
-  return Chase(m.mapping, inst.plain, u, options.engine);
+
+ private:
+  Universe* u_;
+  const DxDriverOptions& options_;
+  std::map<std::pair<const DxMappingDecl*, const DxInstanceDecl*>,
+           std::optional<Result<CanonicalSolution>>>
+      chased_;
+};
+
+template <typename Pred>
+bool AnyInstance(const DxScenario& sc, Pred pred) {
+  return std::any_of(sc.instances.begin(), sc.instances.end(), pred);
 }
 
 bool QueryOverTarget(const DxQuery& q, const Mapping& m) {
@@ -241,14 +267,14 @@ Status CheckMappingSelection(const DxScenario& sc,
 
 Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
                               const DxDriverOptions& options,
-                              Status* governed) {
+                              RunSolutions* solutions, Status* governed) {
   OCDX_RETURN_IF_ERROR(CheckMappingSelection(sc, options));
   std::string out;
   for (const DxMappingDecl& m : sc.mappings) {
     if (!options.mapping.empty() && m.name != options.mapping) continue;
     for (const DxInstanceDecl& inst : sc.instances) {
       if (!DxChasePairOk(m, inst)) continue;
-      Result<CanonicalSolution> chased = ChaseOrReuse(m, inst, u, options);
+      Result<const CanonicalSolution*> chased = solutions->Get(m, inst);
       if (!chased.ok()) {
         if (!Governed(chased.status())) return chased.status();
         NoteGoverned(chased.status(), governed);
@@ -256,7 +282,7 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
                       MappingErrorLine(m, chased.status()));
         continue;
       }
-      CanonicalSolution csol = std::move(chased).value();
+      const CanonicalSolution& csol = *chased.value();
       size_t markers = 0;
       for (const auto& [rel_name, rel] : csol.annotated.relations()) {
         markers += rel.size() - rel.NumProperTuples();
@@ -286,7 +312,7 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
 
 Result<std::string> CertainText(const DxScenario& sc, Universe* u,
                                 const DxDriverOptions& options,
-                                Status* governed) {
+                                RunSolutions* solutions, Status* governed) {
   OCDX_RETURN_IF_ERROR(CheckMappingSelection(sc, options));
   std::string out;
   for (const DxMappingDecl& m : sc.mappings) {
@@ -298,29 +324,15 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
         if (QueryOverTarget(q, m.mapping)) applicable.push_back(&q);
       }
       if (applicable.empty()) continue;
-      // Create chases the instance, so it can trip the chase budget. A
-      // prechased hit skips the chase (FromCanonical) — same engine state,
-      // since the stored solution came from an identical chase.
-      Result<CertainAnswerEngine> created = [&]() -> Result<CertainAnswerEngine> {
-        if (options.prechased != nullptr) {
-          const CanonicalSolution* hit =
-              options.prechased->Find(m.name, inst.name);
-          if (hit != nullptr) {
-            return CertainAnswerEngine::FromCanonical(
-                m.mapping, CanonicalSolution(*hit), u, options.engine);
-          }
-        }
-        return CertainAnswerEngine::Create(m.mapping, inst.plain, u,
-                                           options.engine);
-      }();
-      if (!created.ok()) {
-        if (!Governed(created.status())) return created.status();
-        NoteGoverned(created.status(), governed);
+      Result<const CanonicalSolution*> csol = solutions->Get(m, inst);
+      if (!csol.ok()) {
+        if (!Governed(csol.status())) return csol.status();
+        NoteGoverned(csol.status(), governed);
         out += StrCat("certain ", m.name, " / ", inst.name, ":\n",
-                      MappingErrorLine(m, created.status()));
+                      MappingErrorLine(m, csol.status()));
         continue;
       }
-      CertainAnswerEngine engine = std::move(created).value();
+      CertainAnswerEngine engine(m.mapping, *csol.value(), u, options.engine);
       out += StrCat("certain ", m.name, " / ", inst.name, ":\n");
       for (const DxQuery* q : applicable) {
         // Guard-depth diagnostic (static shape analysis, so the note is
@@ -397,59 +409,59 @@ bool RepAPairOk(const DxInstanceDecl& a, const DxInstanceDecl& g) {
          g.plain.IsGround();
 }
 
+bool HasMembershipTarget(const DxScenario& sc, const DxMappingDecl& m,
+                         const DxInstanceDecl& s) {
+  return AnyInstance(sc, [&](const DxInstanceDecl& t) {
+    return MembershipTripleOk(m, s, t);
+  });
+}
+
+bool HasRepAInstance(const DxScenario& sc, const DxInstanceDecl& a) {
+  return AnyInstance(
+      sc, [&](const DxInstanceDecl& g) { return RepAPairOk(a, g); });
+}
+
 bool HasMembershipInputs(const DxScenario& sc) {
   for (const DxMappingDecl& m : sc.mappings) {
     for (const DxInstanceDecl& s : sc.instances) {
-      for (const DxInstanceDecl& t : sc.instances) {
-        if (MembershipTripleOk(m, s, t)) return true;
-      }
+      if (HasMembershipTarget(sc, m, s)) return true;
     }
   }
-  for (const DxInstanceDecl& a : sc.instances) {
-    for (const DxInstanceDecl& g : sc.instances) {
-      if (RepAPairOk(a, g)) return true;
-    }
-  }
-  return false;
+  return AnyInstance(
+      sc, [&](const DxInstanceDecl& a) { return HasRepAInstance(sc, a); });
 }
 
 Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
                                    const DxDriverOptions& options,
+                                   RunSolutions* solutions,
                                    Status* governed) {
   OCDX_RETURN_IF_ERROR(CheckMappingSelection(sc, options));
   std::string out;
   for (const DxMappingDecl& m : sc.mappings) {
     if (!options.mapping.empty() && m.name != options.mapping) continue;
     for (const DxInstanceDecl& s : sc.instances) {
-      bool any = false;
-      for (const DxInstanceDecl& t : sc.instances) {
-        if (MembershipTripleOk(m, s, t)) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) continue;
+      if (!HasMembershipTarget(sc, m, s)) continue;
       out += StrCat("membership ", m.name, " / ", s.name, ":\n");
-      // Chase once per (mapping, source); every candidate below reuses
+      // One lookup per (mapping, source); every candidate below reads
       // CSolA(S) through InSolutionSpaceGiven. The all-open and Skolem
-      // paths do not chase here at all.
+      // paths need no solution at all.
       const bool skolem = m.mapping.IsSkolemized();
       const bool all_open = m.mapping.IsAllOpen();
-      std::optional<CanonicalSolution> csol;
+      const CanonicalSolution* csol = nullptr;
       // All-open requirement formulas built once per (mapping, source):
       // the plan table keys on formula identity, so the per-candidate
       // Theorem 2 checks below reuse one compiled plan per STD.
       std::vector<FormulaPtr> reqs;
       if (!skolem && all_open) reqs = StdRequirements(m.mapping);
       if (!skolem && !all_open) {
-        Result<CanonicalSolution> chased = ChaseOrReuse(m, s, u, options);
+        Result<const CanonicalSolution*> chased = solutions->Get(m, s);
         if (!chased.ok()) {
           if (!Governed(chased.status())) return chased.status();
           NoteGoverned(chased.status(), governed);
           out += MappingErrorLine(m, chased.status());
           continue;
         }
-        csol = std::move(chased).value();
+        csol = chased.value();
       }
       for (const DxInstanceDecl& t : sc.instances) {
         if (!MembershipTripleOk(m, s, t)) continue;
@@ -505,14 +517,7 @@ Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
     }
   }
   for (const DxInstanceDecl& a : sc.instances) {
-    bool any = false;
-    for (const DxInstanceDecl& g : sc.instances) {
-      if (RepAPairOk(a, g)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) continue;
+    if (!HasRepAInstance(sc, a)) continue;
     out += StrCat("repa ", a.name, ":\n");
     for (const DxInstanceDecl& g : sc.instances) {
       if (!RepAPairOk(a, g)) continue;
@@ -604,49 +609,66 @@ Result<std::string> ComposeText(const DxScenario& sc, Universe* u,
 
 // ---------------------------------------------------------------------------
 
-bool HasChasePair(const DxScenario& sc) {
-  for (const DxMappingDecl& m : sc.mappings) {
-    for (const DxInstanceDecl& i : sc.instances) {
-      if (DxChasePairOk(m, i)) return true;
-    }
-  }
-  return false;
+// True iff `command` ("chase" or "certain") has an input for mapping `m`:
+// a chase pair, and for certain also a query over m's target schema.
+bool MappingApplies(const DxScenario& sc, const DxMappingDecl& m,
+                    const std::string& command) {
+  bool pair = AnyInstance(
+      sc, [&](const DxInstanceDecl& i) { return DxChasePairOk(m, i); });
+  if (!pair || command == "chase") return pair;
+  return std::any_of(
+      sc.queries.begin(), sc.queries.end(),
+      [&](const DxQuery& q) { return QueryOverTarget(q, m.mapping); });
 }
 
-bool HasCertainTriple(const DxScenario& sc) {
-  for (const DxMappingDecl& m : sc.mappings) {
-    for (const DxInstanceDecl& i : sc.instances) {
-      if (!DxChasePairOk(m, i)) continue;
-      for (const DxQuery& q : sc.queries) {
-        if (QueryOverTarget(q, m.mapping)) return true;
-      }
-    }
-  }
-  return false;
+bool AnyMappingApplies(const DxScenario& sc, const std::string& command) {
+  return std::any_of(
+      sc.mappings.begin(), sc.mappings.end(),
+      [&](const DxMappingDecl& m) { return MappingApplies(sc, m, command); });
 }
 
-Result<std::string> RunAll(const DxScenario& sc, Universe* u,
-                           const DxDriverOptions& options, Status* governed) {
-  std::string out;
-  if (!sc.name.empty()) out += StrCat("scenario '", sc.name, "'\n");
-  for (const std::string& cmd : ApplicableDxCommands(sc)) {
-    out += StrCat("== ", cmd, " ==\n");
-    OCDX_ASSIGN_OR_RETURN(std::string text,
-                          RunDxCommand(sc, cmd, u, options, governed));
-    out += text;
+// One section of a run; every section shares the run's solutions.
+Result<std::string> RunSection(const DxScenario& sc,
+                               const std::string& command, Universe* u,
+                               const DxDriverOptions& options,
+                               RunSolutions* solutions, Status* governed) {
+  if (command == "classify") return ClassifyText(sc);
+  if (command == "chase") {
+    return ChaseText(sc, u, options, solutions, governed);
   }
-  return out;
+  if (command == "certain") {
+    return CertainText(sc, u, options, solutions, governed);
+  }
+  if (command == "membership") {
+    return MembershipText(sc, u, options, solutions, governed);
+  }
+  if (command == "compose") return ComposeText(sc, u, options, governed);
+  return Status::InvalidArgument(
+      StrCat("unknown command '", command, kUnknownCommand));
 }
 
 }  // namespace
 
 std::vector<std::string> ApplicableDxCommands(const DxScenario& scenario) {
   std::vector<std::string> out = {"classify"};
-  if (HasChasePair(scenario)) out.push_back("chase");
-  if (HasCertainTriple(scenario)) out.push_back("certain");
+  if (AnyMappingApplies(scenario, "chase")) out.push_back("chase");
+  if (AnyMappingApplies(scenario, "certain")) out.push_back("certain");
   if (HasMembershipInputs(scenario)) out.push_back("membership");
   if (HasComposePair(scenario)) out.push_back("compose");
   return out;
+}
+
+EngineContext DxRunContext(const DxScenario& scenario,
+                           const EngineContext& engine) {
+  EngineContext run = engine;
+  run.EnsureCache();
+  for (const auto& [key, value] : scenario.budget_settings) {
+    Budget b;
+    SetBudgetField(&b, key, value);
+    run.budget.Tighten(b);
+  }
+  run.budget.ArmDeadline();
+  return run;
 }
 
 Result<std::string> RunDxCommand(const DxScenario& scenario,
@@ -654,40 +676,30 @@ Result<std::string> RunDxCommand(const DxScenario& scenario,
                                  Universe* universe,
                                  const DxDriverOptions& options,
                                  Status* governed) {
-  if (command == "classify") return ClassifyText(scenario);
-  // One plan table per command run (unless the caller attached one):
-  // every evaluation below shares it, so the enumeration-heavy commands
-  // compile each (query, schema, mode) once. The table never changes
-  // output bytes — the golden corpus pins that under both engines.
-  // (classify returned above: it evaluates nothing; the unknown-command
-  // error path pays one idle table allocation, which is fine.)
+  // One plan table, one budget and one set of solutions per run: every
+  // evaluation of every section below shares them, so the enumeration-
+  // heavy commands compile each (query, schema, mode) once and an `all`
+  // run chases each pair once. Neither the table nor the sharing ever
+  // changes output bytes — the golden corpus pins that under both
+  // engines. The deadline starts here, once for a whole `all` run.
   DxDriverOptions run = options;
-  run.engine.EnsureCache();
-  // Scenario-declared budget settings tighten (never relax) whatever the
-  // caller imposed, and the wall-clock deadline starts here — once per
-  // command, including once for a whole `all` run (the recursive
-  // sub-command calls see an already armed deadline and keep it).
-  for (const auto& [key, value] : scenario.budget_settings) {
-    Budget b;
-    SetBudgetField(&b, key, value);
-    run.engine.budget.Tighten(b);
+  run.engine = DxRunContext(scenario, options.engine);
+  RunSolutions solutions(universe, run);
+  if (command != "all") {
+    return RunSection(scenario, command, universe, run, &solutions, governed);
   }
-  run.engine.budget.ArmDeadline();
-  if (command == "chase") {
-    return ChaseText(scenario, universe, run, governed);
+  std::string out;
+  if (!scenario.name.empty()) {
+    out += StrCat("scenario '", scenario.name, "'\n");
   }
-  if (command == "certain") {
-    return CertainText(scenario, universe, run, governed);
+  for (const std::string& cmd : ApplicableDxCommands(scenario)) {
+    out += StrCat("== ", cmd, " ==\n");
+    OCDX_ASSIGN_OR_RETURN(
+        std::string text,
+        RunSection(scenario, cmd, universe, run, &solutions, governed));
+    out += text;
   }
-  if (command == "membership") {
-    return MembershipText(scenario, universe, run, governed);
-  }
-  if (command == "compose") {
-    return ComposeText(scenario, universe, run, governed);
-  }
-  if (command == "all") return RunAll(scenario, universe, run, governed);
-  return Status::InvalidArgument(
-      StrCat("unknown command '", command, kUnknownCommand));
+  return out;
 }
 
 Result<std::vector<DxJobSpec>> PlanDxJobs(const DxScenario& scenario,
@@ -719,22 +731,7 @@ Result<std::vector<DxJobSpec>> PlanDxJobs(const DxScenario& scenario,
     // parser rejects duplicate mapping declarations.
     for (const DxMappingDecl& m : scenario.mappings) {
       if (!options.mapping.empty() && m.name != options.mapping) continue;
-      bool applicable = false;
-      for (const DxInstanceDecl& i : scenario.instances) {
-        if (!DxChasePairOk(m, i)) continue;
-        if (command == "chase") {
-          applicable = true;
-        } else {
-          for (const DxQuery& q : scenario.queries) {
-            if (QueryOverTarget(q, m.mapping)) {
-              applicable = true;
-              break;
-            }
-          }
-        }
-        if (applicable) break;
-      }
-      if (!applicable) continue;
+      if (!MappingApplies(scenario, m, command)) continue;
       DxJobSpec spec;
       spec.command = command;
       spec.options = options;

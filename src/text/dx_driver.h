@@ -44,11 +44,10 @@
 namespace ocdx {
 
 /// Pre-chased canonical solutions, keyed by (mapping name, instance name)
-/// — the warm store a loaded snapshot (src/snap) hands the driver. The
-/// driver copies a stored solution before use (the copy re-interns rows
-/// into its own arenas, mirroring the ownership of a fresh chase), so one
-/// frozen store can serve many jobs whose universes are overlays of the
-/// snapshot universe.
+/// — a frozen scenario's (exec/frozen_scenario.h): a snapshot's, or a
+/// batch `all` file's. A run borrows a stored solution in place and never
+/// copies it, so one frozen store serves any number of concurrent runs,
+/// each minting through its own overlay of the scenario's universe.
 class PrechasedStore {
  public:
   void Put(std::string mapping, std::string instance, CanonicalSolution csol) {
@@ -82,8 +81,8 @@ class PrechasedStore {
 
 /// True iff the driver's chase/certain/membership commands would chase
 /// this (mapping, instance) pair: a plain (non-Skolemized) mapping and a
-/// plain instance over its source schema. The snapshot builder pre-chases
-/// exactly these pairs.
+/// plain instance over its source schema. BuildFrozenScenario
+/// (exec/frozen_scenario.h) pre-chases exactly these pairs.
 bool DxChasePairOk(const DxMappingDecl& m, const DxInstanceDecl& i);
 
 /// Optional by-name input selection; empty strings mean "use every
@@ -100,10 +99,10 @@ struct DxDriverOptions {
   /// want a non-default engine set it here (the CLI maps --engine to this
   /// field).
   EngineContext engine;
-  /// Optional warm store of pre-chased canonical solutions (snapshot
-  /// service). Not owned; must outlive the command. The driver consults it
-  /// before every chase and falls back to a live chase on a miss, so a
-  /// partially populated store is fine.
+  /// Optional store of pre-chased canonical solutions (a frozen
+  /// scenario's). Not owned; must outlive the command. A run borrows a
+  /// stored pair's solution and chases, once per run, only the pairs the
+  /// store lacks, so a partially populated store is fine.
   const PrechasedStore* prechased = nullptr;
 };
 
@@ -112,21 +111,29 @@ struct DxDriverOptions {
 /// commands, on selection names that do not resolve, and on commands with
 /// no applicable inputs.
 ///
-/// Resource governance (logic/budget.h): the scenario's `budget { ... }`
-/// block tightens `options.engine.budget`, and the deadline (if any) is
-/// armed once per command. A budget/deadline/cancellation trip inside one
+/// A run reads one canonical solution per (mapping, instance) pair in
+/// every section (Corollary 2): the stored one, or one chased at first use.
+///
+/// Resource governance (logic/budget.h): the run's engine context is
+/// DxRunContext's. A budget/deadline/cancellation trip inside one
 /// evaluation is a *result*, not a failure: it renders as a positioned
 /// `error ...` line in the returned text (deterministic for the
 /// count-based caps, so batch byte-identity holds), the remaining inputs
 /// still run, and the command returns OK. When `governed` is non-null the
 /// first such trip is also stored there, so callers (CLI exit codes, the
 /// batch summary) can distinguish a governed run without re-parsing the
-/// text. Non-governed errors abort the command as before.
+/// text. Other errors abort the command (compose renders them inline).
 Result<std::string> RunDxCommand(const DxScenario& scenario,
                                  const std::string& command,
                                  Universe* universe,
                                  const DxDriverOptions& options = {},
                                  Status* governed = nullptr);
+
+/// The context a run of `scenario` evaluates under: `engine` with a plan
+/// table attached (unless it has one), the scenario's `budget { ... }`
+/// block folded in (it only tightens) and the deadline, if any, armed.
+EngineContext DxRunContext(const DxScenario& scenario,
+                           const EngineContext& engine);
 
 /// The commands (other than "all") that have at least one applicable
 /// input combination in this scenario, in canonical order.

@@ -132,8 +132,10 @@ query q(x, y) 'edges' { E(x, y) }
 
 // A chase budget trip inside `ocdx all` renders as a positioned inline
 // error, the command still succeeds, the governed out-param carries the
-// trip, and the per-cause counter advances. This is exactly what the CLI
-// --chase-max-triggers flag produces (the flag writes the same field).
+// trip, and the per-cause counter advances — once: the run chases its one
+// pair once, and the certain section renders the memoized trip. This is
+// exactly what the CLI --chase-max-triggers flag produces (the flag
+// writes the same field).
 TEST(BudgetDriverTest, ChaseTripIsInlineGovernedNotAFailure) {
   Universe universe;
   Result<DxScenario> scenario = ParseDxScenario(kChainScenario, &universe);
@@ -155,7 +157,7 @@ TEST(BudgetDriverTest, ChaseTripIsInlineGovernedNotAFailure) {
                              "exceeded: 3 allowed"),
             std::string::npos)
       << out.value();
-  EXPECT_GE(stats.chase_budget_trips, 1u);
+  EXPECT_EQ(stats.chase_budget_trips, 1u);
 }
 
 // The same scenario under a generous budget runs clean: the budget wiring
@@ -175,6 +177,68 @@ TEST(BudgetDriverTest, GenerousBudgetLeavesTheRunClean) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(governed.ok()) << governed.ToString();
   EXPECT_EQ(out.value().find("error ("), std::string::npos) << out.value();
+}
+
+// The corpus composition scenario (two all-closed mappings) up to its
+// candidate target W, which each test below supplies.
+constexpr char kComposition[] = R"(
+scenario 'composition';
+schema src { Emp(name, dept); }
+schema staff { Staff(name, dept); }
+schema phone { Listed(name); }
+mapping Sigma from src to staff [default cl] {
+  Staff(x^cl, y^cl) :- Emp(x, y);
+}
+mapping Delta from staff to phone [default cl] {
+  Listed(x^cl) :- exists d. Staff(x, d);
+}
+instance S over src { Emp('ann', 'sales'); Emp('bob', 'dev'); }
+)";
+
+// Compose renders every membership error inline, but only a budget trip
+// marks the run governed. Composition membership is defined for ground
+// instances only, so a null in W is an error that is not a trip: the
+// command succeeds and the run is not governed.
+TEST(BudgetDriverTest, ComposeErrorThatIsNotATripIsNotGoverned) {
+  const std::string text =
+      std::string(kComposition) +
+      "instance W over phone { Listed('ann'); Listed('bob'); Listed(_n1); }\n";
+  Universe universe;
+  Result<DxScenario> scenario = ParseDxScenario(text, &universe);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  for (const char* command : {"compose", "all"}) {
+    SCOPED_TRACE(command);
+    Status governed;
+    Result<std::string> out =
+        RunDxCommand(scenario.value(), command, &universe, {}, &governed);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(governed.ok()) << governed.ToString();
+    EXPECT_NE(out.value().find("  membership: error: composition membership "
+                               "is defined for ground instances\n"),
+              std::string::npos)
+        << out.value();
+  }
+}
+
+// ...while a compose whose chase trips its budget still reports the trip.
+TEST(BudgetDriverTest, ComposeBudgetTripIsGoverned) {
+  const std::string text =
+      std::string(kComposition) +
+      "instance W over phone { Listed('ann'); Listed('bob'); }\n";
+  Universe universe;
+  Result<DxScenario> scenario = ParseDxScenario(text, &universe);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  DxDriverOptions options;
+  options.engine.budget.chase_max_triggers = 1;
+  Status governed;
+  Result<std::string> out = RunDxCommand(scenario.value(), "compose",
+                                         &universe, options, &governed);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(governed.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(out.value().find("  membership: error: chase trigger budget "
+                             "exceeded: 1 allowed"),
+            std::string::npos)
+      << out.value();
 }
 
 // A scenario `budget { ... }` block can only tighten the caller's budget:

@@ -1,0 +1,211 @@
+// One chase per (mapping, instance) pair per run (Corollary 2: one
+// CSolA(S) serves the chase, certain and membership sections).
+//
+// The property is counted, not timed: `chase_triggers` of an `all` run
+// must equal those of a `chase` run plus a `compose` run of the same
+// file, each on its own (compose chases inside the composition engines,
+// which keep their own chases). It must hold for a direct RunDxCommand at
+// every shard width, for a batch `--command=all` at every worker count,
+// and — minus the stored pairs, which a warm run borrows instead of
+// chasing — for a snapshot's warm `all`. The concurrent case runs warm
+// `all` on one prechased bundle from several threads at once; the `tsan`
+// test preset runs this file under ThreadSanitizer.
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <span>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "exec/batch_runner.h"
+#include "exec/frozen_scenario.h"
+#include "logic/engine_context.h"
+#include "snap/snapshot.h"
+#include "text/dx_driver.h"
+#include "text/dx_parser.h"
+
+namespace ocdx {
+namespace {
+
+namespace fs = std::filesystem;
+
+std::vector<std::string> ScenarioFiles() {
+  std::vector<std::string> out;
+  const fs::path corpus(OCDX_CORPUS_DIR);
+  const fs::path fixtures = corpus.parent_path() / "render_fixtures";
+  for (const fs::path& dir : {corpus, fixtures}) {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".dx") out.push_back(entry.path());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string ReadFileOrDie(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// One cold run of `command` on a fresh parse of `src`.
+struct ColdRun {
+  uint64_t triggers = 0;
+  bool governed = false;
+};
+
+ColdRun RunCold(const std::string& src, const std::string& command,
+                size_t shards) {
+  Universe universe;
+  Result<DxScenario> scenario = ParseDxScenario(src, &universe);
+  EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
+  if (!scenario.ok()) return {};
+  ColdRun run;
+  if (command != "all") {
+    std::vector<std::string> applicable =
+        ApplicableDxCommands(scenario.value());
+    if (std::find(applicable.begin(), applicable.end(), command) ==
+        applicable.end()) {
+      return run;  // A command that does not apply chases nothing.
+    }
+  }
+  EngineStats stats;
+  DxDriverOptions options;
+  options.engine.stats = &stats;
+  options.engine.shards = shards;
+  Status governed;
+  Result<std::string> out = RunDxCommand(scenario.value(), command,
+                                         &universe, options, &governed);
+  EXPECT_TRUE(out.ok()) << command << ": " << out.status().ToString();
+  run.triggers = stats.chase_triggers;
+  run.governed = !governed.ok();
+  return run;
+}
+
+// chase + compose, each run on its own: what one `all` run may fire.
+uint64_t ChasePlusCompose(const std::string& src) {
+  return RunCold(src, "chase", 1).triggers +
+         RunCold(src, "compose", 1).triggers;
+}
+
+TEST(ChaseOnce, DirectAllChasesEachPairOnce) {
+  for (const std::string& file : ScenarioFiles()) {
+    SCOPED_TRACE(file);
+    const std::string src = ReadFileOrDie(file);
+    const uint64_t want = ChasePlusCompose(src);
+    for (size_t shards : {size_t{1}, size_t{2}}) {
+      SCOPED_TRACE(shards);
+      EXPECT_EQ(RunCold(src, "all", shards).triggers, want);
+    }
+  }
+}
+
+TEST(ChaseOnce, BatchAllChasesEachPairOnce) {
+  for (const std::string& file : ScenarioFiles()) {
+    SCOPED_TRACE(file);
+    const std::string src = ReadFileOrDie(file);
+    // A governed pair is not stored, so each batch job that reads it
+    // re-chases it into the same trip.
+    if (RunCold(src, "all", 1).governed) continue;
+    const uint64_t want = ChasePlusCompose(src);
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(workers);
+      BatchOptions options;
+      options.command = "all";
+      options.workers = workers;
+      Result<BatchReport> report = RunDxBatch({file}, options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_TRUE(report.value().ok());
+      EXPECT_GT(report.value().total_jobs, 1u);
+      EXPECT_EQ(report.value().stats.chase_triggers, want);
+    }
+  }
+}
+
+TEST(ChaseOnce, WarmAllChasesOnlyWhatTheSnapshotLacks) {
+  for (const std::string& file : ScenarioFiles()) {
+    SCOPED_TRACE(file);
+    const std::string src = ReadFileOrDie(file);
+    Result<snap::SnapshotBundle> built = snap::BuildSnapshotBundle(file, src);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    Result<std::string> bytes = snap::SerializeSnapshot(built.value());
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    Result<snap::SnapshotBundle> warm = snap::ParseSnapshot(
+        std::span<const uint8_t>(
+            reinterpret_cast<const uint8_t*>(bytes.value().data()),
+            bytes.value().size()));
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+
+    uint64_t stored = 0;
+    for (const auto& [pair, csol] : warm.value().prechased.entries()) {
+      stored += csol.triggers.size();
+    }
+    EngineStats stats;
+    DxDriverOptions options;
+    options.engine.stats = &stats;
+    ASSERT_TRUE(
+        snap::RunSnapshotCommand(warm.value(), "all", options).ok());
+    // Ungoverned files store every pair, so only compose chases.
+    EXPECT_EQ(stats.chase_triggers, ChasePlusCompose(src) - stored);
+  }
+}
+
+TEST(ChaseOnce, ConcurrentWarmRunsBorrowOneBundle) {
+  const std::string file = (fs::path(OCDX_CORPUS_DIR).parent_path() /
+                            "render_fixtures" / "enumerate_12.dx")
+                               .string();
+  const std::string src = ReadFileOrDie(file);
+  Result<FrozenScenario> bundle =
+      BuildFrozenScenario(file, src, EngineContext(), /*prechase=*/true);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_GT(bundle.value().prechased.size(), 0u);
+  const std::vector<std::string> sections =
+      ApplicableDxCommands(bundle.value().scenario);
+  for (const char* section : {"chase", "certain", "membership"}) {
+    ASSERT_NE(std::find(sections.begin(), sections.end(), section),
+              sections.end())
+        << section;
+  }
+
+  Universe universe;
+  Result<DxScenario> cold = ParseDxScenario(src, &universe);
+  ASSERT_TRUE(cold.ok());
+  Result<std::string> want = RunDxCommand(cold.value(), "all", &universe);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const uint64_t compose_triggers = RunCold(src, "compose", 1).triggers;
+
+  constexpr int kThreads = 4;
+  constexpr int kRunsPerThread = 2;
+  std::vector<std::string> outputs(kThreads * kRunsPerThread);
+  std::vector<EngineStats> stats(kThreads * kRunsPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        const int slot = t * kRunsPerThread + r;
+        DxDriverOptions options;
+        options.engine.stats = &stats[slot];
+        options.engine.shards = 2;
+        Result<std::string> out =
+            RunFrozenCommand(bundle.value(), "all", options);
+        outputs[slot] = out.ok() ? out.value() : out.status().ToString();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(outputs[i], want.value());
+    EXPECT_EQ(stats[i].chase_triggers, compose_triggers);
+  }
+}
+
+}  // namespace
+}  // namespace ocdx

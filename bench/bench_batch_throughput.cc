@@ -3,12 +3,12 @@
 // parse-bound bulk_import.dx batch beside one in-process `all` run of the
 // same file (the parse-once target: batch within 1.2x of a single run).
 //
-// The scaling story is jobs/second at -j1 vs -j4/-j8: on a multi-core
-// host the work-queue fans the corpus's independent jobs across cores
-// (the jobs share no mutable state, so the speedup is bounded only by
-// job-size imbalance); on a single-core host the numbers document the
-// queue's overhead instead (expect ~1x — the container this repo is
-// developed in has one core, see BENCH_pr4.json context).
+// A batch job is one file. The scaling story is jobs/second at -j1 vs
+// -j4/-j8: on a multi-core host the work-queue fans the corpus's
+// independent files across cores (the jobs share no mutable state, so
+// the speedup is bounded only by file-size imbalance); on a single-core
+// host the numbers document the queue's overhead instead (expect ~1x,
+// see BENCH_pr4.json context).
 //
 // Repeating the corpus (`repeat` counter) amplifies the workload so the
 // pool's scheduling cost stays amortized and per-repetition noise drops.
@@ -92,30 +92,11 @@ void BM_BatchEnumCorpus(benchmark::State& state) {
 BENCHMARK(BM_BatchEnumCorpus)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// One file, split into per-mapping slices: the within-scenario fan-out.
-void BM_BatchSingleFileSplit(benchmark::State& state) {
-  const size_t workers = static_cast<size_t>(state.range(0));
-  std::string file = std::string(OCDX_CORPUS_DIR) + "/membership.dx";
-  BatchOptions options;
-  options.workers = workers;
-  for (auto _ : state) {
-    Result<BatchReport> report = RunDxBatch({file}, options);
-    if (!report.ok() || !report.value().ok()) {
-      state.SkipWithError("batch run failed");
-      return;
-    }
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["workers"] = static_cast<double>(workers);
-  state.SetLabel("batch: one scenario fanned per-mapping");
-}
-BENCHMARK(BM_BatchSingleFileSplit)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Parse-bound: bulk_import.dx is ~4k facts no rule reads. The batch
-// parses it once and runs its jobs on the frozen scenario, so at any
-// worker count it should stay within 1.2x of BM_BulkImportDirect, the
-// in-process equivalent of `ocdx all bulk_import.dx`.
+// Parse-bound: bulk_import.dx is ~4k facts no rule reads. A one-file
+// batch is one job running the same RunDxFile call as
+// BM_BulkImportDirect, the in-process equivalent of `ocdx all
+// bulk_import.dx`, so at any worker count it should stay within 1.2x of
+// it.
 void BM_BulkImportBatch(benchmark::State& state) {
   BatchOptions options;
   options.workers = static_cast<size_t>(state.range(0));

@@ -55,10 +55,10 @@
 //   owner's striped build mutex and publishes with a release store. The
 //   mutable and frozen states share this one index representation;
 //   Freeze() itself only sets a flag (no per-row work), and must
-//   happen-before the reader threads start. A batch file's scenario
-//   instances and a snapshot's prechased solutions are frozen this way
-//   and read by every job and request of that scenario; everything a job
-//   builds (chase results, member instances) stays mutable and its own.
+//   happen-before the reader threads start. A snapshot's instances and
+//   prechased solutions are frozen this way and read by every request of
+//   that snapshot; everything a run builds (chase results, member
+//   instances) stays mutable and its own.
 
 #ifndef OCDX_BASE_RELATION_H_
 #define OCDX_BASE_RELATION_H_

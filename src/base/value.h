@@ -132,8 +132,8 @@ struct NullInfo {
 ///   rule). A Universe is in exactly one of three states:
 ///
 ///   - *Mutable* (the default): it belongs to exactly one job at a time —
-///     the batch executor (src/exec) gives each job its own overlay of
-///     its file's frozen universe and never migrates one across threads.
+///     the batch executor (src/exec) gives each job a universe of its own
+///     and never migrates one across threads.
 ///     No internal synchronization;
 ///     debug builds enforce the rule with a first-use thread ownership
 ///     assert on every read and write.

@@ -1,14 +1,11 @@
 #include "exec/batch_runner.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <functional>
 #include <optional>
 #include <sstream>
 
-#include "exec/frozen_scenario.h"
 #include "exec/pool.h"
 #include "text/dx_parser.h"
 #include "util/stopwatch.h"
@@ -18,93 +15,41 @@ namespace ocdx {
 
 namespace {
 
-/// One input file's build slot: written by its pool task, then read by
-/// the planner once `ready` is set (release/acquire).
-struct FileBuild {
-  std::shared_ptr<const FrozenScenario> scenario;  ///< Null on failure.
-  Status status;  ///< The read or parse failure, if any.
-  double millis = 0;
-  EngineStats stats;
-  std::unique_ptr<obs::TraceSink> trace;
-  std::atomic<bool> ready{false};
-};
-
-/// Reads, parses and freezes one file: the only parse the file gets.
-/// Only `all` prechases: its jobs are the ones that read the same pairs,
-/// and borrowing them from the store, they chase each pair once.
-void BuildFile(const std::string& path, const BatchOptions& options,
-               FileBuild* out) {
+/// Runs one input file the way `ocdx <command> FILE` does: read, then
+/// RunDxFile (parse + RunDxCommand) in a universe of its own. Everything
+/// the task writes — its report slot, stats and trace sink — is its own.
+void RunFile(const std::string& path, const BatchOptions& options,
+             BatchFileReport* out, EngineStats* stats,
+             std::unique_ptr<obs::TraceSink>* trace) {
   Stopwatch timer;
-  if (options.collect_traces) out->trace = std::make_unique<obs::TraceSink>();
+  DxDriverOptions driver = options.driver;
+  driver.engine = options.engine;
+  driver.engine.stats = stats;
+  // The template's sink and table would be shared across workers, so
+  // both are dropped: the file's run attaches its own table
+  // (DxRunContext), and its trace sink is allocated here.
+  driver.engine.trace = nullptr;
+  driver.engine.plans = nullptr;
+  if (options.collect_traces) {
+    *trace = std::make_unique<obs::TraceSink>();
+    driver.engine.trace = trace->get();
+  }
+  out->file = path;
   Result<std::string> source = ReadDxFile(path);
-  if (!source.ok()) {
-    out->status = source.status();
+  Result<std::string> text =
+      source.ok() ? RunDxFile(path, source.value(), options.command, driver,
+                              &out->governed)
+                  : Result<std::string>(source.status());
+  if (text.ok()) {
+    out->output = std::move(text).value();
   } else {
-    EngineContext ctx = options.engine;
-    ctx.stats = &out->stats;
-    ctx.trace = out->trace.get();
-    Result<FrozenScenario> frozen = BuildFrozenScenario(
-        path, std::move(source).value(), ctx, options.command == "all");
-    if (frozen.ok()) {
-      out->scenario =
-          std::make_shared<const FrozenScenario>(std::move(frozen).value());
-    } else {
-      out->status = frozen.status();
-    }
-  }
-  out->millis = timer.ElapsedMillis();
-  out->ready.store(true, std::memory_order_release);
-  out->ready.notify_one();
-}
-
-/// The file's job slices: PlanDxJobs, or the whole command as one job.
-Result<std::vector<DxJobSpec>> PlanFile(const FrozenScenario& frozen,
-                                        const BatchOptions& options,
-                                        const DxDriverOptions& base) {
-  if (options.split_scenarios) {
-    return PlanDxJobs(frozen.scenario, options.command, base);
-  }
-  DxJobSpec spec;
-  spec.command = options.command;
-  spec.options = base;
-  return std::vector<DxJobSpec>{std::move(spec)};
-}
-
-/// Runs one planned slice on its file's frozen scenario. Everything the
-/// job writes — overlay, stats, trace — is its own.
-BatchJobResult RunJob(const BatchJob& job) {
-  BatchJobResult result;
-  Stopwatch timer;
-  DxDriverOptions options = job.spec.options;
-  options.engine.stats = &result.stats;
-  // Same rule for the trace sink: allocated here, owned by this job's
-  // result, never seen by another worker. A sink inherited from the
-  // spec's context would be shared across workers, so it is always
-  // dropped.
-  options.engine.trace = nullptr;
-  if (job.collect_trace) {
-    result.trace = std::make_unique<obs::TraceSink>();
-    options.engine.trace = result.trace.get();
-  }
-
-  {
-    obs::ScopedSpan job_span(&result.stats, result.trace.get(),
-                             obs::kPhaseJob);
-    Result<std::string> text = RunFrozenCommand(
-        *job.scenario, job.spec.command, options, &result.governed);
-    if (!text.ok()) {
-      result.status = text.status();
-    } else {
-      result.output = StrCat(job.spec.prefix, text.value());
-    }
+    out->status = text.status();
+    out->output = StrCat("ocdx: error: ", out->status.ToString(), "\n");
   }
   // Cancellation has no in-engine trip counter (the flag is observed at
   // many sites); count it per job, where it is well-defined.
-  if (result.governed.code() == StatusCode::kCancelled) {
-    ++result.stats.cancelled_jobs;
-  }
-  result.millis = timer.ElapsedMillis();
-  return result;
+  if (out->governed.code() == StatusCode::kCancelled) ++stats->cancelled_jobs;
+  out->millis = timer.ElapsedMillis();
 }
 
 }  // namespace
@@ -151,112 +96,35 @@ Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
   Stopwatch wall;
   BatchReport report;
   report.files.resize(files.size());
-
-  DxDriverOptions base = options.driver;
-  base.engine = options.engine;
-  base.engine.stats = nullptr;
-  base.engine.trace = nullptr;
-
-  std::vector<FileBuild> builds(files.size());
-  // Deques: the planner appends while workers write earlier slots, and a
-  // deque append never moves an existing element.
-  std::deque<BatchJob> jobs;
-  std::deque<BatchJobResult> results;
-  std::vector<std::pair<size_t, size_t>> file_job_ranges(files.size(),
-                                                         {0, 0});
+  report.total_jobs = files.size();
+  std::vector<EngineStats> stats(files.size());
+  std::vector<std::unique_ptr<obs::TraceSink>> traces(files.size());
   {
-    // workers <= 1 runs every task inline at submission: the same code
-    // path, sequentially.
+    // One worker or one file runs every task inline at submission: the
+    // same code path, sequentially.
+    const size_t workers = std::min(options.workers, files.size());
     std::optional<ThreadPool> pool;
-    if (options.workers > 1) pool.emplace(options.workers);
-    auto submit = [&pool](std::function<void()> task) {
+    if (workers > 1) pool.emplace(workers);
+    for (size_t f = 0; f < files.size(); ++f) {
+      auto task = [&, f] {
+        RunFile(files[f], options, &report.files[f], &stats[f], &traces[f]);
+      };
       if (pool.has_value()) {
-        pool->Submit(std::move(task));
+        pool->Submit(task);
       } else {
         task();
       }
-    };
-
-    // Builds first: they queue ahead of every job, so no file's parse
-    // runs on the calling thread and the workers start on it at once.
-    for (size_t f = 0; f < files.size(); ++f) {
-      submit([&files, &builds, &options, f] {
-        BuildFile(files[f], options, &builds[f]);
-      });
-    }
-
-    // Planning, in file order as each scenario becomes ready: the job
-    // submission order (and with it the trace layout) is fixed by the
-    // input order alone.
-    for (size_t f = 0; f < files.size(); ++f) {
-      FileBuild& build = builds[f];
-      build.ready.wait(false, std::memory_order_acquire);
-      report.files[f].file = files[f];
-      file_job_ranges[f].first = jobs.size();
-      Result<std::vector<DxJobSpec>> specs =
-          build.scenario == nullptr
-              ? Result<std::vector<DxJobSpec>>(build.status)
-              : PlanFile(*build.scenario, options, base);
-      if (!specs.ok()) {
-        report.files[f].status = specs.status();
-      } else {
-        for (DxJobSpec& spec : specs.value()) {
-          BatchJob& job = jobs.emplace_back();
-          job.index = jobs.size() - 1;
-          job.file_index = f;
-          job.file = files[f];
-          job.scenario = build.scenario;
-          job.spec = std::move(spec);
-          job.collect_trace = options.collect_traces;
-          BatchJobResult* slot = &results.emplace_back();
-          submit([queued = &job, slot] {
-            *slot = RunJob(*queued);
-            queued->scenario.reset();
-          });
-        }
-      }
-      build.scenario.reset();
-      file_job_ranges[f].second = jobs.size();
     }
     // ~ThreadPool drains the queue and joins.
   }
-  report.total_jobs = jobs.size();
 
-  // Deterministic assembly in plan order.
+  // Assembly in input order, never completion order.
   for (size_t f = 0; f < files.size(); ++f) {
-    BatchFileReport& fr = report.files[f];
-    fr.millis += builds[f].millis;
-    report.stats += builds[f].stats;
-    for (size_t i = file_job_ranges[f].first; i < file_job_ranges[f].second;
-         ++i) {
-      ++fr.jobs;
-      fr.millis += results[i].millis;
-      report.stats += results[i].stats;
-      if (!results[i].governed.ok()) {
-        ++report.governed_jobs;
-        if (fr.governed.ok()) fr.governed = results[i].governed;
-      }
-      if (results[i].status.ok()) {
-        fr.output += results[i].output;
-      } else {
-        fr.output += StrCat(jobs[i].spec.prefix, "ocdx: error: ",
-                            results[i].status.ToString(), "\n");
-        if (fr.status.ok()) fr.status = results[i].status;
-      }
-    }
-  }
-  // Trace handoff: file f's build at traces[f], then job i at
-  // traces[files + i], so the merged render's tid layout is identical
-  // for every -j.
-  if (options.collect_traces) {
-    report.traces.reserve(files.size() + results.size());
-    for (size_t f = 0; f < files.size(); ++f) {
-      report.traces.push_back(BatchJobTrace{StrCat("file-", f, " ", files[f]),
-                                            std::move(builds[f].trace)});
-    }
-    for (size_t i = 0; i < results.size(); ++i) {
-      report.traces.push_back(BatchJobTrace{
-          StrCat("job-", i, " ", jobs[i].file), std::move(results[i].trace)});
+    report.stats += stats[f];
+    if (!report.files[f].governed.ok()) ++report.governed_jobs;
+    if (options.collect_traces) {
+      report.traces.push_back(BatchJobTrace{StrCat("job-", f, " ", files[f]),
+                                            std::move(traces[f])});
     }
   }
   report.wall_millis = wall.ElapsedMillis();
@@ -267,13 +135,7 @@ std::string RenderBatchOutput(const BatchReport& report) {
   std::string out;
   for (const BatchFileReport& f : report.files) {
     out += StrCat("==> ", f.file, " <==\n");
-    if (f.jobs == 0 && !f.status.ok()) {
-      // Planning-level failure (unreadable file, parse error, no
-      // applicable inputs): still rendered deterministically.
-      out += StrCat("ocdx: error: ", f.status.ToString(), "\n");
-    } else {
-      out += f.output;
-    }
+    out += f.output;
   }
   return out;
 }
@@ -292,7 +154,7 @@ std::string RenderBatchSummary(const BatchReport& report,
       "\n");
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "batch: wall %.2f ms, cpu (sum of builds and jobs) %.2f ms, "
+                "batch: wall %.2f ms, cpu (sum of jobs) %.2f ms, "
                 "speedup %.2fx\n",
                 report.wall_millis, job_millis,
                 report.wall_millis > 0 ? job_millis / report.wall_millis

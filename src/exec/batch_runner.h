@@ -1,30 +1,25 @@
 // Parallel batch execution of `.dx` scenario workloads.
 //
-// The runner fans a set of scenario files — and, within each scenario,
-// the independent command slices enumerated by PlanDxJobs
-// (text/dx_driver.h) — across a fixed-size thread pool (exec/pool.h),
-// then reassembles per-file canonical output in submission order.
-//
-// Each file is read, parsed and frozen exactly once, by a pool task,
-// into a FrozenScenario (exec/frozen_scenario.h), prechased under `all`;
-// the calling thread then plans the files' jobs in file order as their
-// scenarios become ready, and every job runs on the shared scenario
-// through RunFrozenCommand.
+// The runner runs each input file as one job on a fixed-size thread pool
+// (exec/pool.h): the job reads the file and runs it through RunDxFile,
+// the function behind one in-process `ocdx <command> FILE` run, in a
+// universe of its own. One RunDxCommand call already chases each
+// (mapping, instance) pair once for every section of the run
+// (Corollary 2), so a file's sections share its solutions without any
+// cross-job machinery, and a file's block of batch output is the
+// single-run output by construction.
 //
 // Determinism contract (pinned by tests/batch_exec_test.cc and the CI
 // corpus diff): RenderBatchOutput is *byte-identical* for every worker
 // count, including workers = 1, under every engine mode. This falls out
-// of three rules rather than any synchronization:
+// of two rules rather than any synchronization:
 //
-//   1. the jobs of a file share its one frozen scenario and mint only
-//      through a private overlay of its frozen universe (one overlay per
-//      job — debug-asserted by Universe); overlay ids continue the
-//      base's id spaces, so every job sees exactly the universe a fresh
-//      parse would give it;
-//   2. job outputs are canonical text (sorted rendering, justification-
-//      keyed null names), insensitive to interning order;
-//   3. results land in submission-indexed slots; concatenation order is
-//      the plan order, never completion order.
+//   1. a job shares nothing mutable with another: its universe, plan
+//      table, stats and trace sink are its own, and its output is
+//      canonical text (sorted rendering, justification-keyed null
+//      names);
+//   2. results land in input-indexed slots; concatenation order is the
+//      input order, never completion order.
 //
 // Timing and throughput live only in RenderBatchSummary, which is
 // intentionally not byte-stable.
@@ -32,11 +27,12 @@
 #ifndef OCDX_EXEC_BATCH_RUNNER_H_
 #define OCDX_EXEC_BATCH_RUNNER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "exec/job.h"
 #include "logic/engine_context.h"
+#include "obs/trace.h"
 #include "text/dx_driver.h"
 #include "util/status.h"
 
@@ -48,15 +44,12 @@ struct BatchOptions {
   /// Driver command to run on every file ("all", "chase", ...).
   std::string command = "all";
   /// Engine template for every job (mode and budgets are copied per job;
-  /// the stats pointer is ignored — each job gets its own sink — and so
-  /// is any plan table: each file's scenario owns the one its jobs use).
+  /// the stats and trace pointers are ignored — each job gets its own
+  /// sinks — and so is any plan table: each job's run attaches its own).
   EngineContext engine;
-  /// Fan out the slices within a scenario (per-mapping chase/certain
-  /// jobs). Off = one job per file.
-  bool split_scenarios = true;
-  /// Give every file build and every job its own obs::TraceSink and
-  /// return the sinks on the report (BatchReport::traces) for a merged
-  /// Chrome trace. Stdout stays byte-identical either way.
+  /// Give every job its own obs::TraceSink and return the sinks on the
+  /// report (BatchReport::traces) for a merged Chrome trace. Stdout stays
+  /// byte-identical either way.
   bool collect_traces = false;
   /// Extra driver selection applied to every file (mapping/sigma/...).
   DxDriverOptions driver;
@@ -65,36 +58,33 @@ struct BatchOptions {
 /// Per-file slice of the report, in input order.
 struct BatchFileReport {
   std::string file;
-  Status status;       ///< OK iff planning and every job succeeded.
-  /// First budget/deadline/cancellation trip among the file's jobs (OK
-  /// when none). Orthogonal to `status`: a governed file still produced
+  Status status;       ///< The read, parse or run failure, if any.
+  /// First budget/deadline/cancellation trip of the file's run (OK when
+  /// none). Orthogonal to `status`: a governed file still produced
   /// complete, deterministic output with inline `error ...` lines.
   Status governed;
-  std::string output;  ///< Concatenated job outputs; failed jobs render a
-                       ///< deterministic "ocdx: error:" line in place.
-  size_t jobs = 0;
-  /// Time of the file's build (read, parse, prechase under `all`,
-  /// freeze) plus the sum of its job times (not wall time).
-  double millis = 0;
+  /// The run's canonical text, or one deterministic "ocdx: error:" line
+  /// when `status` is not OK.
+  std::string output;
+  double millis = 0;  ///< Time of the file's job: read, parse and run.
 };
 
-/// One track of the merged Chrome render: a file build or a job. The
-/// label becomes the thread name and the track's index fixes its tid
-/// block, so traces are stably laid out for every worker count.
+/// One track of the merged Chrome render: one file's job. The label
+/// becomes the thread name and the track's index fixes its tid block, so
+/// traces are stably laid out for every worker count.
 struct BatchJobTrace {
-  std::string label;  ///< "file-<index> <file>" or "job-<index> <file>".
+  std::string label;  ///< "job-<index> <file>".
   std::unique_ptr<obs::TraceSink> sink;
 };
 
 struct BatchReport {
   std::vector<BatchFileReport> files;  ///< Input order.
-  size_t total_jobs = 0;
+  size_t total_jobs = 0;  ///< One job per input file.
   size_t governed_jobs = 0;  ///< Jobs that tripped a budget/deadline/cancel.
   double wall_millis = 0;  ///< End-to-end batch wall time.
-  EngineStats stats;  ///< Aggregated over all file builds and jobs.
+  EngineStats stats;  ///< Aggregated over all jobs.
   /// Only when BatchOptions::collect_traces was set: one sink per input
-  /// file (its build, in file order), then one per job in submission
-  /// order.
+  /// file, in input order.
   std::vector<BatchJobTrace> traces;
 
   bool ok() const {
@@ -105,9 +95,9 @@ struct BatchReport {
   }
 };
 
-/// Reads, plans, and executes `files` under `options`. Only hard setup
-/// errors (no input files) fail the call itself; per-file read/parse/run
-/// failures are recorded in the report.
+/// Reads and runs `files` under `options`, one job per file. Only hard
+/// setup errors (no input files) fail the call itself; per-file
+/// read/parse/run failures are recorded in the report.
 Result<BatchReport> RunDxBatch(const std::vector<std::string>& files,
                                const BatchOptions& options);
 
@@ -128,7 +118,8 @@ std::string RenderBatchSummary(const BatchReport& report,
 Result<std::string> ReadDxFile(const std::string& path);
 
 /// Parses `path` into a fresh Universe and runs one driver command
-/// against it: one cold `ocdxd` request or one in-process `ocdx` run.
+/// against it: one cold `ocdxd` request, one in-process `ocdx` run or one
+/// batch job. A parse failure keeps its code and is prefixed with `path`.
 /// `governed` (optional) receives the first budget/deadline/cancellation
 /// trip, exactly as in RunDxCommand.
 Result<std::string> RunDxFile(const std::string& path,

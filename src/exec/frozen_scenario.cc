@@ -20,8 +20,7 @@ void FrozenScenario::Freeze() {
 
 Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
                                            std::string dx_text,
-                                           const EngineContext& engine,
-                                           bool prechase) {
+                                           const EngineContext& engine) {
   FrozenScenario frozen;
   frozen.source_path = std::move(source_path);
   frozen.dx_text = std::move(dx_text);
@@ -32,21 +31,19 @@ Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
         frozen.scenario,
         ParseDxScenario(frozen.dx_text, frozen.universe.get()));
   }
-  if (prechase) {
-    EngineContext ctx = engine;
-    ctx.plans = frozen.plans;
-    ctx = DxRunContext(frozen.scenario, ctx);
-    for (const DxMappingDecl& m : frozen.scenario.mappings) {
-      for (const DxInstanceDecl& inst : frozen.scenario.instances) {
-        if (!DxChasePairOk(m, inst)) continue;
-        Result<CanonicalSolution> chased =
-            Chase(m.mapping, inst.plain, frozen.universe.get(), ctx);
-        if (!chased.ok()) {
-          if (IsBudgetStatusCode(chased.status().code())) continue;
-          return chased.status();
-        }
-        frozen.prechased.Put(m.name, inst.name, std::move(chased).value());
+  EngineContext ctx = engine;
+  ctx.plans = frozen.plans;
+  ctx = DxRunContext(frozen.scenario, ctx);
+  for (const DxMappingDecl& m : frozen.scenario.mappings) {
+    for (const DxInstanceDecl& inst : frozen.scenario.instances) {
+      if (!DxChasePairOk(m, inst)) continue;
+      Result<CanonicalSolution> chased =
+          Chase(m.mapping, inst.plain, frozen.universe.get(), ctx);
+      if (!chased.ok()) {
+        if (IsBudgetStatusCode(chased.status().code())) continue;
+        return chased.status();
       }
+      frozen.prechased.Put(m.name, inst.name, std::move(chased).value());
     }
   }
   frozen.Freeze();

@@ -1,20 +1,16 @@
 // FrozenScenario: one parsed `.dx` file, sealed for concurrent readers —
-// the unit every multi-run path serves from.
+// the unit a snapshot serves from.
 //
-// A scenario is parsed once into its own Universe, optionally prechased,
-// and then frozen: the Universe (Universe::Freeze) and every relation of
-// every declared instance and of every prechased solution
-// (Relation::Freeze). From then on any number of threads run driver
-// commands on it at once, each through RunFrozenCommand: mint a private
-// copy-on-write overlay of the frozen universe, then RunDxCommand over
-// the shared scenario, borrowing the prechased solutions in place:
-//
-//   - `ocdx batch`: one FrozenScenario per input file, built by a pool
-//     task; every job sliced from the file runs on it
-//     (exec/batch_runner.h). Under `all` it is prechased, an in-memory
-//     snapshot;
-//   - `ocdx snapshot run` and `ocdxd --preload`: a snapshot builds or
-//     loads into one (snap::SnapshotBundle is this type).
+// A scenario is parsed once into its own Universe, prechased, and then
+// frozen: the Universe (Universe::Freeze) and every relation of every
+// declared instance and of every prechased solution (Relation::Freeze).
+// From then on any number of threads run driver commands on it at once,
+// each through RunFrozenCommand: mint a private copy-on-write overlay of
+// the frozen universe, then RunDxCommand over the shared scenario,
+// borrowing the prechased solutions in place. Its users are `ocdx
+// snapshot run` and `ocdxd --preload`: a snapshot builds or loads into
+// one (snap::SnapshotBundle is this type). `ocdx batch` does not use it:
+// a batch file is one job in a universe of its own (exec/batch_runner.h).
 //
 // Byte-identity: overlay ids continue the frozen base's id spaces, so a
 // command run on an overlay mints exactly the values it would mint right
@@ -24,8 +20,8 @@
 //
 // Plan table: the scenario owns the plan::PlanTable its runs share.
 // RunFrozenCommand attaches it to every run, replacing any table on the
-// caller's context, so the jobs of one batch file, or the requests served
-// from one preloaded snapshot, compile each query once between them.
+// caller's context, so the requests served from one preloaded snapshot
+// compile each query once between them.
 
 #ifndef OCDX_EXEC_FROZEN_SCENARIO_H_
 #define OCDX_EXEC_FROZEN_SCENARIO_H_
@@ -50,8 +46,8 @@ struct FrozenScenario {
   std::string dx_text;      ///< The scenario text.
   std::unique_ptr<Universe> universe;
   DxScenario scenario;  ///< Parsed from dx_text over *universe.
-  /// Pre-chased canonical solutions: a snapshot's, or a batch file's
-  /// under `all`; otherwise empty. Runs borrow them in place.
+  /// Pre-chased canonical solutions, one per ungoverned DxChasePairOk
+  /// pair. Runs borrow them in place.
   PrechasedStore prechased;
   /// The plan table every run on this scenario shares.
   std::shared_ptr<plan::PlanTable> plans =
@@ -62,15 +58,13 @@ struct FrozenScenario {
   void Freeze();
 };
 
-/// The build behind `ocdx batch` and the snapshot writer: parses `dx_text`
-/// into a fresh Universe; with `prechase`, chases every DxChasePairOk pair
-/// into `prechased` under DxRunContext, as a cold run would; then freezes
-/// the result. Governed pairs are left out; any other error, a parse
-/// error included, is returned unchanged.
+/// The snapshot writer's build: parses `dx_text` into a fresh Universe,
+/// chases every DxChasePairOk pair into `prechased` under DxRunContext, as
+/// a cold run would, then freezes the result. Governed pairs are left
+/// out; any other error, a parse error included, is returned unchanged.
 Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
                                            std::string dx_text,
-                                           const EngineContext& engine,
-                                           bool prechase);
+                                           const EngineContext& engine);
 
 /// The one serving function: mints a copy-on-write overlay over the
 /// frozen universe, attaches the scenario's plan table and prechased

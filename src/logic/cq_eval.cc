@@ -1,7 +1,5 @@
 #include "logic/cq_eval.h"
 
-#include <set>
-
 #include "plan/plan_table.h"
 #include "plan/runner.h"
 
@@ -23,26 +21,6 @@ std::optional<Relation> TryEvalCQ(const FormulaPtr& f,
   Relation out(order.size());
   plan::RunRelational(bound, /*binding=*/nullptr, &out);
   return out;
-}
-
-std::optional<bool> TryHoldsCQ(const FormulaPtr& f,
-                               const std::map<std::string, Value>& binding,
-                               const Instance& inst,
-                               const EngineContext& ctx) {
-  plan::CompileRequest req;
-  req.formula = f;
-  req.boolean_mode = true;
-  for (const std::string& v : FreeVars(f)) {
-    if (binding.find(v) == binding.end()) return std::nullopt;
-    req.prebound.insert(v);
-  }
-  plan::CompiledQueryPtr cq =
-      plan::GetOrCompile(req, inst, JoinEngineMode::kIndexed, ctx);
-  if (cq->kind != plan::PlanKind::kRelational) return std::nullopt;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst, &ctx);
-  if (!bound.arity_ok) return std::nullopt;
-  if (ctx.stats != nullptr) ++ctx.stats->cq_plans;
-  return plan::RunRelational(bound, &binding, /*out=*/nullptr);
 }
 
 }  // namespace ocdx

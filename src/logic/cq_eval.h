@@ -9,23 +9,22 @@
 // any other shape it declines and the caller falls back to the generic
 // evaluator, so using it is always sound.
 //
-// These entry points are thin wrappers over the src/plan subsystem:
+// TryEvalCQ is a thin wrapper over the src/plan subsystem:
 // plan::CompileQuery produces the immutable, schema-level CompiledQuery
 // (slot frames, ordered atom steps, equality/guard schedules) and
 // plan::BindQuery rebinds it per instance. When `ctx` carries a plan
 // table (EngineContext::plans, plan/plan_table.h) the compile happens
 // once per (formula, schema fingerprint, engine mode) — the member-
-// enumeration loops call these thousands of times per query and pay for
+// enumeration loops call it thousands of times per query and pay for
 // compilation exactly once. Without a table every call compiles.
 //
-// The reference these are checked against is the generic evaluator
+// The reference it is checked against is the generic evaluator
 // (logic/evaluator.h under JoinEngineMode::kGeneric), which applies the
 // active-domain definition literally.
 
 #ifndef OCDX_LOGIC_CQ_EVAL_H_
 #define OCDX_LOGIC_CQ_EVAL_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,14 +47,6 @@ namespace ocdx {
 /// cache and stats sink; which engine runs is the caller's dispatch.
 std::optional<Relation> TryEvalCQ(
     const FormulaPtr& f, const std::vector<std::string>& order,
-    const Instance& inst, const EngineContext& ctx = EngineContext());
-
-/// Boolean variant for sentence/guard checks: is `f` satisfied when its
-/// free variables are pre-bound by `binding`? Declines (nullopt) when the
-/// shape is unsupported or some free variable of `f` is missing from
-/// `binding`. Runs the compiled plan with early exit on the first match.
-std::optional<bool> TryHoldsCQ(
-    const FormulaPtr& f, const std::map<std::string, Value>& binding,
     const Instance& inst, const EngineContext& ctx = EngineContext());
 
 }  // namespace ocdx

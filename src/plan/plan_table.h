@@ -6,13 +6,12 @@
 // rebound per instance. A PlanTable holds those plans for one scope:
 //
 //   - each FrozenScenario (exec/frozen_scenario.h) owns one, which
-//     RunFrozenCommand attaches to every run on it: the jobs of one
-//     `ocdx batch` file share their file's table, and every run of a
+//     RunFrozenCommand attaches to every run on it: every run of a
 //     snapshot bundle — `ocdx snapshot run`, or an `ocdxd --preload`
-//     bundle for the server's lifetime — shares the bundle's. A file
-//     listed twice is two scenarios with two tables;
-//   - each cold `ocdx` / `ocdxd` request gets a fresh table
-//     (EngineContext::EnsureCache in RunDxCommand);
+//     bundle for the server's lifetime — shares the bundle's;
+//   - each cold `ocdx` run, `ocdxd` request and `ocdx batch` file gets a
+//     fresh table (EngineContext::EnsureCache in RunDxCommand), so a file
+//     listed twice in a batch is two runs with two tables;
 //   - a member-enumeration fan-out (certain/member_enum.cc) hands every
 //     shard the caller's table, so shards share compile-once plans with
 //     each other and with the job's sequential evaluations.
@@ -39,11 +38,11 @@
 // plan::GetOrCompile is the only way in.
 //
 // \invariant One table per scope. A table is attached to the context of
-//   the scope that owns it (frozen scenario, cold request) and reaches
+//   the scope that owns it (frozen scenario, cold run) and reaches
 //   everything that scope evaluates by context copy; nothing creates a
 //   second table inside a scope that already has one, and a batch
-//   template context's table never reaches a job (RunFrozenCommand
-//   replaces it with the scenario's).
+//   template context's table never reaches a job (the batch runner drops
+//   it, and RunFrozenCommand replaces a caller's with the scenario's).
 // \invariant Published entries are immutable. A published CompiledQuery
 //   is immutable (see compiled_query.h) and its slot is written exactly
 //   once, before the count release-store that makes it visible, so

@@ -56,13 +56,13 @@ namespace snap {
 /// server's lifetime.
 using SnapshotBundle = FrozenScenario;
 
-/// BuildFrozenScenario with prechasing: a stored solution is exactly what
-/// a cold run would compute, and governed pairs are left out.
+/// BuildFrozenScenario: a stored solution is exactly what a cold run would
+/// compute, and governed pairs are left out.
 inline Result<SnapshotBundle> BuildSnapshotBundle(
     std::string source_path, std::string dx_text,
     const EngineContext& engine = EngineContext()) {
   return BuildFrozenScenario(std::move(source_path), std::move(dx_text),
-                             engine, /*prechase=*/true);
+                             engine);
 }
 
 /// Serializes the bundle to snapshot bytes (format v1, snap/format.h).

@@ -60,20 +60,6 @@ std::string MappingErrorLine(const DxMappingDecl& m, const Status& status) {
                 m.col, "): ", status.ToString(), "\n");
 }
 
-// Error texts shared verbatim by the run paths and PlanDxJobs (the batch
-// planner must fail with byte-identical messages to the sequential run).
-constexpr char kNoChasePair[] =
-    "no applicable (plain mapping, plain instance over its source "
-    "schema) pair for chase";
-constexpr char kNoCertainTriple[] =
-    "no applicable (mapping, instance, query) triple for certain";
-constexpr char kNoMembershipInput[] =
-    "no applicable membership input: need a (mapping, plain source, "
-    "ground target) triple or an (annotated instance, ground instance) "
-    "pair";
-constexpr char kUnknownCommand[] =
-    "' (expected chase, certain, classify, membership, compose or all)";
-
 // ---------------------------------------------------------------------------
 // Input enumeration
 // ---------------------------------------------------------------------------
@@ -302,7 +288,11 @@ Result<std::string> ChaseText(const DxScenario& sc, Universe* u,
                     fresh, ", empty markers=", markers, "\n");
     }
   }
-  if (out.empty()) return Status::NotFound(kNoChasePair);
+  if (out.empty()) {
+    return Status::NotFound(
+        "no applicable (plain mapping, plain instance over its source "
+        "schema) pair for chase");
+  }
   return out;
 }
 
@@ -384,7 +374,10 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
       }
     }
   }
-  if (out.empty()) return Status::NotFound(kNoCertainTriple);
+  if (out.empty()) {
+    return Status::NotFound(
+        "no applicable (mapping, instance, query) triple for certain");
+  }
   return out;
 }
 
@@ -533,7 +526,12 @@ Result<std::string> MembershipText(const DxScenario& sc, Universe* u,
       out += StrCat("  ", g.name, ": member=", YesNo(member.value()), "\n");
     }
   }
-  if (out.empty()) return Status::NotFound(kNoMembershipInput);
+  if (out.empty()) {
+    return Status::NotFound(
+        "no applicable membership input: need a (mapping, plain source, "
+        "ground target) triple or an (annotated instance, ground "
+        "instance) pair");
+  }
   return out;
 }
 
@@ -644,7 +642,9 @@ Result<std::string> RunSection(const DxScenario& sc,
   }
   if (command == "compose") return ComposeText(sc, u, options, governed);
   return Status::InvalidArgument(
-      StrCat("unknown command '", command, kUnknownCommand));
+      StrCat("unknown command '", command,
+             "' (expected chase, certain, classify, membership, compose or "
+             "all)"));
 }
 
 }  // namespace
@@ -699,67 +699,6 @@ Result<std::string> RunDxCommand(const DxScenario& scenario,
         RunSection(scenario, cmd, universe, run, &solutions, governed));
     out += text;
   }
-  return out;
-}
-
-Result<std::vector<DxJobSpec>> PlanDxJobs(const DxScenario& scenario,
-                                          const std::string& command,
-                                          const DxDriverOptions& options) {
-  std::vector<DxJobSpec> out;
-  if (command == "all") {
-    std::string header =
-        scenario.name.empty() ? ""
-                              : StrCat("scenario '", scenario.name, "'\n");
-    for (const std::string& cmd : ApplicableDxCommands(scenario)) {
-      OCDX_ASSIGN_OR_RETURN(std::vector<DxJobSpec> sub,
-                            PlanDxJobs(scenario, cmd, options));
-      for (size_t i = 0; i < sub.size(); ++i) {
-        if (i == 0) {
-          sub[i].prefix =
-              StrCat(header, "== ", cmd, " ==\n", sub[i].prefix);
-          header.clear();
-        }
-        out.push_back(std::move(sub[i]));
-      }
-    }
-    return out;
-  }
-
-  if (command == "chase" || command == "certain") {
-    OCDX_RETURN_IF_ERROR(CheckMappingSelection(scenario, options));
-    // Per-mapping slices; mapping names select unambiguously because the
-    // parser rejects duplicate mapping declarations.
-    for (const DxMappingDecl& m : scenario.mappings) {
-      if (!options.mapping.empty() && m.name != options.mapping) continue;
-      if (!MappingApplies(scenario, m, command)) continue;
-      DxJobSpec spec;
-      spec.command = command;
-      spec.options = options;
-      spec.options.mapping = m.name;
-      out.push_back(std::move(spec));
-    }
-    if (out.empty()) {
-      return Status::NotFound(command == "chase" ? kNoChasePair
-                                                 : kNoCertainTriple);
-    }
-    return out;
-  }
-
-  // classify / membership / compose: one job running the command
-  // verbatim. Validate applicability up front so planning fails exactly
-  // where running would.
-  if (command == "membership" && !HasMembershipInputs(scenario)) {
-    return Status::NotFound(kNoMembershipInput);
-  }
-  if (command != "classify" && command != "membership" &&
-      command != "compose") {
-    return Status::InvalidArgument(
-        StrCat("unknown command '", command, kUnknownCommand));
-  }
-  DxJobSpec spec;
-  spec.command = command;
-  spec.options = options;
-  out.push_back(std::move(spec));
   return out;
 }
 

@@ -44,10 +44,10 @@
 namespace ocdx {
 
 /// Pre-chased canonical solutions, keyed by (mapping name, instance name)
-/// — a frozen scenario's (exec/frozen_scenario.h): a snapshot's, or a
-/// batch `all` file's. A run borrows a stored solution in place and never
-/// copies it, so one frozen store serves any number of concurrent runs,
-/// each minting through its own overlay of the scenario's universe.
+/// — a frozen scenario's (exec/frozen_scenario.h), that is a snapshot's.
+/// A run borrows a stored solution in place and never copies it, so one
+/// frozen store serves any number of concurrent runs, each minting
+/// through its own overlay of the scenario's universe.
 class PrechasedStore {
  public:
   void Put(std::string mapping, std::string instance, CanonicalSolution csol) {
@@ -138,32 +138,6 @@ EngineContext DxRunContext(const DxScenario& scenario,
 /// The commands (other than "all") that have at least one applicable
 /// input combination in this scenario, in canonical order.
 std::vector<std::string> ApplicableDxCommands(const DxScenario& scenario);
-
-/// One independently runnable slice of a command: `prefix` followed by
-/// the output of RunDxCommand(scenario, command, u, options).
-///
-/// Invariant (relied on by the batch executor, src/exec): running the
-/// specs of PlanDxJobs — each on its own overlay of one frozen parse of
-/// the scenario text (exec/frozen_scenario.h), in any order — and
-/// concatenating prefix + output in spec order yields text
-/// byte-identical to running `command` directly. Canonical rendering
-/// (sorted relations, justification-keyed null names) is what makes the
-/// slices insensitive to the surrounding universe state.
-struct DxJobSpec {
-  std::string command;
-  DxDriverOptions options;
-  std::string prefix;
-};
-
-/// Decomposes `command` into independent job slices: chase and certain
-/// fan out per applicable mapping, `all` expands into its sub-commands
-/// (with the scenario header and `== cmd ==` banners carried as
-/// prefixes), and everything else stays a single job. Fails exactly when
-/// RunDxCommand would fail up front (unknown command, bad selection, no
-/// applicable inputs).
-Result<std::vector<DxJobSpec>> PlanDxJobs(const DxScenario& scenario,
-                                          const std::string& command,
-                                          const DxDriverOptions& options = {});
 
 }  // namespace ocdx
 

@@ -229,12 +229,8 @@ Status DxParser::ParseBudgetDecl(DxScenario* out) {
     }
     size_t value_offset = Peek().offset;
     uint64_t value = 0;
-    for (char c : Advance().text) {
-      uint64_t digit = static_cast<uint64_t>(c - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        return ErrorAt(value_offset, "budget value does not fit in 64 bits");
-      }
-      value = value * 10 + digit;
+    if (!ParseU64(Advance().text, &value)) {
+      return ErrorAt(value_offset, "budget value does not fit in 64 bits");
     }
     OCDX_RETURN_IF_ERROR(
         Expect(DxTokKind::kSemicolon, "';' after budget setting"));

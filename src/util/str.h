@@ -3,6 +3,7 @@
 #ifndef OCDX_UTIL_STR_H_
 #define OCDX_UTIL_STR_H_
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -27,6 +28,22 @@ inline std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+/// Parses a plain decimal count: one or more ASCII digits and nothing
+/// else (no sign, no whitespace), at most UINT64_MAX. Leaves `*out`
+/// untouched and returns false on any other text.
+inline bool ParseU64(std::string_view text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace ocdx

@@ -2,13 +2,13 @@
 // EngineContext reentrancy contract it rests on.
 //
 // The headline property is *determinism*: `ocdx batch -j 8` must be
-// byte-identical to `-j 1` over the whole corpus under every engine mode
-// — no synchronization makes that true beyond the build-once publication
-// of frozen state: the jobs of a file share its one frozen scenario and
-// plan table, and each mints only through its own overlay and writes
-// only its own stats. CI additionally runs this file under
-// ThreadSanitizer (the `tsan` preset), which turns any violation of that
-// contract into a hard failure instead of a flaky diff.
+// byte-identical to `-j 1` over the whole corpus under every engine mode,
+// and each file's block must be exactly what one `ocdx <command> FILE`
+// run prints — a batch file is one job, run by RunDxFile in a universe
+// of its own, writing only its own stats. CI additionally runs this file
+// under ThreadSanitizer (the `tsan` preset), which turns any shared
+// mutable state between jobs into a hard failure instead of a flaky
+// diff.
 
 #include <atomic>
 #include <filesystem>
@@ -17,6 +17,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,7 @@
 #include "semantics/homomorphism.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -118,41 +121,78 @@ TEST(BatchExec, ParallelOutputIsByteIdenticalToSequential) {
   }
 }
 
-// The slice-concatenation invariant of PlanDxJobs: batch output per file
-// (any -j) equals running the command directly on that file.
-TEST(BatchExec, SlicedOutputMatchesDirectDriverRun) {
-  for (const std::string& file : CorpusFiles()) {
-    SCOPED_TRACE(file);
-    const std::string src = ReadFileOrDie(file);
-
-    Universe u;
-    Result<DxScenario> scenario = ParseDxScenario(src, &u);
-    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-    Result<std::string> direct = RunDxCommand(scenario.value(), "all", &u);
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-
-    BatchOptions options;
-    options.workers = 4;
-    Result<BatchReport> report = RunDxBatch({file}, options);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ASSERT_EQ(report.value().files.size(), 1u);
-    EXPECT_EQ(report.value().files[0].output, direct.value());
+// Each file's block is what one in-process `ocdx <command> FILE` run
+// (RunDxFile) prints, or the `ocdx: error:` line for its failure, for
+// every command, under both engines.
+TEST(BatchExec, OutputMatchesDirectDriverRun) {
+  const std::vector<std::string> corpus = CorpusFiles();
+  ASSERT_FALSE(corpus.empty());
+  for (JoinEngineMode mode :
+       {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
+    const std::vector<std::string> files =
+        mode == JoinEngineMode::kGeneric ? GenericAffordableFiles(corpus)
+                                         : corpus;
+    for (const char* command :
+         {"all", "chase", "certain", "classify", "membership", "compose"}) {
+      SCOPED_TRACE(StrCat("mode ", static_cast<int>(mode), ", ", command));
+      BatchOptions options;
+      options.workers = 4;
+      options.command = command;
+      options.engine = EngineContext::ForMode(mode);
+      Result<BatchReport> report = RunDxBatch(files, options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_EQ(report.value().files.size(), files.size());
+      EXPECT_EQ(report.value().total_jobs, files.size());
+      for (size_t f = 0; f < files.size(); ++f) {
+        SCOPED_TRACE(files[f]);
+        DxDriverOptions driver;
+        driver.engine = options.engine;
+        Result<std::string> direct =
+            RunDxFile(files[f], ReadFileOrDie(files[f]), command, driver);
+        const BatchFileReport& got = report.value().files[f];
+        EXPECT_EQ(got.file, files[f]);
+        EXPECT_EQ(got.status, direct.status());
+        EXPECT_EQ(got.output,
+                  direct.ok() ? direct.value()
+                              : StrCat("ocdx: error: ",
+                                       direct.status().ToString(), "\n"));
+      }
+    }
   }
 }
 
-TEST(BatchExec, SplitOffMatchesSplitOn) {
-  std::vector<std::string> files = CorpusFiles();
-  BatchOptions split;
-  split.workers = 4;
-  BatchOptions whole = split;
-  whole.split_scenarios = false;
-  Result<BatchReport> a = RunDxBatch(files, split);
-  Result<BatchReport> b = RunDxBatch(files, whole);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(a.value().total_jobs, b.value().total_jobs);
-  EXPECT_EQ(b.value().total_jobs, files.size());
-  EXPECT_EQ(RenderBatchOutput(a.value()), RenderBatchOutput(b.value()));
+// An unreadable file and a file that fails to parse each render one
+// error line: the read error, and RunDxFile's path-prefixed parse error
+// (what `ocdxd` replies for the same file).
+TEST(BatchExec, ReadAndParseErrorsRenderOneLine) {
+  const fs::path dir = fs::temp_directory_path() /
+                       StrCat("ocdx_batch_exec_test_", ::getpid());
+  fs::create_directories(dir);
+  const std::string bad = (dir / "bad.dx").string();
+  {
+    std::ofstream out(bad, std::ios::binary);
+    out << "scenario 'bad';\nschema src { E(a, b); }\nbogus;\n";
+  }
+  const std::string missing = "/nonexistent/nope.dx";
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(workers);
+    BatchOptions options;
+    options.workers = workers;
+    Result<BatchReport> report = RunDxBatch({bad, missing}, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_FALSE(report.value().ok());
+    EXPECT_EQ(report.value().files[0].status.code(), StatusCode::kParseError);
+    EXPECT_EQ(report.value().files[1].status.code(), StatusCode::kNotFound);
+    EXPECT_EQ(RenderBatchOutput(report.value()),
+              StrCat("==> ", bad, " <==\n",
+                     "ocdx: error: ParseError: ", bad,
+                     ": expected 'scenario', 'budget', 'schema', 'mapping', "
+                     "'instance' or 'query' near 'bogus' at line 3, col 1\n",
+                     "==> ", missing, " <==\n",
+                     "ocdx: error: NotFound: cannot read '", missing,
+                     "'\n"));
+  }
+  fs::remove_all(dir);
 }
 
 TEST(BatchExec, FailuresAreDeterministicAndReported) {
@@ -182,8 +222,7 @@ TEST(BatchExec, EmptyInputIsAnError) {
   EXPECT_FALSE(RunDxBatch({}, BatchOptions{}).ok());
 }
 
-// Parse once per file: the only parse span of a traced batch is each
-// file's build, however many jobs the file is sliced into.
+// Parse once per file: a file is one job, and its run parses it once.
 TEST(BatchExec, ParsesEachFileOnce) {
   std::vector<std::string> files = CorpusFiles();
   ASSERT_FALSE(files.empty());
@@ -194,7 +233,7 @@ TEST(BatchExec, ParsesEachFileOnce) {
     options.collect_traces = true;
     Result<BatchReport> report = RunDxBatch(files, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ASSERT_GT(report.value().total_jobs, files.size());
+    ASSERT_EQ(report.value().total_jobs, files.size());
     size_t parses = 0;
     for (const BatchJobTrace& t : report.value().traces) {
       for (const obs::TraceEvent& e : t.sink->events()) {
@@ -224,9 +263,8 @@ TEST(EngineContext, PlanTablesArePerFile) {
   EngineContext copy = ctx;
   EXPECT_EQ(copy.plans, first);
 
-  // The jobs of one file share its scenario's table, so between them
-  // they compile each query exactly as often as one direct `all` run,
-  // which owns a single table.
+  // A batch file is one run with one table, so it compiles each query
+  // exactly as often as one direct `all` run.
   const std::string file = std::string(OCDX_CORPUS_DIR) + "/conference.dx";
   Result<std::string> source = ReadDxFile(file);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
@@ -240,12 +278,12 @@ TEST(EngineContext, PlanTablesArePerFile) {
   options.engine.EnsureCache();
   Result<BatchReport> one = RunDxBatch({file}, options);
   ASSERT_TRUE(one.ok() && one.value().ok());
-  ASSERT_GT(one.value().total_jobs, 1u);
+  ASSERT_EQ(one.value().total_jobs, 1u);
   EXPECT_GT(one.value().stats.plan_compiles, 0u);
   EXPECT_EQ(one.value().stats.plan_compiles, direct.plan_compiles)
-      << "the jobs of one file compile each query once between them";
+      << "a batch file compiles each query once";
 
-  // The same path listed twice is two scenarios with two tables.
+  // The same path listed twice is two runs with two tables.
   Result<BatchReport> two = RunDxBatch({file, file}, options);
   ASSERT_TRUE(two.ok() && two.value().ok());
   EXPECT_EQ(two.value().stats.plan_compiles,

@@ -103,13 +103,25 @@ TEST_F(PlanTest, BooleanPresetsAreRuntimeValues) {
   FormulaPtr f = Parse("exists z. E(x, z)");
   EngineContext ctx = Cached();
 
-  std::map<std::string, Value> hit{{"x", u_.Const("a")}};
-  std::map<std::string, Value> miss{{"x", u_.Const("b")}};
-  EXPECT_EQ(TryHoldsCQ(f, hit, inst, ctx), std::optional<bool>(true));
-  EXPECT_EQ(TryHoldsCQ(f, miss, inst, ctx), std::optional<bool>(false));
-  EXPECT_EQ(TryHoldsCQ(f, hit, inst, ctx), std::optional<bool>(true));
+  Evaluator ev(inst, u_, ctx);
+  Env hit{{"x", u_.Const("a")}};
+  Env miss{{"x", u_.Const("b")}};
+  auto holds = [](Result<bool> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r.value();
+  };
+  // One prepared plan, run under both bindings.
+  PreparedQuery q = ev.PrepareHolds(f, hit);
+  EXPECT_TRUE(holds(ev.Holds(q, hit)));
+  EXPECT_FALSE(holds(ev.Holds(q, miss)));
+  EXPECT_TRUE(holds(ev.Holds(q, hit)));
+  // Each formula-path call prepares again: one plan-table probe each.
+  EXPECT_FALSE(holds(ev.Holds(f, miss)));
+  EXPECT_TRUE(holds(ev.Holds(f, hit)));
   EXPECT_EQ(stats_.plan_compiles, 1u);
   EXPECT_EQ(stats_.plan_cache_hits, 2u);
+  EXPECT_EQ(stats_.cq_plans, 5u) << "every run is the compiled plan";
+  EXPECT_EQ(stats_.generic_evals, 0u);
 }
 
 TEST_F(PlanTest, CacheKeysDistinguishModeOrderAndSchema) {

@@ -167,5 +167,20 @@ TEST(StrTest, StrCatAndJoin) {
   EXPECT_EQ(Join({}, ","), "");
 }
 
+TEST(StrTest, ParseU64AcceptsPlainDecimalOnly) {
+  uint64_t value = 7;
+  for (const char* bad : {"", "+1", " 1", "1 ", "-0", "0x1", "1.0",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseU64(bad, &value)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(value, 7u) << "a rejected text leaves the output untouched";
+  ASSERT_TRUE(ParseU64("0", &value));
+  EXPECT_EQ(value, 0u);
+  ASSERT_TRUE(ParseU64("0042", &value));
+  EXPECT_EQ(value, 42u);
+  ASSERT_TRUE(ParseU64("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+}
+
 }  // namespace
 }  // namespace ocdx

@@ -8,9 +8,10 @@
 //   ocdx all FILE.dx [flags]         every applicable command (golden form)
 //   ocdx print FILE.dx               parse and pretty-print canonically
 //   ocdx batch FILE.dx... [flags]    run --command over many files on a
-//                                    worker pool (-j N); stdout is byte-
-//                                    identical for every -j, timing goes
-//                                    to stderr
+//                                    worker pool (-j N), one job per
+//                                    file; stdout is each file's single-
+//                                    run output, byte-identical for
+//                                    every -j, timing goes to stderr
 //   ocdx snapshot write FILE.dx OUT.snap
 //                                    parse + chase once, persist the
 //                                    result as a relocatable binary
@@ -48,8 +49,6 @@
 // docs/observability.md).
 //   -j N / --jobs=N                  batch: worker threads (default 1)
 //   --command=CMD                    batch: driver command (default all)
-//   --no-split                       batch: one job per file (no
-//                                    within-scenario fan-out)
 //
 // Exit codes: 0 = success; 1 = error (unreadable/unparsable input, hard
 // failure); 2 = usage; 3 = the run completed but at least one evaluation
@@ -59,14 +58,13 @@
 //
 // Output is canonical and diff-stable (see text/dx_driver.h); the golden
 // corpus under tests/corpus pins `ocdx all` for every scenario, and the
-// CI batch diff pins `ocdx batch -j 8` == `-j 1`.
+// CI batch diffs pin `ocdx batch -j 8` == `-j 1` == the single runs.
 //
 // The engine mode is carried in an explicit EngineContext on the driver
 // options — the CLI never writes the deprecated process-global mode, so
 // no global state survives any exit path.
 
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -83,6 +81,7 @@
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
 #include "util/fault.h"
+#include "util/str.h"
 
 namespace {
 
@@ -97,7 +96,7 @@ constexpr char kUsage[] =
     "            [--shards=N] [--stats] [--stats-json=FILE] "
     "[--trace-out=FILE]\n"
     "       ocdx batch FILE.dx... [-j N] [--command=CMD] "
-    "[--engine=MODE] [--no-split]\n"
+    "[--engine=MODE]\n"
     "                  [--stats] [--stats-json=FILE] [--trace-out=FILE]\n"
     "       ocdx snapshot write FILE.dx OUT.snap [--engine=MODE] "
     "[budget flags]\n"
@@ -116,19 +115,6 @@ bool FlagValue(std::string_view arg, std::string_view name,
     return false;
   }
   *out = std::string(rest.substr(name.size() + 1));
-  return true;
-}
-
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
   return true;
 }
 
@@ -174,7 +160,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> positional;
   std::string engine = "indexed";
-  std::string jobs_flag;
+  std::string jobs_flag = "1";
   std::string command_flag;
   std::string chase_max_triggers_flag;
   std::string max_members_flag;
@@ -183,7 +169,6 @@ int main(int argc, char** argv) {
   std::string stats_json_flag;
   std::string trace_out_flag;
   bool stats_flag = false;
-  bool no_split = false;
   DxDriverOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -197,10 +182,6 @@ int main(int argc, char** argv) {
     }
     if (arg.size() > 2 && arg.substr(0, 2) == "-j") {  // make-style "-j8"
       jobs_flag = std::string(arg.substr(2));
-      continue;
-    }
-    if (arg == "--no-split") {
-      no_split = true;
       continue;
     }
     if (arg == "--stats") {
@@ -292,16 +273,12 @@ int main(int argc, char** argv) {
     batch.engine = options.engine;
     batch.driver = options;
     batch.command = command_flag.empty() ? "all" : command_flag;
-    batch.split_scenarios = !no_split;
-    if (!jobs_flag.empty()) {
-      char* end = nullptr;
-      long n = std::strtol(jobs_flag.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 1 || n > 1024) {
-        std::fprintf(stderr, "ocdx: bad -j value '%s'\n", jobs_flag.c_str());
-        return 2;
-      }
-      batch.workers = static_cast<size_t>(n);
+    uint64_t workers = 0;
+    if (!ParseU64(jobs_flag, &workers) || workers < 1 || workers > 1024) {
+      std::fprintf(stderr, "ocdx: bad -j value '%s'\n", jobs_flag.c_str());
+      return 2;
     }
+    batch.workers = static_cast<size_t>(workers);
     batch.collect_traces = !trace_out_flag.empty();
     std::vector<std::string> files(positional.begin() + 1, positional.end());
     Result<BatchReport> report = RunDxBatch(files, batch);

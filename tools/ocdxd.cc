@@ -73,6 +73,7 @@
 #include "snap/snapshot.h"
 #include "text/dx_driver.h"
 #include "util/fault.h"
+#include "util/str.h"
 
 namespace {
 
@@ -95,19 +96,6 @@ void OnTerm(int) {
   g_cancel.store(true, std::memory_order_relaxed);
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
 // Maps a wire budget field ("deadline-ms") to its Budget key
 // ("deadline_ms"). Returns false on an unknown field.
 bool SetWireBudgetField(const std::string& name, uint64_t value,
@@ -124,7 +112,7 @@ bool SetWireBudgetField(const std::string& name, uint64_t value,
 // fields. Accepted range matches the ocdx --shards flag.
 bool ParseShards(const std::string& text, size_t* out) {
   uint64_t value = 0;
-  if (!ParseU64(text, &value) || value < 1 || value > 64) return false;
+  if (!ocdx::ParseU64(text, &value) || value < 1 || value > 64) return false;
   *out = static_cast<size_t>(value);
   return true;
 }

@@ -67,6 +67,13 @@ class DedupIndex {
 
   size_t size() const { return used_; }
 
+  /// Sizes the table so that `n` more Inserts never grow it.
+  void Reserve(size_t n) {
+    size_t cap = slots_.empty() ? 16 : slots_.size();
+    while ((used_ + n) * 4 > cap * 3) cap *= 2;
+    if (cap != slots_.size()) Rehash(cap);
+  }
+
   /// Empties the table but keeps its capacity (scratch-reuse pattern).
   void Clear() {
     std::fill(slots_.begin(), slots_.end(), Slot{});
@@ -86,9 +93,11 @@ class DedupIndex {
     slots_[i] = Slot{hash, id};
   }
 
-  void Grow() {
+  void Grow() { Rehash(slots_.empty() ? 16 : slots_.size() * 2); }
+
+  void Rehash(size_t cap) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+    slots_.assign(cap, Slot{});
     for (const Slot& s : old) {
       if (s.id != kNone) InsertNoGrow(s.hash, s.id);
     }

@@ -87,8 +87,7 @@ inline void AssertProbeArgs(uint64_t mask, std::span<const Value> key,
 // ---------------------------------------------------------------------------
 
 Relation::Relation(const Relation& o) : arity_(o.arity_) {
-  arena_.Reserve(o.arena_.size());
-  rows_.reserve(o.rows_.size());
+  Reserve(o.size());
   for (size_t i = 0; i < o.size(); ++i) Add(o.row(i));
 }
 
@@ -170,6 +169,7 @@ bool Relation::LoadRows(std::span<const Value> flat) {
 void Relation::Reserve(size_t rows) {
   arena_.Reserve(rows * arity_);
   rows_.reserve(rows_.size() + rows);
+  set_.Reserve(rows);
 }
 
 void Relation::Clear() {
@@ -258,8 +258,7 @@ void BuildProperKey(const AnnotatedTupleRef& t, uint64_t mask, Tuple* key) {
 
 AnnotatedRelation::AnnotatedRelation(const AnnotatedRelation& o)
     : arity_(o.arity_) {
-  arena_.Reserve(o.arena_.size());
-  rows_.reserve(o.rows_.size());
+  Reserve(o.size());
   for (size_t i = 0; i < o.size(); ++i) Add(o.row(i));
 }
 
@@ -369,6 +368,7 @@ bool AnnotatedRelation::LoadRows(std::span<const Value> flat,
 void AnnotatedRelation::Reserve(size_t rows) {
   arena_.Reserve(rows * arity_);
   rows_.reserve(rows_.size() + rows);
+  set_.Reserve(rows);
 }
 
 void AnnotatedRelation::Clear() {
@@ -432,6 +432,7 @@ Relation AnnotatedRelation::RelPart() const {
       if (out.LoadRows(flat)) return out;
     }
   }
+  out.Reserve(rows_.size());
   for (size_t i = 0; i < rows_.size(); ++i) {
     AnnotatedTupleRef t = row(i);
     if (!t.IsEmptyMarker()) out.Add(t.values);

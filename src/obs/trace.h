@@ -54,6 +54,8 @@ inline constexpr PhaseDef kPhasePlanCompile{"plan-compile",
                                             &EngineStats::plan_compile_ns};
 inline constexpr PhaseDef kPhasePlanBind{"plan-bind",
                                          &EngineStats::plan_bind_ns};
+inline constexpr PhaseDef kPhasePlanExec{"plan-exec",
+                                         &EngineStats::plan_exec_ns};
 inline constexpr PhaseDef kPhaseMemberEnum{"member-enum",
                                            &EngineStats::member_enum_ns};
 inline constexpr PhaseDef kPhaseEnumShard{"enum-shard",

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <unordered_map>
+#include <utility>
 
 namespace ocdx {
 namespace plan {
@@ -212,36 +214,112 @@ class SlotMap {
   std::unordered_map<std::string, int> slots_;
 };
 
-// Greedy next-atom choice: minimize estimated fan-out = |R| shrunk by a
-// factor of ~4 per bound position (selectivity), preferring atoms
-// connected to already-bound variables; ties break toward more bound
-// positions, then smaller relations, then source order. Sizes come from
-// the compile-time instance; for the enumeration workloads that rebind
-// the plan, members share the canonical solution's shape, so the
-// ordering carries over.
+// Row and distinct-value counts of the compile-time instance, the join-
+// order heuristic's only inputs. A distinct count is one pass over a
+// column; it is taken the first time the heuristic keys on that
+// (relation, position) and kept for the rest of the compile.
+class ColumnStats {
+ public:
+  explicit ColumnStats(const Instance& inst) : inst_(inst) {}
+
+  const Relation* Find(const std::string& name) const {
+    return inst_.Find(name);
+  }
+
+  size_t Distinct(const Relation& rel, uint32_t pos) {
+    auto [it, inserted] = distinct_.emplace(std::make_pair(&rel, pos), 0);
+    if (inserted) it->second = CountDistinct(rel, pos);
+    return it->second;
+  }
+
+ private:
+  // Counts with a flat open-addressed set of raw values; the all-ones
+  // pattern (an invalid Value, never stored in a relation) marks a free
+  // slot. Sized for the rows, so it never grows.
+  static size_t CountDistinct(const Relation& rel, uint32_t pos) {
+    constexpr uint64_t kFree = ~uint64_t{0};
+    size_t cap = 16;
+    while (cap < 2 * rel.size()) cap *= 2;
+    std::vector<uint64_t> seen(cap, kFree);
+    size_t n = 0;
+    for (TupleRef t : rel.tuples()) {
+      uint64_t raw = t[pos].raw();
+      for (size_t i = ValueHash{}(t[pos]) & (cap - 1);;
+           i = (i + 1) & (cap - 1)) {
+        if (seen[i] == raw) break;
+        if (seen[i] == kFree) {
+          seen[i] = raw;
+          ++n;
+          break;
+        }
+      }
+    }
+    return n;
+  }
+
+  const Instance& inst_;
+  std::map<std::pair<const Relation*, uint32_t>, size_t> distinct_;
+};
+
+// Greedy next-atom choice: minimize the estimated fan-out of the step,
+// |R| / min(|R|, prod distinct(R, p)) over the positions p it keys on
+// (constants and bound variables), with distinct counts read from the
+// compile-time instance. An unkeyed step costs |R|; a step keyed on a
+// column of 4 colours costs |R| / 4, one keyed on a key column costs 1.
+// Ties break toward an atom that binds a not-yet-bound output variable
+// (`outs`), so the answer row is fixed early and the runner's
+// first-witness stop (RelationalPlan::witness_step) cuts more; then
+// toward more keyed positions, smaller relations and source order. The
+// last remaining atom is taken without counting anything. For the
+// enumeration workloads that rebind the plan, members share the
+// canonical solution's shape, so the ordering carries over.
 size_t PickNextAtom(const std::vector<ShapeAtom>& atoms,
                     const std::vector<bool>& used,
                     const std::function<bool(const std::string&)>& is_bound,
-                    const Instance& inst) {
+                    const std::vector<std::string>& outs,
+                    ColumnStats* stats) {
   size_t best = SIZE_MAX;
+  size_t unused = 0;
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    if (!used[i]) {
+      ++unused;
+      best = i;
+    }
+  }
+  if (unused <= 1) return best;
+  best = SIZE_MAX;
   double best_cost = 0;
+  bool best_out = false;
   size_t best_nb = 0, best_n = 0;
   for (size_t i = 0; i < atoms.size(); ++i) {
     if (used[i]) continue;
-    const Relation* rel = inst.Find(*atoms[i].rel);
+    const Relation* rel = stats->Find(*atoms[i].rel);
     size_t n = rel == nullptr ? 0 : rel->size();
     size_t nb = 0;
-    for (const Term& t : *atoms[i].terms) {
-      if (t.IsConst() || (t.IsVar() && is_bound(t.name))) ++nb;
+    bool binds_out = false;
+    double keyed = 1;
+    for (uint32_t p = 0; p < atoms[i].terms->size(); ++p) {
+      const Term& t = (*atoms[i].terms)[p];
+      if (t.IsConst() || (t.IsVar() && is_bound(t.name))) {
+        ++nb;
+        if (n > 0) keyed *= static_cast<double>(stats->Distinct(*rel, p));
+      } else if (t.IsVar() &&
+                 std::find(outs.begin(), outs.end(), t.name) != outs.end()) {
+        binds_out = true;
+      }
     }
     double cost =
-        static_cast<double>(n) /
-        static_cast<double>(uint64_t{1} << std::min<size_t>(2 * nb, 62));
+        n == 0 ? 0
+               : static_cast<double>(n) /
+                     std::min(static_cast<double>(n), keyed);
     if (best == SIZE_MAX || cost < best_cost ||
         (cost == best_cost &&
-         (nb > best_nb || (nb == best_nb && n < best_n)))) {
+         (binds_out != best_out ? binds_out
+                                : nb != best_nb ? nb > best_nb
+                                                : n < best_n))) {
       best = i;
       best_cost = cost;
+      best_out = binds_out;
       best_nb = nb;
       best_n = n;
     }
@@ -287,7 +365,7 @@ PlanAtomStep CompileAtom(const ShapeAtom& atom, RelInterner* rels,
 bool CompileRelational(const QueryShape& shape,
                        const std::vector<std::string>& order,
                        const std::set<std::string>& prebound,
-                       const Instance& inst, RelInterner* rels,
+                       ColumnStats* stats, RelInterner* rels,
                        RelationalPlan* plan) {
   for (const ShapeAtom& a : shape.atoms) {
     if (a.terms->size() > kMaxPlanArity) return false;
@@ -328,7 +406,7 @@ bool CompileRelational(const QueryShape& shape,
     return bound_step[s] >= 0;
   };
   for (size_t step = 0; step < shape.atoms.size(); ++step) {
-    size_t pick = PickNextAtom(shape.atoms, used, var_bound, inst);
+    size_t pick = PickNextAtom(shape.atoms, used, var_bound, order, stats);
     used[pick] = true;
     PlanAtomStep ap = CompileAtom(
         shape.atoms[pick], rels, &slots,
@@ -341,6 +419,11 @@ bool CompileRelational(const QueryShape& shape,
           bound_step[s] = static_cast<int>(step) + 1;
         });
     plan->atoms.push_back(std::move(ap));
+  }
+  // The answer row is fixed once the last step that binds an out slot
+  // has run; presets (bound_step 0) fix nothing.
+  for (int s : plan->out_slots) {
+    plan->witness_step = std::max(plan->witness_step, bound_step[s] - 1);
   }
 
   plan->eqs_after.resize(plan->atoms.size() + 1);
@@ -400,7 +483,7 @@ bool CompileRelational(const QueryShape& shape,
       return guard_bound[s] >= 0;
     };
     for (size_t gstep = 0; gstep < g.atoms.size(); ++gstep) {
-      size_t pick = PickNextAtom(g.atoms, gused, gvar_bound, inst);
+      size_t pick = PickNextAtom(g.atoms, gused, gvar_bound, {}, stats);
       gused[pick] = true;
       PlanAtomStep ap = CompileAtom(
           g.atoms[pick], rels, &slots,
@@ -557,11 +640,12 @@ FormulaPtr NegatedUniversal(const FormulaPtr& f) {
 bool TryCompileRelational(const FormulaPtr& f,
                           const std::vector<std::string>& order,
                           const std::set<std::string>& prebound,
-                          const Instance& inst, RelInterner* rels,
-                          RelationalPlan* plan, bool* deep_guard) {
+                          ColumnStats* stats, const Instance& inst,
+                          RelInterner* rels, RelationalPlan* plan,
+                          bool* deep_guard) {
   QueryShape shape;
   return RecognizeCq(f, order, prebound, inst, &shape, deep_guard) &&
-         CompileRelational(shape, order, prebound, inst, rels, plan);
+         CompileRelational(shape, order, prebound, stats, rels, plan);
 }
 
 }  // namespace
@@ -609,10 +693,11 @@ CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
   if (engine == JoinEngineMode::kIndexed) {
     // Table entries from an abandoned relational compile stay (bind
     // resolves a few unused names; harmless).
+    ColumnStats stats(inst);
     RelationalPlan plan;
     bool deep = false;
-    if (TryCompileRelational(req.formula, order, req.prebound, inst, &rels,
-                             &plan, &deep)) {
+    if (TryCompileRelational(req.formula, order, req.prebound, &stats, inst,
+                             &rels, &plan, &deep)) {
       out->kind = PlanKind::kRelational;
       out->relational = std::move(plan);
       return out;
@@ -623,8 +708,8 @@ CompiledQueryPtr CompileQuery(const CompileRequest& req, const Instance& inst,
     if (req.boolean_mode) {
       if (FormulaPtr dual = NegatedUniversal(req.formula)) {
         RelationalPlan negated;
-        if (TryCompileRelational(dual, order, req.prebound, inst, &rels,
-                                 &negated, /*deep_guard=*/nullptr)) {
+        if (TryCompileRelational(dual, order, req.prebound, &stats, inst,
+                                 &rels, &negated, /*deep_guard=*/nullptr)) {
           negated.negate = true;
           out->kind = PlanKind::kRelational;
           out->relational = std::move(negated);

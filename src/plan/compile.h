@@ -15,11 +15,12 @@
 // antecedent does not bind) stay generic. The plan is keyed under the
 // formula as written; GuardDepthExceeded and guard_depth_fallback are
 // decided on that formula too, never on the dual.
-// Compilation consults the given instance only for *heuristics*
-// (join-order selectivity) and for the compile-time arity sanity check;
-// the emitted plan references relations by name and is executable — via
-// plan::BindQuery — against any instance whose relation arities match
-// (see the invariants on compiled_query.h).
+// Compilation consults the given instance only for *heuristics* (the
+// join order, from row and per-position distinct-value counts) and for
+// the compile-time arity sanity check; the emitted plan references
+// relations by name and is executable — via plan::BindQuery — against
+// any instance whose relation arities match (see the invariants on
+// compiled_query.h).
 
 #ifndef OCDX_PLAN_COMPILE_H_
 #define OCDX_PLAN_COMPILE_H_

@@ -40,7 +40,8 @@
 //   was compiled against: relation references are by *name* (resolved at
 //   bind time) and BindQuery re-checks arities, falling back to the
 //   generic evaluator on mismatch. The compile-time instance only seeds
-//   the join-order heuristic (relation sizes), i.e. plan *quality*.
+//   the join-order heuristic (relation sizes and per-position distinct
+//   counts), i.e. plan *quality*.
 
 #ifndef OCDX_PLAN_COMPILED_QUERY_H_
 #define OCDX_PLAN_COMPILED_QUERY_H_
@@ -106,6 +107,12 @@ struct PlanGuard {
 struct RelationalPlan {
   size_t num_slots = 0;
   std::vector<int> out_slots;  ///< Answers projection.
+  /// The last main-plan step that binds an out slot: once it has run the
+  /// answer row is fixed, so the runner emits the row at the first full
+  /// match and resumes at this step. -1 when no atom binds an out slot
+  /// (boolean plans, or no output columns): the first full match ends
+  /// the run.
+  int witness_step = -1;
   /// Boolean-mode seeds: (slot, free-variable name). Values are read
   /// from the caller's binding at *run* time — a compiled plan cannot
   /// bake in binding values, they change per call.

@@ -1,6 +1,7 @@
 #include "plan/runner.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/trace.h"
 #include "util/str.h"
@@ -21,8 +22,11 @@ namespace {
 // matches in ascending id order, exactly as a bucket would.
 constexpr size_t kScanBelow = 16;
 
-/// Executes a bound relational plan. In boolean mode stops at the first
-/// full match; otherwise projects every match into `out`.
+/// Executes a bound relational plan. A full match projects its row into
+/// `out` (answers mode) and unwinds to RelationalPlan::witness_step: the
+/// steps after it can only repeat the row, so each binding of the steps
+/// up to it needs one match. A boolean plan has no witness step, so its
+/// first full match ends the run.
 class RelationalRunner {
  public:
   RelationalRunner(const BoundQuery& bound, Relation* out)
@@ -30,8 +34,9 @@ class RelationalRunner {
         bound_(bound),
         out_(out),
         frame_(plan_.num_slots),
-        key_scratch_(plan_.atoms.size()),
         out_scratch_(plan_.out_slots.size()) {}
+
+  uint64_t matches() const { return matches_; }
 
   const Relation* Rel(const PlanAtomStep& ap) const {
     return bound_.rels[ap.rel_slot];
@@ -45,8 +50,8 @@ class RelationalRunner {
         if (it != binding->end()) frame_[slot] = it->second;
       }
     }
-    if (!StageOk(0)) return false;
-    return Descend(0);
+    if (StageOk(0)) Descend(0);
+    return matches_ > 0;
   }
 
  private:
@@ -79,35 +84,54 @@ class RelationalRunner {
     return true;
   }
 
+  /// The probe key of `ap` under the current frame, in the one scratch
+  /// buffer every step and guard shares: a key is dead once Probe has
+  /// returned its bucket, so deeper steps may overwrite it.
+  std::span<const Value> Key(const PlanAtomStep& ap) {
+    key_scratch_.clear();
+    for (const PlanTerm& k : ap.key) {
+      key_scratch_.push_back(k.is_const ? k.constant : frame_[k.slot]);
+    }
+    return key_scratch_;
+  }
+
+  /// True iff a full match below `step` ends its loop: every step after
+  /// the witness step.
+  bool Unwinds(size_t step) const {
+    return static_cast<int>(step) > plan_.witness_step;
+  }
+
+  /// Runs the steps from `step` on. True iff a full match ended their
+  /// loops; the caller's own loop then ends too iff Unwinds(its step).
   bool Descend(size_t step) {
     if (step == plan_.atoms.size()) {
+      ++matches_;
       if (out_ == nullptr) return true;  // Boolean mode: witness found.
       for (size_t i = 0; i < plan_.out_slots.size(); ++i) {
         out_scratch_[i] = frame_[plan_.out_slots[i]];
       }
       out_->Add(out_scratch_);  // Copies into the relation's arena.
-      return false;  // Keep enumerating.
+      return true;
     }
     const PlanAtomStep& ap = plan_.atoms[step];
     const Relation* rel = Rel(ap);
     if (ap.mask != 0 && rel->size() >= kScanBelow) {
-      std::vector<Value>& key = key_scratch_[step];
-      key.clear();
-      for (const PlanTerm& k : ap.key) {
-        key.push_back(k.is_const ? k.constant : frame_[k.slot]);
-      }
-      const std::vector<uint32_t>* ids = rel->Probe(ap.mask, key);
+      const std::vector<uint32_t>* ids = rel->Probe(ap.mask, Key(ap));
       if (ids == nullptr) return false;
       // Plans never insert into the relations they scan (answers go to
       // out_), which is what makes iterating the live bucket safe; the
       // guard turns any future violation into a debug assertion.
       BucketIterationGuard guard(rel);
       for (uint32_t id : *ids) {
-        if (TryTuple(ap, rel->tuples()[id], step)) return true;
+        if (TryTuple(ap, rel->tuples()[id], step) && Unwinds(step)) {
+          return true;
+        }
       }
     } else {
       for (TupleRef t : rel->tuples()) {
-        if (KeyMatches(ap, t) && TryTuple(ap, t, step)) return true;
+        if (KeyMatches(ap, t) && TryTuple(ap, t, step) && Unwinds(step)) {
+          return true;
+        }
       }
     }
     return false;
@@ -138,9 +162,7 @@ class RelationalRunner {
     if (step == g.atoms.size()) return true;
     const PlanAtomStep& ap = g.atoms[step];
     const Relation* rel = Rel(ap);
-    // Guards share the frame; their bindings are undone on exit, so the
-    // scratch keys can be local.
-    std::vector<Value> key;
+    // Guards share the frame; their bindings are undone on exit.
     auto try_tuple = [&](TupleRef t) {
       for (const auto& [pos, slot] : ap.binds) frame_[slot] = t[pos];
       bool ok = true;
@@ -163,11 +185,7 @@ class RelationalRunner {
       return found;
     };
     if (ap.mask != 0 && rel->size() >= kScanBelow) {
-      key.reserve(ap.key.size());
-      for (const PlanTerm& k : ap.key) {
-        key.push_back(k.is_const ? k.constant : frame_[k.slot]);
-      }
-      const std::vector<uint32_t>* ids = rel->Probe(ap.mask, key);
+      const std::vector<uint32_t>* ids = rel->Probe(ap.mask, Key(ap));
       if (ids == nullptr) return false;
       BucketIterationGuard guard(rel);
       for (uint32_t id : *ids) {
@@ -185,8 +203,9 @@ class RelationalRunner {
   const BoundQuery& bound_;
   Relation* out_;
   std::vector<Value> frame_;
-  std::vector<std::vector<Value>> key_scratch_;
+  std::vector<Value> key_scratch_;
   Tuple out_scratch_;
+  uint64_t matches_ = 0;
 };
 
 }  // namespace
@@ -253,7 +272,9 @@ bool RunRelational(const BoundQuery& b,
   const bool negate = b.query->relational->negate;
   if (b.trivially_empty) return negate;
   RelationalRunner runner(b, out);
-  return runner.Run(binding) != negate;
+  bool matched = runner.Run(binding);
+  relational_run_stats().full_matches += runner.matches();
+  return matched != negate;
 }
 
 // ---------------------------------------------------------------------------

@@ -65,15 +65,36 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
                      const EngineContext* ctx);
 
 /// Executes a bound relational plan (kind kRelational, arity_ok). In
-/// boolean mode (`out` == nullptr) stops at the first full match;
-/// otherwise projects every match into `out`. `binding` supplies the
-/// boolean-mode preset values by variable name (may be nullptr when the
-/// plan has no presets). Returns true iff at least one match was found —
-/// or, for a negated plan (RelationalPlan::negate), iff none was. A
-/// trivially empty binding runs nothing.
+/// boolean mode (`out` == nullptr) stops at the first full match. In
+/// answers mode it projects a full match into `out` and resumes at the
+/// plan's witness step (RelationalPlan::witness_step), the last step
+/// that binds an out slot: every further match of the later steps would
+/// repeat the row, so each distinct row costs one full match per binding
+/// of the steps that fix it. The row order of `out` is the order of
+/// those first matches, and depends on the join order; consumers that
+/// need an order sort. `binding` supplies the boolean-mode preset values
+/// by variable name (may be nullptr when the plan has no presets).
+/// Returns true iff at least one match was found — or, for a negated
+/// plan (RelationalPlan::negate), iff none was. A trivially empty
+/// binding runs nothing.
 bool RunRelational(const BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out);
+
+/// Per-thread count of the full matches RunRelational reached, in both
+/// modes. Like index_maintenance_stats() (base/tuple_index.h), it exists
+/// so that tests can pin how much work a plan does: the first-witness
+/// stop shows here and nowhere in the answers.
+struct RelationalRunStats {
+  uint64_t full_matches = 0;
+
+  void Reset() { *this = RelationalRunStats{}; }
+};
+
+inline RelationalRunStats& relational_run_stats() {
+  thread_local RelationalRunStats stats;
+  return stats;
+}
 
 /// Executes a bound generic plan (kind kGeneric) over a dense frame.
 /// One runner per evaluation call; for Answers-style enumeration the

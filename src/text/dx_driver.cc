@@ -347,7 +347,10 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
           return Status::OK();
         };
         if (q->vars.empty()) {
-          Result<CertainVerdict> verdict = engine.IsCertainBoolean(q->formula);
+          Result<CertainVerdict> verdict = [&] {
+            obs::ScopedSpan span(options.engine, obs::kPhasePlanExec);
+            return engine.IsCertainBoolean(q->formula);
+          }();
           if (!verdict.ok()) {
             OCDX_RETURN_IF_ERROR(query_error(verdict.status()));
             continue;
@@ -357,8 +360,10 @@ Result<std::string> CertainText(const DxScenario& sc, Universe* u,
                         YesNo(verdict.value().exhaustive), "]\n");
         } else {
           CertainVerdict verdict;
-          Result<Relation> answers =
-              engine.CertainAnswers(q->formula, q->vars, &verdict);
+          Result<Relation> answers = [&] {
+            obs::ScopedSpan span(options.engine, obs::kPhasePlanExec);
+            return engine.CertainAnswers(q->formula, q->vars, &verdict);
+          }();
           if (!answers.ok()) {
             OCDX_RETURN_IF_ERROR(query_error(answers.status()));
             continue;

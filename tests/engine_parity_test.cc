@@ -34,6 +34,7 @@
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
 #include "util/rng.h"
+#include "util/str.h"
 #include "workloads/scenarios.h"
 #include "workloads/tripartite.h"
 
@@ -46,8 +47,13 @@ namespace fs = std::filesystem;
 // Generated-CQ parity over the conference / tripartite workload instances.
 // ---------------------------------------------------------------------------
 
-// Builds a random conjunction of atoms (plus an occasional equality) over
-// the instance's schema. All variables are free, so the query is safe.
+// Builds a random conjunction of atoms over the instance's schema, with
+// constants from its active domain, an occasional equality and an
+// occasional negated guard, then projects a random non-empty subset of
+// the variables away with `exists`, keeping at least one output. The
+// projection is what lets a plan stop at its first witness (the out
+// slots are fixed before the last step). Guard variables are bound by
+// the atoms or by the guard's own `exists g`, so the query stays safe.
 FormulaPtr RandomCq(const Instance& inst, Rng* rng,
                     std::vector<std::string>* order) {
   static const std::vector<std::string> kPool = {"x", "y", "z", "w"};
@@ -55,6 +61,8 @@ FormulaPtr RandomCq(const Instance& inst, Rng* rng,
   for (const auto& [name, rel] : inst.relations()) {
     rels.push_back({name, rel.arity()});
   }
+  const std::vector<Value> adom = inst.ActiveDomain();
+  auto constant = [&] { return Term::Constant(adom[rng->Below(adom.size())]); };
   std::vector<FormulaPtr> conj;
   std::set<std::string> used;
   size_t natoms = 1 + rng->Below(3);
@@ -62,20 +70,72 @@ FormulaPtr RandomCq(const Instance& inst, Rng* rng,
     const auto& [name, arity] = rels[rng->Below(rels.size())];
     std::vector<Term> terms;
     for (size_t p = 0; p < arity; ++p) {
+      if (!adom.empty() && rng->Chance(1, 5)) {
+        terms.push_back(constant());
+        continue;
+      }
       const std::string& v = kPool[rng->Below(kPool.size())];
       used.insert(v);
       terms.push_back(Term::Var(v));
     }
     conj.push_back(Formula::Atom(name, std::move(terms)));
   }
-  if (used.size() >= 2 && rng->Below(3) == 0) {
-    auto it = used.begin();
-    const std::string a = *it++;
-    const std::string b = *it;
-    conj.push_back(Formula::Eq(Term::Var(a), Term::Var(b)));
+  std::vector<std::string> vars(used.begin(), used.end());
+  if (vars.size() >= 2 && rng->Chance(1, 3)) {
+    conj.push_back(Formula::Eq(Term::Var(vars[0]), Term::Var(vars[1])));
   }
-  order->assign(used.begin(), used.end());
-  return Formula::And(std::move(conj));
+  if (!vars.empty() && rng->Chance(1, 3)) {
+    const auto& [name, arity] = rels[rng->Below(rels.size())];
+    std::vector<Term> terms;
+    bool inner = false;
+    for (size_t p = 0; p < arity; ++p) {
+      uint64_t pick = rng->Below(4);
+      if (pick == 0 && !adom.empty()) {
+        terms.push_back(constant());
+      } else if (pick == 1) {
+        terms.push_back(Term::Var("g"));
+        inner = true;
+      } else {
+        terms.push_back(Term::Var(vars[rng->Below(vars.size())]));
+      }
+    }
+    FormulaPtr atom = Formula::Atom(name, std::move(terms));
+    conj.push_back(Formula::Not(inner ? Formula::Exists({"g"}, atom) : atom));
+  }
+  FormulaPtr body = Formula::And(std::move(conj));
+  order->clear();
+  if (vars.size() < 2) {
+    *order = vars;
+    return body;
+  }
+  // Keep a random non-empty proper subset as outputs; project the rest.
+  std::vector<std::string> projected;
+  size_t keep = 1 + rng->Below(vars.size() - 1);
+  for (size_t i = 0; i < vars.size(); ++i) {
+    size_t left = vars.size() - i;
+    bool take = rng->Below(left) < keep - order->size();
+    (take ? *order : projected).push_back(vars[i]);
+  }
+  return Formula::Exists(std::move(projected), std::move(body));
+}
+
+// Relations whose columns hold very different numbers of distinct
+// values: Hop's columns range over 12 nodes, Lab's second column over 3
+// colours, Tag's second column over 1 value. Keying a step on a colour
+// column fans out by a third of the relation, on a node column by one
+// row — the contrast the join-order cost model reads.
+Instance SkewedInstance(Universe* u, Rng* rng) {
+  constexpr size_t kNodes = 12;
+  auto node = [u](size_t i) { return u->Const(StrCat("n", i)); };
+  Instance inst;
+  for (size_t i = 0; i < kNodes; ++i) {
+    for (int e = 0; e < 3; ++e) {
+      inst.Add("Hop", {node(i), node(rng->Below(kNodes))});
+    }
+    inst.Add("Lab", {node(i), u->Const(StrCat("c", rng->Below(3)))});
+    if (rng->Chance(1, 2)) inst.Add("Tag", {node(i), u->Const("t")});
+  }
+  return inst;
 }
 
 class CqEngineParity : public ::testing::TestWithParam<int> {};
@@ -83,34 +143,36 @@ class CqEngineParity : public ::testing::TestWithParam<int> {};
 TEST_P(CqEngineParity, IndexedNaiveAndGenericAgree) {
   Rng rng(911 + GetParam());
   Universe u;
-  // Two workload instances: a small conference source and a tripartite
-  // reduction target (which mixes several relations and constants).
+  // Three workload instances: a small conference source, a tripartite
+  // reduction target (which mixes several relations and constants), and
+  // a skewed graph.
   Result<ConferenceScenario> conf = BuildConferenceScenario(5, 2, &u);
   ASSERT_TRUE(conf.ok());
   TripartiteInstance tri = TripartiteWithMatching(3, 2, &rng);
   Result<TripartiteReduction> red = BuildTripartiteReduction(tri, &u);
   ASSERT_TRUE(red.ok());
+  Instance skewed = SkewedInstance(&u, &rng);
 
-  for (const Instance* inst :
-       {&conf.value().source, &red.value().source, &red.value().target}) {
+  for (const Instance* inst : {&conf.value().source, &red.value().source,
+                               &red.value().target, &skewed}) {
     for (int q = 0; q < 8; ++q) {
       std::vector<std::string> order;
       FormulaPtr f = RandomCq(*inst, &rng, &order);
       if (order.empty()) continue;
 
       std::optional<Relation> fast = TryEvalCQ(f, order, *inst);
-      ASSERT_TRUE(fast.has_value());
+      ASSERT_TRUE(fast.has_value()) << f->ToString(u);
 
       Evaluator ev(*inst, u, EngineContext::ForMode(JoinEngineMode::kGeneric));
       Result<Relation> slow = ev.Answers(f, order);
       ASSERT_TRUE(slow.ok());
       EXPECT_TRUE(*fast == slow.value())
-          << "seed " << GetParam() << " query " << q;
+          << "seed " << GetParam() << " query " << q << ": " << f->ToString(u);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, CqEngineParity, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Random, CqEngineParity, ::testing::Range(0, 32));
 
 // ---------------------------------------------------------------------------
 // Homomorphism parity: indexed vs generic (static-order scan) vs brute

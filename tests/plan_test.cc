@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "logic/parser.h"
 #include "plan/compile.h"
 #include "plan/plan_table.h"
+#include "plan/runner.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -33,9 +37,121 @@ class PlanTest : public ::testing::Test {
     ctx.stats = &stats_;
     return ctx;
   }
+  // The benchmark's exchange shape, small: 60 nodes, each with hops to
+  // the next 8, labelled with 4 colours round-robin, so every node has
+  // exactly 2 hops to a node of its own colour.
+  Instance ColourGraph() {
+    constexpr int kNodes = 60;
+    auto node = [this](int i) { return u_.Const(StrCat("n", i % kNodes)); };
+    Instance inst;
+    for (int x = 0; x < kNodes; ++x) {
+      for (int d = 1; d <= 8; ++d) inst.Add("Hop", {node(x), node(x + d)});
+      inst.Add("Lab", {node(x), u_.Const(StrCat("c", x % 4))});
+    }
+    return inst;
+  }
+  plan::CompiledQueryPtr CompileAnswers(const std::string& text,
+                                        const std::vector<std::string>& order,
+                                        const Instance& inst) {
+    plan::CompileRequest req;
+    req.formula = Parse(text);
+    req.order = order;
+    return plan::CompileQuery(req, inst, JoinEngineMode::kIndexed,
+                              plan::SchemaFingerprint(inst));
+  }
+  // Runs the query on the indexed plan and the generic oracle, expects
+  // equal answer sets, and returns the indexed run's full matches.
+  uint64_t FullMatches(const std::string& text,
+                       const std::vector<std::string>& order,
+                       const Instance& inst, size_t* answers) {
+    FormulaPtr f = Parse(text);
+    plan::relational_run_stats().Reset();
+    std::optional<Relation> fast = TryEvalCQ(f, order, inst);
+    uint64_t matches = plan::relational_run_stats().full_matches;
+    EXPECT_TRUE(fast.has_value());
+    if (!fast.has_value()) return matches;
+    Evaluator generic(inst, u_,
+                      EngineContext::ForMode(JoinEngineMode::kGeneric));
+    if (order.empty()) {  // Generic Answers wants an output column.
+      Result<bool> holds = generic.Holds(f);
+      EXPECT_TRUE(holds.ok() && fast->size() == (holds.value() ? 1u : 0u));
+    } else {
+      Result<Relation> slow = generic.Answers(f, order);
+      EXPECT_TRUE(slow.ok() && *fast == slow.value()) << text;
+    }
+    *answers = fast->size();
+    return matches;
+  }
   Universe u_;
   EngineStats stats_;
 };
+
+TEST_F(PlanTest, SameColourHopBindsOutputFirstAndStopsAtWitness) {
+  // Keying Lab(w, l) on its 4-colour column would fan out by a quarter
+  // of Lab; the distinct-count model keys Hop(x, w) on its node column
+  // instead, after the tie at step 0 went to the atom that binds x.
+  Instance inst = ColourGraph();
+  const std::string q = "exists w l. Hop(x, w) & Lab(w, l) & Lab(x, l)";
+  plan::CompiledQueryPtr cq = CompileAnswers(q, {"x"}, inst);
+  ASSERT_EQ(cq->kind, plan::PlanKind::kRelational);
+  const plan::RelationalPlan& plan = *cq->relational;
+  ASSERT_EQ(plan.atoms.size(), 3u);
+  EXPECT_EQ(cq->relations[plan.atoms[0].rel_slot], "Lab");
+  EXPECT_EQ(plan.atoms[0].mask, 0u);
+  EXPECT_NE(std::find(plan.atoms[0].binds.begin(), plan.atoms[0].binds.end(),
+                      std::pair<uint32_t, int>{0, plan.out_slots[0]}),
+            plan.atoms[0].binds.end())
+      << "step 0 binds x";
+  EXPECT_EQ(cq->relations[plan.atoms[1].rel_slot], "Hop");
+  EXPECT_EQ(plan.witness_step, 0);
+
+  // One full match per answer row: the second same-colour hop of each
+  // node is never reached.
+  size_t rows = 0, pairs = 0;
+  EXPECT_EQ(FullMatches(q, {"x"}, inst, &rows), 60u);
+  EXPECT_EQ(rows, 60u);
+  // With w in the output every match is a distinct row.
+  EXPECT_EQ(FullMatches("exists l. Hop(x, w) & Lab(w, l) & Lab(x, l)",
+                        {"x", "w"}, inst, &pairs),
+            120u);
+  EXPECT_EQ(pairs, 120u);
+}
+
+TEST_F(PlanTest, WitnessStepIsLastWhenTheLastStepBindsAnOutput) {
+  // The constant keys Lab on a 4-colour column (60 / 4 rows) ahead of
+  // the unkeyed Hop; w, the only output, is bound by the last step, so
+  // every match is enumerated.
+  Instance inst = ColourGraph();
+  const std::string q = "exists x. Lab(x, 'c0') & Hop(x, w)";
+  plan::CompiledQueryPtr cq = CompileAnswers(q, {"w"}, inst);
+  ASSERT_EQ(cq->kind, plan::PlanKind::kRelational);
+  const plan::RelationalPlan& plan = *cq->relational;
+  ASSERT_EQ(plan.atoms.size(), 2u);
+  EXPECT_EQ(cq->relations[plan.atoms[0].rel_slot], "Lab");
+  EXPECT_EQ(plan.witness_step, 1);
+  size_t rows = 0;
+  EXPECT_EQ(FullMatches(q, {"w"}, inst, &rows), 15u * 8u);
+  EXPECT_EQ(rows, 60u);
+}
+
+TEST_F(PlanTest, NoOutputSlotEndsTheRunAtTheFirstMatch) {
+  // No atom binds an out slot: the empty row is fixed before step 0, so
+  // the first of the 120 matches ends the run, as in boolean mode.
+  Instance inst = ColourGraph();
+  const std::string q = "exists x w. Hop(x, w) & Lab(w, 'c0')";
+  EXPECT_EQ(CompileAnswers(q, {}, inst)->relational->witness_step, -1);
+  size_t rows = 0;
+  EXPECT_EQ(FullMatches(q, {}, inst, &rows), 1u);
+  EXPECT_EQ(rows, 1u);
+
+  plan::CompileRequest boolean;
+  boolean.formula = Parse(q);
+  boolean.boolean_mode = true;
+  plan::CompiledQueryPtr cq = plan::CompileQuery(
+      boolean, inst, JoinEngineMode::kIndexed, plan::SchemaFingerprint(inst));
+  ASSERT_EQ(cq->kind, plan::PlanKind::kRelational);
+  EXPECT_EQ(cq->relational->witness_step, -1);
+}
 
 TEST_F(PlanTest, CompiledPlanRebindsAcrossInstances) {
   // One compiled plan, executed against instances with different

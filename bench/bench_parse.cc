@@ -3,13 +3,11 @@
 //   BM_ParseBulkImport        full parse of tests/corpus/bulk_import.dx
 //                             (~24k facts: lexer -> interner -> relation
 //                             append is the whole cost)
-//   BM_ParseBulkImportElided  the snapshot loader's structure-only parse
-//                             of the same file (instance rows elided)
 //   BM_ParseCorpus            every tests/corpus/*.dx file, one after the
 //                             other, per iteration
 //
 // Each row reports bytes/s (source text) and facts/s (instance facts in
-// the text, elided or not), so rows over different files compare. Every
+// the text), so rows over different files compare. Every
 // iteration parses into a fresh Universe, the way a cold job does.
 
 #include <benchmark/benchmark.h>
@@ -48,8 +46,7 @@ int64_t CountFacts(const std::string& src) {
   return facts;
 }
 
-void ParseLoop(benchmark::State& state, const std::vector<std::string>& srcs,
-               const DxParseOptions& options) {
+void ParseLoop(benchmark::State& state, const std::vector<std::string>& srcs) {
   int64_t bytes = 0;
   int64_t facts = 0;
   for (const std::string& src : srcs) {
@@ -59,7 +56,7 @@ void ParseLoop(benchmark::State& state, const std::vector<std::string>& srcs,
   for (auto _ : state) {
     for (const std::string& src : srcs) {
       Universe u;
-      Result<DxScenario> s = ParseDxScenario(src, &u, options);
+      Result<DxScenario> s = ParseDxScenario(src, &u);
       if (!s.ok()) {
         state.SkipWithError(s.status().ToString().c_str());
         return;
@@ -79,15 +76,9 @@ const std::string& BulkImport() {
 }
 
 void BM_ParseBulkImport(benchmark::State& state) {
-  ParseLoop(state, {BulkImport()}, DxParseOptions{});
+  ParseLoop(state, {BulkImport()});
 }
 BENCHMARK(BM_ParseBulkImport)->Unit(benchmark::kMillisecond);
-
-void BM_ParseBulkImportElided(benchmark::State& state) {
-  ParseLoop(state, {BulkImport()},
-            DxParseOptions{.elide_instance_rows = true});
-}
-BENCHMARK(BM_ParseBulkImportElided)->Unit(benchmark::kMicrosecond);
 
 void BM_ParseCorpus(benchmark::State& state) {
   std::vector<fs::path> paths;
@@ -98,7 +89,7 @@ void BM_ParseCorpus(benchmark::State& state) {
   std::vector<std::string> srcs;
   for (const fs::path& p : paths) srcs.push_back(ReadFile(p));
   state.counters["files"] = static_cast<double>(srcs.size());
-  ParseLoop(state, srcs, DxParseOptions{});
+  ParseLoop(state, srcs);
 }
 BENCHMARK(BM_ParseCorpus)->Unit(benchmark::kMillisecond);
 

@@ -17,18 +17,9 @@
 //   every previously returned span and ArenaRef (relations that Clear are
 //   scratch by contract; see Relation::Clear).
 //
-// \invariant Relocatable storage (the snapshot rule): rows are addressed
-//   by ArenaRef handles — (chunk, position) coordinates — never by raw
-//   pointers, and OffsetOf maps every handle into a single *dense* logical
-//   offset space: value i of the arena (counting only values actually
-//   handed out, in allocation order) has logical offset i, regardless of
-//   how allocations were split across chunks or how much capacity a chunk
-//   abandoned when the next one opened. Concatenating the used prefix of
-//   every chunk in order therefore reproduces the arena byte-for-byte,
-//   which is what lets src/snap serialize a relation as one contiguous
-//   extent plus per-row offsets and load it back with no pointer fixup
-//   pass (see LoadExtent: a freshly loaded arena is a single chunk whose
-//   logical offsets equal the serialized ones verbatim).
+// Rows are addressed by ArenaRef handles — (chunk, position)
+// coordinates, 8 bytes — rather than spans, so a stored row is half the
+// size of a pointer-and-length pair.
 
 #ifndef OCDX_BASE_ARENA_H_
 #define OCDX_BASE_ARENA_H_
@@ -106,57 +97,16 @@ class ValueArena {
     return {c.data.get() + ref.pos, n};
   }
 
-  /// The dense logical offset of `ref` (see the relocatable-storage
-  /// invariant above): 0-based position in the concatenation of every
-  /// chunk's used prefix. Serializable verbatim.
-  uint64_t OffsetOf(ArenaRef ref) const {
-    if (chunks_.empty()) return 0;
-    return chunks_[ref.chunk].base + ref.pos;
-  }
-
-  /// Inverse of OffsetOf for loaded arenas: the handle whose logical
-  /// offset is `offset`. Only valid on an arena populated by LoadExtent
-  /// (single chunk, base 0), where it is a constant-time reinterpretation.
-  ArenaRef RefAt(uint64_t offset) const {
-    assert(chunks_.size() <= 1 && (chunks_.empty() || chunks_[0].base == 0) &&
-           "RefAt requires a LoadExtent-shaped arena");
-    return ArenaRef{0, static_cast<uint32_t>(offset)};
-  }
-
   /// Ensures the next `n` values fit without a further chunk allocation:
   /// the single-allocation guarantee behind the batch AddAll paths.
   void Reserve(size_t n) {
     if (n > left_) NewChunk(n);
   }
 
-  /// Bulk-populates an empty arena with one contiguous extent whose
-  /// logical offsets equal positions in `values` — the snapshot loader's
-  /// no-fixup path. Requires an empty arena.
-  void LoadExtent(std::span<const Value> values) {
-    assert(size_ == 0 && chunks_.empty() && "LoadExtent needs a fresh arena");
-    if (values.empty()) return;
-    NewChunk(values.size());
-    Chunk& c = chunks_.back();
-    std::memcpy(c.data.get(), values.data(), values.size() * sizeof(Value));
-    c.used = values.size();
-    left_ = c.size - c.used;
-    size_ = values.size();
-  }
-
-  /// Appends the used prefix of every chunk, in order, to `out`: the
-  /// serialized form of the arena (equals the rows in id order by the
-  /// dedup-before-intern contract; see Relation::Add).
-  void AppendTo(std::vector<Value>* out) const {
-    out->reserve(out->size() + size_);
-    for (const Chunk& c : chunks_) {
-      out->insert(out->end(), c.data.get(), c.data.get() + c.used);
-    }
-  }
-
   /// Forgets every value handed out at or after `ref` (a handle this
   /// arena returned for a non-empty span): the undo of the InternRef
-  /// calls from that one on. Chunks opened after `ref`'s are freed, so
-  /// the offset space stays dense. Invalidates spans past `ref`.
+  /// calls from that one on. Chunks opened after `ref`'s are freed.
+  /// Invalidates spans past `ref`.
   void TruncateTo(ArenaRef ref) {
     assert(ref.chunk < chunks_.size() && "ArenaRef from another arena");
     chunks_.resize(ref.chunk + 1);
@@ -193,7 +143,7 @@ class ValueArena {
     std::unique_ptr<Value[]> data;
     size_t size;    ///< Capacity in values.
     size_t used;    ///< Values handed out from this chunk.
-    uint64_t base;  ///< Logical offset of the chunk's first value.
+    uint64_t base;  ///< Values handed out before this chunk opened.
   };
 
   // Big enough that per-chunk overhead vanishes, small enough that tiny
@@ -205,7 +155,7 @@ class ValueArena {
     size_t want = std::max(at_least, std::min(next_chunk_, kMaxChunk));
     next_chunk_ = std::min(next_chunk_ * 2, kMaxChunk);
     // base = size_: the abandoned tail of the previous chunk was never
-    // handed out, so the logical offset space stays dense.
+    // handed out, so TruncateTo can recount size_ from base + used.
     chunks_.push_back(Chunk{std::make_unique<Value[]>(want), want, 0, size_});
     left_ = want;
   }

@@ -2,9 +2,12 @@
 //
 // Replaces the node-based std::unordered_multimap<size_t, uint32_t> the
 // relations used for dedup — one heap allocation per inserted tuple — with
-// a flat power-of-two table probed linearly. Collisions on the 64-bit
-// hash are resolved by the caller-supplied equality (which compares the
-// actual tuples), so the table itself never needs to see tuple payloads.
+// a flat power-of-two table probed linearly. A slot keeps the low 32
+// bits of the row's hash beside its id, 8 bytes in all: every relation
+// carries one of these tables for its lifetime, so its size is resident
+// memory. The low bits pick the home slot, and a tag match is confirmed
+// by the caller-supplied equality (which compares the actual tuples), so
+// the table itself never needs to see tuple payloads.
 
 #ifndef OCDX_BASE_DEDUP_H_
 #define OCDX_BASE_DEDUP_H_
@@ -26,11 +29,12 @@ class DedupIndex {
   template <typename Eq>
   uint32_t Find(size_t hash, Eq&& eq) const {
     if (slots_.empty()) return kNone;
+    const uint32_t tag = static_cast<uint32_t>(hash);
     size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    for (size_t i = tag & mask;; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
       if (s.id == kNone) return kNone;
-      if (s.hash == hash && eq(s.id)) return s.id;
+      if (s.tag == tag && eq(s.id)) return s.id;
     }
   }
 
@@ -38,7 +42,7 @@ class DedupIndex {
   /// Find) that no equal row is present; duplicates of the *hash* are fine.
   void Insert(size_t hash, uint32_t id) {
     if ((used_ + 1) * 4 > slots_.size() * 3) Grow();
-    InsertNoGrow(hash, id);
+    InsertNoGrow(static_cast<uint32_t>(hash), id);
     ++used_;
   }
 
@@ -47,14 +51,14 @@ class DedupIndex {
   /// no tombstones are left behind and Find stays exact.
   void Erase(size_t hash, uint32_t id) {
     size_t mask = slots_.size() - 1;
-    size_t hole = hash & mask;
+    size_t hole = static_cast<uint32_t>(hash) & mask;
     while (slots_[hole].id != id) hole = (hole + 1) & mask;
     for (size_t j = (hole + 1) & mask; slots_[j].id != kNone;
          j = (j + 1) & mask) {
       // The entry at j may fill the hole unless its home slot lies
       // cyclically in (hole, j] — then moving it would put it before its
       // home, where Find never looks.
-      size_t home = slots_[j].hash & mask;
+      size_t home = slots_[j].tag & mask;
       bool stays = hole <= j ? (hole < home && home <= j)
                              : (hole < home || home <= j);
       if (stays) continue;
@@ -81,16 +85,18 @@ class DedupIndex {
   }
 
  private:
+  // Ids are dense row indexes, so a table never has more than 2^32
+  // slots and the 32-bit tag always covers the home-slot mask.
   struct Slot {
-    size_t hash = 0;
+    uint32_t tag = 0;
     uint32_t id = kNone;
   };
 
-  void InsertNoGrow(size_t hash, uint32_t id) {
+  void InsertNoGrow(uint32_t tag, uint32_t id) {
     size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
+    size_t i = tag & mask;
     while (slots_[i].id != kNone) i = (i + 1) & mask;
-    slots_[i] = Slot{hash, id};
+    slots_[i] = Slot{tag, id};
   }
 
   void Grow() { Rehash(slots_.empty() ? 16 : slots_.size() * 2); }
@@ -99,7 +105,7 @@ class DedupIndex {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(cap, Slot{});
     for (const Slot& s : old) {
-      if (s.id != kNone) InsertNoGrow(s.hash, s.id);
+      if (s.id != kNone) InsertNoGrow(s.tag, s.id);
     }
   }
 

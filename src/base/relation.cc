@@ -96,18 +96,7 @@ Relation& Relation::operator=(const Relation& o) {
   return *this;
 }
 
-void Relation::EnsureDedup() const {
-  // A LoadRows deferred the table; rebuild it from the rows in id order
-  // (equivalent to the table an Add-by-Add construction would have left).
-  dedup_built_.Ensure(this, [this] {
-    for (uint32_t id = 0; id < rows_.size(); ++id) {
-      set_.Insert(TupleHash{}(row(id)), id);
-    }
-  });
-}
-
 bool Relation::Contains(TupleRef t) const {
-  EnsureDedup();
   size_t h = TupleHash{}(t);
   return set_.Find(h, [&](uint32_t id) { return row(id) == t; }) !=
          DedupIndex::kNone;
@@ -117,15 +106,11 @@ bool Relation::Add(TupleRef t) {
   assert(t.size() == arity_ && "tuple arity mismatch");
   OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
-  EnsureDedup();
   size_t h = TupleHash{}(t);
   if (set_.Find(h, [&](uint32_t id) { return row(id) == t; }) !=
       DedupIndex::kNone) {
     return false;
   }
-  // Dedup-before-intern: only accepted rows reach the arena, so the
-  // arena extent stays the concatenation of rows in id order (the
-  // serialization contract in the header).
   ArenaRef ref = arena_.InternRef(t);
   uint32_t id = static_cast<uint32_t>(rows_.size());
   rows_.push_back(ref);
@@ -153,19 +138,6 @@ size_t Relation::AddAll(std::span<const Value> flat) {
   return added;
 }
 
-bool Relation::LoadRows(std::span<const Value> flat) {
-  OCDX_ASSERT_NOT_FROZEN();
-  if (!empty() || arity_ == 0 || flat.size() % arity_ != 0) return false;
-  arena_.LoadExtent(flat);
-  size_t n = flat.size() / arity_;
-  rows_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows_.push_back(arena_.RefAt(i * arity_));
-  }
-  dedup_built_.Reset(rows_.empty());
-  return true;
-}
-
 void Relation::Reserve(size_t rows) {
   arena_.Reserve(rows * arity_);
   rows_.reserve(rows_.size() + rows);
@@ -178,7 +150,6 @@ void Relation::Clear() {
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  dedup_built_.Reset(true);
   indexes_.Clear();
 }
 
@@ -186,7 +157,6 @@ void Relation::Truncate(size_t n) {
   OCDX_ASSERT_NOT_FROZEN();
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   if (n >= rows_.size()) return;
-  EnsureDedup();
   // Newest first: each row's index ids sit at their bucket ends.
   for (size_t id = rows_.size(); id-- > n;) {
     TupleRef t = row(id);
@@ -275,16 +245,7 @@ uint32_t AnnotatedRelation::InternAnn(AnnRef ann) {
   return static_cast<uint32_t>(ann_pool_.size() - 1);
 }
 
-void AnnotatedRelation::EnsureDedup() const {
-  dedup_built_.Ensure(this, [this] {
-    for (uint32_t id = 0; id < rows_.size(); ++id) {
-      set_.Insert(AnnotatedTupleHash{}(row(id)), id);
-    }
-  });
-}
-
 bool AnnotatedRelation::Contains(const AnnotatedTupleRef& t) const {
-  EnsureDedup();
   size_t h = AnnotatedTupleHash{}(t);
   return set_.Find(h, [&](uint32_t id) { return row(id) == t; }) !=
          DedupIndex::kNone;
@@ -296,14 +257,11 @@ bool AnnotatedRelation::Add(const AnnotatedTupleRef& t) {
   OCDX_ASSERT_NO_LIVE_BUCKET_ITERATION(this);
   assert((t.values.empty() || t.values.size() == arity_) &&
          "tuple arity mismatch");
-  EnsureDedup();
   size_t h = AnnotatedTupleHash{}(t);
   if (set_.Find(h, [&](uint32_t id) { return row(id) == t; }) !=
       DedupIndex::kNone) {
     return false;
   }
-  // Dedup-before-intern, as with Relation::Add: the arena extent is the
-  // concatenation of the accepted (proper) rows in id order.
   StoredRow r{arena_.InternRef(t.values),
               static_cast<uint32_t>(t.values.size()), InternAnn(t.ann)};
   uint32_t id = static_cast<uint32_t>(rows_.size());
@@ -338,33 +296,6 @@ size_t AnnotatedRelation::AddAll(std::span<const Value> flat, AnnRef ann) {
   return added;
 }
 
-bool AnnotatedRelation::LoadRows(std::span<const Value> flat,
-                                 std::span<const RowSpec> rows,
-                                 std::vector<AnnVec> pool) {
-  OCDX_ASSERT_NOT_FROZEN();
-  if (!empty() || !ann_pool_.empty()) return false;
-  for (const AnnVec& a : pool) {
-    if (a.size() != arity_) return false;
-  }
-  uint64_t total = 0;
-  for (const RowSpec& r : rows) {
-    if (r.len != 0 && r.len != arity_) return false;
-    if (r.ann >= pool.size()) return false;
-    total += r.len;
-  }
-  if (total != flat.size()) return false;
-  arena_.LoadExtent(flat);
-  ann_pool_ = std::move(pool);
-  rows_.reserve(rows.size());
-  uint64_t offset = 0;
-  for (const RowSpec& r : rows) {
-    rows_.push_back(StoredRow{arena_.RefAt(offset), r.len, r.ann});
-    offset += r.len;
-  }
-  dedup_built_.Reset(rows_.empty());
-  return true;
-}
-
 void AnnotatedRelation::Reserve(size_t rows) {
   arena_.Reserve(rows * arity_);
   rows_.reserve(rows_.size() + rows);
@@ -377,7 +308,6 @@ void AnnotatedRelation::Clear() {
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  dedup_built_.Reset(true);
   indexes_.Clear();
   // ann_pool_ is deliberately kept: pool indexes held by future rows stay
   // meaningful, and the pool is tiny.
@@ -407,31 +337,6 @@ const std::vector<uint32_t>* AnnotatedRelation::ProbeProper(
 
 Relation AnnotatedRelation::RelPart() const {
   Relation out(arity_);
-  // Fast path: with at most one annotation vector in the pool and no
-  // empty markers, the (values, annotation) dedup invariant makes every
-  // value tuple distinct already, so rel(T) is the row extent verbatim —
-  // bulk-load it with the dedup table deferred instead of re-hashing
-  // every row. This is the shape of every unannotated instance and of
-  // the snapshot loader's reconstituted relations, where RelPart over
-  // tens of thousands of bulk rows sits on the warm-start critical path.
-  if (arity_ > 0 && ann_pool_.size() <= 1) {
-    bool all_proper = true;
-    for (const StoredRow& r : rows_) {
-      if (r.len != arity_) {
-        all_proper = false;
-        break;
-      }
-    }
-    if (all_proper) {
-      std::vector<Value> flat;
-      flat.reserve(rows_.size() * arity_);
-      for (size_t i = 0; i < rows_.size(); ++i) {
-        TupleRef t = row(i).values;
-        flat.insert(flat.end(), t.begin(), t.end());
-      }
-      if (out.LoadRows(flat)) return out;
-    }
-  }
   out.Reserve(rows_.size());
   for (size_t i = 0; i < rows_.size(); ++i) {
     AnnotatedTupleRef t = row(i);

@@ -17,14 +17,6 @@
 //   arena and invalidates every previously returned span and bucket
 //   pointer. Truncate(n) invalidates the spans of the rows it removes.
 //
-// \invariant Serialization contract (dedup-before-intern): Add checks the
-//   dedup table *before* interning, so the arena holds exactly the
-//   accepted rows, back to back, in id order — concatenating row 0..n-1
-//   reproduces the arena extent, and a relation serializes as (flat value
-//   blob + per-row metadata) with no pointer fixup on reload (src/snap).
-//   LoadRows is the inverse: it bulk-loads a serialized extent and defers
-//   the dedup table until the first Add/Contains actually needs it.
-//
 // \invariant Index-append contract: lazy per-mask hash indexes are built
 //   by a full scan on the first probe of their mask and maintained
 //   *incrementally* from then on — Add appends the new tuple id into the
@@ -46,19 +38,20 @@
 //
 // \invariant Frozen relations (the read side of base/value.h's frozen
 //   base). A relation is mutable and single-owner until Freeze(), which
-//   is permanent: after it, Add / AddAll / LoadRows / Clear assert, and
+//   is permanent: after it, Add / AddAll / Truncate / Clear assert, and
 //   any number of threads may read it concurrently — Contains, Probe,
-//   ProbeProper, row(), tuples(). The lazy read-side state is safe under
-//   that sharing because it is published build-once (tuple_index.h): a
-//   probe of an indexed mask takes no lock, and the first probe of a new
-//   mask, like the first Contains after a LoadRows, builds under the
-//   owner's striped build mutex and publishes with a release store. The
-//   mutable and frozen states share this one index representation;
-//   Freeze() itself only sets a flag (no per-row work), and must
-//   happen-before the reader threads start. A snapshot's instances and
-//   prechased solutions are frozen this way and read by every request of
-//   that snapshot; everything a run builds (chase results, member
-//   instances) stays mutable and its own.
+//   ProbeProper, row(), tuples(). The lazy per-mask indexes are safe
+//   under that sharing because they are published build-once
+//   (tuple_index.h): a probe of an indexed mask takes no lock, and the
+//   first probe of a new mask builds under the owner's striped build
+//   mutex and publishes with a release store. The dedup table is built
+//   eagerly by Add, so Contains reads it without a latch. The mutable
+//   and frozen states share this one representation; Freeze() itself
+//   only sets a flag (no per-row work), and must happen-before the
+//   reader threads start. A frozen scenario's instances and prechased
+//   solutions are frozen this way and read by every run on it;
+//   everything a run builds (chase results, member instances) stays
+//   mutable and its own.
 
 #ifndef OCDX_BASE_RELATION_H_
 #define OCDX_BASE_RELATION_H_
@@ -206,14 +199,6 @@ class Relation {
   /// (duplicates, including within the batch, are dropped).
   size_t AddAll(std::span<const Value> flat);
 
-  /// Bulk-loads a serialized extent (`flat.size() / arity()` rows, known
-  /// distinct — the snapshot loader's contract) into an *empty* relation
-  /// with one memcpy and no per-row hashing: the dedup table is rebuilt
-  /// lazily by the first Add/Contains. Returns false (and loads nothing)
-  /// if the relation is non-empty or `flat` is not a whole number of
-  /// rows.
-  bool LoadRows(std::span<const Value> flat);
-
   /// Pre-sizes the arena and row vector for `rows` further tuples.
   void Reserve(size_t rows);
 
@@ -267,18 +252,11 @@ class Relation {
   }
 
  private:
-  /// Builds the dedup table if a LoadRows deferred it (no-op otherwise).
-  void EnsureDedup() const;
-
   size_t arity_;
   ValueArena arena_;
   std::vector<ArenaRef> rows_;
   /// Flat (hash -> id) dedup table; rows are stored once, in the arena.
-  /// Mutable + build-once latch: LoadRows defers construction until the
-  /// first membership query or mutation (bulk loads never pay per-row
-  /// hashing for read-only service).
-  mutable DedupIndex set_;
-  BuildOnce dedup_built_{true};
+  DedupIndex set_;
   bool frozen_ = false;
   /// Lazy per-bound-signature indexes, materialized by probing a
   /// logically const relation.
@@ -291,13 +269,6 @@ class Relation {
 /// thousands of tuples sharing a handful of annotations).
 class AnnotatedRelation {
  public:
-  /// Per-row metadata for LoadRows: `len` values (0 = empty marker) under
-  /// pool annotation index `ann`.
-  struct RowSpec {
-    uint32_t len = 0;
-    uint32_t ann = 0;
-  };
-
   explicit AnnotatedRelation(size_t arity) : arity_(arity) {}
 
   AnnotatedRelation(const AnnotatedRelation& o);
@@ -321,18 +292,6 @@ class AnnotatedRelation {
   /// chase head atom's delta): `flat` holds `flat.size() / arity()`
   /// consecutive rows. Returns the number newly inserted.
   size_t AddAll(std::span<const Value> flat, AnnRef ann);
-
-  /// Bulk-loads a serialized extent into an *empty* relation (empty
-  /// annotation pool included): `flat` concatenates the proper rows in id
-  /// order, `rows` gives each row's width and pool annotation, `pool` the
-  /// annotation vectors (each sized to the arity). Rows are trusted
-  /// distinct (snapshot loader contract); the dedup table is rebuilt
-  /// lazily by the first Add/Contains. Returns false (loading nothing) on
-  /// any structural mismatch: non-empty relation, a row width not 0 or
-  /// arity, an out-of-range annotation index, a mis-sized pool vector, or
-  /// a `flat` that is not exactly the sum of the row widths.
-  bool LoadRows(std::span<const Value> flat, std::span<const RowSpec> rows,
-                std::vector<AnnVec> pool);
 
   void Reserve(size_t rows);
 
@@ -384,7 +343,7 @@ class AnnotatedRelation {
 
  private:
   /// A stored row: relocatable handle + width (0 = empty marker) + pool
-  /// annotation index. 16 bytes, no pointers — serializable as-is.
+  /// annotation index. 16 bytes, no pointers.
   struct StoredRow {
     ArenaRef ref;
     uint32_t len = 0;
@@ -397,15 +356,11 @@ class AnnotatedRelation {
   /// Add of a new row.
   uint32_t InternAnn(AnnRef ann);
 
-  /// Builds the dedup table if a LoadRows deferred it (no-op otherwise).
-  void EnsureDedup() const;
-
   size_t arity_;
   ValueArena arena_;
   std::vector<AnnVec> ann_pool_;
   std::vector<StoredRow> rows_;
-  mutable DedupIndex set_;
-  BuildOnce dedup_built_{true};
+  DedupIndex set_;
   bool frozen_ = false;
   IndexList indexes_;
 };

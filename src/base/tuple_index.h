@@ -24,9 +24,9 @@
 //   police this through BucketIterationGuard (relation.h); see the full
 //   contract there.
 //
-// \invariant Build-once publication (IndexList, BuildOnce): a relation's
-//   lazily built read-side state — one PositionIndex per probed mask and
-//   the dedup table a LoadRows deferred — is published the PlanTable way.
+// \invariant Build-once publication (IndexList): a relation's lazily
+//   built read-side state — one PositionIndex per probed mask — is
+//   published the PlanTable way.
 //   The hit path is one acquire load and takes no lock; a miss takes the
 //   owner's build mutex, re-checks, builds, and publishes with a release
 //   store, so concurrent first probes of a frozen relation build each
@@ -259,35 +259,6 @@ class IndexList {
     Node* next;
   };
   mutable std::atomic<Node*> head_{nullptr};
-};
-
-/// Build-once latch for a piece of lazily built read-side state (the
-/// dedup table a LoadRows deferred): Ensure runs `build` exactly once
-/// under the owner's build mutex, and every later call is one acquire
-/// load. Reset and moves are owner-only.
-class BuildOnce {
- public:
-  explicit BuildOnce(bool built) : built_(built) {}
-  BuildOnce(BuildOnce&& o) noexcept
-      : built_(o.built_.load(std::memory_order_relaxed)) {}
-  BuildOnce& operator=(BuildOnce&& o) noexcept {
-    Reset(o.built_.load(std::memory_order_relaxed));
-    return *this;
-  }
-
-  template <typename Build>
-  void Ensure(const void* owner, Build&& build) const {
-    if (built_.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(internal::BuildMutex(owner));
-    if (built_.load(std::memory_order_relaxed)) return;
-    build();
-    built_.store(true, std::memory_order_release);
-  }
-
-  void Reset(bool built) { built_.store(built, std::memory_order_relaxed); }
-
- private:
-  mutable std::atomic<bool> built_;
 };
 
 }  // namespace ocdx

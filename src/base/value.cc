@@ -64,20 +64,6 @@ void Universe::AppendWitnessValues(std::vector<Value>* out) const {
   }
 }
 
-bool Universe::LoadWitnessValues(std::span<const Value> values) {
-  CheckWrite();
-  assert(base_ == nullptr && "bulk witness loads target root universes");
-  if (witness_size_ != 0) return false;
-  if (values.empty()) return true;
-  witness_chunks_.emplace_back();
-  WitnessChunk& chunk = witness_chunks_.back();
-  chunk.base = 0;
-  chunk.data.assign(values.begin(), values.end());
-  witness_left_ = 0;
-  witness_size_ = values.size();
-  return true;
-}
-
 std::unique_ptr<Universe> Universe::NewOverlay() const {
   assert(read_only() &&
          "NewOverlay() needs a frozen or shared base: call Freeze() or "

@@ -53,11 +53,6 @@ class Value {
   /// Raw bits; stable hash/ordering key.
   uint64_t raw() const { return raw_; }
 
-  /// Rebuilds a Value from raw() bits *without validation* — the snapshot
-  /// loader's deserialization hook (it validates the bit pattern itself:
-  /// see snap/snapshot.cc ValidateValue).
-  static Value FromRaw(uint64_t raw) { return Value(raw); }
-
   friend bool operator==(Value a, Value b) { return a.raw_ == b.raw_; }
   friend bool operator!=(Value a, Value b) { return a.raw_ != b.raw_; }
   friend bool operator<(Value a, Value b) { return a.raw_ < b.raw_; }
@@ -84,8 +79,7 @@ struct ValueHash {
 /// A relocatable handle to a stored witness tuple in a Universe's
 /// justification arena: dense logical offset + length (see
 /// Universe::InternWitness). Offsets are stable across overlays
-/// (Universe::NewOverlay) and serializable verbatim (src/snap) — no
-/// pointer fixup on reload.
+/// (Universe::NewOverlay).
 /// The default-constructed ref is the empty witness.
 struct WitnessRef {
   uint64_t offset = 0;
@@ -143,7 +137,7 @@ struct NullInfo {
 ///     of threads concurrently with no locking — reads skip the owner
 ///     assert, writes assert unconditionally. Freeze()/share entry must
 ///     happen-before the reader threads start (thread creation/join
-///     provides the ordering; both fan-out and snapshot preload satisfy
+///     provides the ordering; both fan-out and frozen scenarios satisfy
 ///     this by construction).
 ///   - *Overlay* (from NewOverlay() on a frozen or shared base): a
 ///     lightweight copy-on-write view. Reads fall through to the base;
@@ -256,10 +250,6 @@ class Universe {
     return Value::MakeNull(id);
   }
 
-  /// Pre-sizes the null registry for `n` total nulls (bulk loaders that
-  /// know the count up front; minting is unaffected).
-  void ReserveNulls(size_t n) { nulls_.reserve(n); }
-
   /// Copies a witness tuple into the universe's justification arena and
   /// returns its relocatable handle (stable until the universe dies;
   /// appends never move earlier chunks). One call per chase trigger
@@ -298,14 +288,8 @@ class Universe {
   uint64_t witness_size() const { return witness_size_; }
 
   /// Appends the whole justification arena, in logical offset order, to
-  /// `out` — the snapshot writer's serialization hook.
+  /// `out` (an overlay appends its base's arena first).
   void AppendWitnessValues(std::vector<Value>* out) const;
-
-  /// Bulk-loads a serialized justification arena into an *empty* store as
-  /// one extent whose logical offsets equal positions in `values`, so
-  /// serialized WitnessRef offsets are valid verbatim (no fixup). Returns
-  /// false if the store is not empty.
-  bool LoadWitnessValues(std::span<const Value> values);
 
  private:
   /// One-Universe-per-job tripwire: the first thread to touch the
@@ -365,8 +349,8 @@ class Universe {
   /// hand-rolled — arena.h includes this header — and offset-addressed:
   /// `base` is the chunk's first logical offset, and offsets are *dense*
   /// (they count only values actually handed out, so concatenating the
-  /// chunks reproduces the logical offset space exactly — the snapshot
-  /// relocatability contract, as in ValueArena).
+  /// chunks reproduces the logical offset space exactly, so an overlay's
+  /// offsets continue its base's).
   struct WitnessChunk {
     std::vector<Value> data;  ///< Reserved once; never reallocated.
     uint64_t base = 0;        ///< Logical offset of data[0].

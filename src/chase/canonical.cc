@@ -161,7 +161,17 @@ Status FireCompiled(const AnnotatedStd& std_, size_t std_index,
   return Status::OK();
 }
 
+// The chase's cap test: a run trips once a running total passes its cap.
+bool OverCap(uint64_t total, uint64_t cap) { return total > cap; }
+
 }  // namespace
+
+bool FitsChaseBudget(const CanonicalSolution& csol, const Budget& budget) {
+  uint64_t minted = 0;
+  for (const ChaseTrigger& t : csol.triggers) minted += t.fresh_nulls.len;
+  return !OverCap(csol.triggers.size(), budget.chase_max_triggers) &&
+         !OverCap(minted, budget.chase_max_nulls);
+}
 
 Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                                 Universe* universe,
@@ -219,7 +229,7 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
     OCDX_RETURN_IF_ERROR(fault::Probe("chase"));
     OCDX_RETURN_IF_ERROR(gauge.Poll());
     fired += witnesses.size();
-    if (fired > ctx.budget.chase_max_triggers) {
+    if (OverCap(fired, ctx.budget.chase_max_triggers)) {
       if (ctx.stats != nullptr) ++ctx.stats->chase_budget_trips;
       return Status::ResourceExhausted(
           StrCat("chase trigger budget exceeded: ",
@@ -228,7 +238,7 @@ Result<CanonicalSolution> Chase(const Mapping& mapping, const Instance& source,
                  fired));
     }
     minted += witnesses.size() * exist_vars.size();
-    if (minted > ctx.budget.chase_max_nulls) {
+    if (OverCap(minted, ctx.budget.chase_max_nulls)) {
       if (ctx.stats != nullptr) ++ctx.stats->chase_budget_trips;
       return Status::ResourceExhausted(
           StrCat("chase fresh-null budget exceeded: ",

@@ -34,7 +34,7 @@ namespace ocdx {
 /// justification arena (Universe::InternWitness / AllocateWitness;
 /// resolve with Universe::WitnessOf) and stay valid for the universe's
 /// lifetime — and, being offsets rather than pointers, they survive
-/// overlays and binary snapshotting (src/snap) verbatim.
+/// overlays verbatim.
 /// `witness` is the *same* stored copy the trigger's NullInfo
 /// justifications reference, so a firing costs one arena append instead
 /// of 1 + #existential-variables heap vectors.
@@ -51,7 +51,9 @@ struct ChaseTrigger {
   WitnessRef fresh_nulls;
 };
 
-/// The result of chasing a source instance with a mapping.
+/// The result of chasing a source instance with a mapping. Its triggers
+/// count the chase's firings, one per body witness of each STD, and their
+/// fresh_nulls spans count the nulls it minted.
 struct CanonicalSolution {
   AnnotatedInstance annotated;  ///< CSolA(S), with empty markers.
   /// All firings, in deterministic order. CWA justifications and the
@@ -70,6 +72,12 @@ struct CanonicalSolution {
 Result<CanonicalSolution> Chase(
     const Mapping& mapping, const Instance& source, Universe* universe,
     const EngineContext& ctx = EngineContext());
+
+/// True iff chasing again under `budget` would trip neither its trigger
+/// cap nor its fresh-null cap: Chase's own tests, applied to the totals
+/// `csol` records. A run may borrow a stored solution only then; the
+/// totals only grow during a chase, so the final ones decide.
+bool FitsChaseBudget(const CanonicalSolution& csol, const Budget& budget);
 
 }  // namespace ocdx
 

@@ -1,16 +1,18 @@
 // FrozenScenario: one parsed `.dx` file, sealed for concurrent readers —
 // the unit a snapshot serves from.
 //
-// A scenario is parsed once into its own Universe, prechased, and then
-// frozen: the Universe (Universe::Freeze) and every relation of every
-// declared instance and of every prechased solution (Relation::Freeze).
-// From then on any number of threads run driver commands on it at once,
-// each through RunFrozenCommand: mint a private copy-on-write overlay of
-// the frozen universe, then RunDxCommand over the shared scenario,
-// borrowing the prechased solutions in place. Its users are `ocdx
-// snapshot run` and `ocdxd --preload`: a snapshot builds or loads into
-// one (snap::SnapshotBundle is this type). `ocdx batch` does not use it:
-// a batch file is one job in a universe of its own (exec/batch_runner.h).
+// BuildFrozenScenario is the one way to make one: parse the text into its
+// own Universe, chase every chaseable pair, then freeze the Universe
+// (Universe::Freeze) and every relation of every declared instance and of
+// every prechased solution (Relation::Freeze). From then on any number of
+// threads run driver commands on it at once, each through
+// RunFrozenCommand: mint a private copy-on-write overlay of the frozen
+// universe, then RunDxCommand over the shared scenario, borrowing the
+// prechased solutions in place. Its users are `ocdx snapshot run` and
+// `ocdxd --preload`: loading a snapshot is this build over the text the
+// snapshot holds (snap::SnapshotBundle is this type). `ocdx batch` does
+// not use it: a batch file is one job in a universe of its own
+// (exec/batch_runner.h).
 //
 // Byte-identity: overlay ids continue the frozen base's id spaces, so a
 // command run on an overlay mints exactly the values it would mint right
@@ -47,7 +49,7 @@ struct FrozenScenario {
   std::unique_ptr<Universe> universe;
   DxScenario scenario;  ///< Parsed from dx_text over *universe.
   /// Pre-chased canonical solutions, one per ungoverned DxChasePairOk
-  /// pair. Runs borrow them in place.
+  /// pair. Runs borrow them in place when they fit the run's budget.
   PrechasedStore prechased;
   /// The plan table every run on this scenario shares.
   std::shared_ptr<plan::PlanTable> plans =
@@ -58,10 +60,11 @@ struct FrozenScenario {
   void Freeze();
 };
 
-/// The snapshot writer's build: parses `dx_text` into a fresh Universe,
-/// chases every DxChasePairOk pair into `prechased` under DxRunContext, as
-/// a cold run would, then freezes the result. Governed pairs are left
-/// out; any other error, a parse error included, is returned unchanged.
+/// Parses `dx_text` into a fresh Universe, chases every DxChasePairOk pair
+/// into `prechased` under DxRunContext(scenario, engine), as a cold run
+/// would, then freezes the result. Governed pairs are left out; any other
+/// error, a parse error included, is returned unchanged. Snapshot writes
+/// and loads both build this way.
 Result<FrozenScenario> BuildFrozenScenario(std::string source_path,
                                            std::string dx_text,
                                            const EngineContext& engine);

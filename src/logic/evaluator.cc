@@ -166,12 +166,9 @@ Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
   std::vector<Value> domain = GenericDomain(q);
   Relation out(order.size());
   size_t k = order.size();
-  if (k == 0) {
-    return Status::InvalidArgument(
-        "Answers() needs at least one output variable; use Holds() for "
-        "sentences");
-  }
-  if (domain.empty()) return out;
+  // With no output column the odometer below makes one pass, the
+  // sentence's truth, even over an empty domain: {()} or {}.
+  if (k > 0 && domain.empty()) return out;
 
   const plan::GenericPlan& gp = *cq->generic;
   plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
@@ -193,13 +190,13 @@ Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
     }
     OCDX_ASSIGN_OR_RETURN(bool v, runner.Run(domain));
     if (v) out.Add(t);
-    size_t p = k;
-    bool done = false;
-    while (p > 0) {
-      --p;
-      if (++idx[p] < domain.size()) break;
+    bool done = true;
+    for (size_t p = k; p-- > 0;) {
+      if (++idx[p] < domain.size()) {
+        done = false;
+        break;
+      }
       idx[p] = 0;
-      if (p == 0) done = true;
     }
     if (done) break;
   }

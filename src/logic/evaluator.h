@@ -80,7 +80,9 @@ class Evaluator {
 
   /// All satisfying assignments of `f`'s free variables, in the order
   /// `free_order` (which must cover FreeVars(f)). Free variables range
-  /// over the evaluation domain.
+  /// over the evaluation domain. An empty order asks for a sentence's
+  /// truth as a 0-arity relation: {()} when it holds, {} otherwise, under
+  /// every engine.
   Result<Relation> Answers(const FormulaPtr& f,
                            const std::vector<std::string>& free_order);
 

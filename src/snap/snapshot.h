@@ -1,29 +1,19 @@
-// Persistent binary snapshots of chased `.dx` scenarios.
+// Snapshots: a `.dx` scenario saved for warm starts.
 //
-// A snapshot captures, in one relocatable binary file, everything a warm
-// start needs: the scenario text, the Universe it was parsed into
-// (constant table, justification arena, null registry) and the canonical
-// solutions of every chaseable (mapping, instance) pair — so `ocdx
-// snapshot run` and `ocdxd --preload` answer driver commands without
-// re-parsing or re-chasing, with output byte-identical to a cold run.
-// A bundle is a FrozenScenario (exec/frozen_scenario.h), built like a
-// batch `all` file: warm runs take the same overlay → RunDxCommand path
-// as every `ocdx batch` job, borrowing the stored solutions in place.
+// A snapshot file is the scenario text and its source path behind a
+// checksummed header (snap/format.h). `ocdx snapshot run` and `ocdxd
+// --preload` load one into a FrozenScenario (exec/frozen_scenario.h), the
+// same build a cold run makes: the text is parsed and every chaseable
+// pair is chased under the loader's engine and budgets. Warm runs then
+// take the overlay → RunDxCommand path and borrow the chased solutions,
+// with output byte-identical to a cold run.
 //
-// Relocatability: rows, witnesses and null justifications are stored as
-// *logical arena offsets* (base/arena.h ArenaRef, base/value.h
-// WitnessRef), which Relation::LoadRows and Universe::LoadWitnessValues
-// reconstitute verbatim — loading is bounds validation plus bulk copies,
-// with no pointer fixup and no per-row hashing (relations defer their
-// dedup tables until first mutation).
-//
-// Trust model: snapshot bytes are DATA, never trusted. The container
-// verifies magic/version/endianness and a per-section checksum
-// (snap/format.h); the decoders bound-check every read, validate every
-// Value bit pattern and every offset against the stored totals, and
-// reconcile the re-parsed scenario against the stored universe. Any
-// mismatch is a positioned kDataLoss error — a corrupted snapshot must
-// never crash the loader (pinned by tests/snap_fuzz_test.cc under ASan).
+// Trust model: snapshot bytes are untrusted. The loader checks magic,
+// version, lengths and checksum, and every failure there is a kDataLoss
+// error with stable text; the text itself goes through the `.dx` parser,
+// which reports a positioned error like for any other input. A corrupted
+// snapshot never crashes the loader (tests/snap_fuzz_test.cc, under
+// ASan).
 
 #ifndef OCDX_SNAP_SNAPSHOT_H_
 #define OCDX_SNAP_SNAPSHOT_H_
@@ -41,12 +31,11 @@
 namespace ocdx {
 namespace snap {
 
-/// Everything a snapshot holds, live: a FrozenScenario whose
-/// `source_path` is the `.dx` path recorded at write time and whose
-/// `prechased` store holds one canonical solution per DxChasePairOk pair
-/// whose chase completed within budget at build time. Governed pairs are
-/// absent, so the warm driver re-chases them and reproduces their
-/// diagnostics exactly.
+/// A loaded snapshot: a FrozenScenario whose `source_path` is the `.dx`
+/// path recorded at write time and whose `prechased` store holds one
+/// canonical solution per DxChasePairOk pair whose chase completed within
+/// budget at build time. Governed pairs are absent, so the warm driver
+/// re-chases them and reproduces their diagnostics exactly.
 ///
 /// BuildSnapshotBundle and ParseSnapshot both return the bundle frozen
 /// (FrozenScenario::Freeze): universe, instances and prechased solutions
@@ -65,23 +54,25 @@ inline Result<SnapshotBundle> BuildSnapshotBundle(
                              engine);
 }
 
-/// Serializes the bundle to snapshot bytes (format v1, snap/format.h).
-/// Probes fault site "snap-write" once per section.
+/// Serializes the bundle's source path and text to snapshot bytes
+/// (format v2, snap/format.h). Probes fault site "snap-write" once.
 Result<std::string> SerializeSnapshot(const SnapshotBundle& bundle);
 
-/// Reconstitutes a bundle from snapshot bytes: container + checksum
-/// validation, re-parse of the embedded text, reconciliation against the
-/// stored universe, bulk row loads. Every failure is a positioned error
-/// (kDataLoss for corruption). Probes fault site "snap-read" once per
-/// section.
-Result<SnapshotBundle> ParseSnapshot(std::span<const uint8_t> bytes);
+/// Checks the header, the lengths and the checksum (kDataLoss on any
+/// mismatch), probes fault site "snap-read" once, then returns
+/// BuildFrozenScenario(path, text, engine): a parse or chase error comes
+/// back unchanged.
+Result<SnapshotBundle> ParseSnapshot(
+    std::span<const uint8_t> bytes,
+    const EngineContext& engine = EngineContext());
 
 /// Convenience file wrappers. WriteSnapshotFile reports write failures as
 /// kNotFound ("cannot write '<path>'"); LoadSnapshotFile as kNotFound
 /// ("cannot read '<path>'").
 Status WriteSnapshotFile(const SnapshotBundle& bundle,
                          const std::string& path);
-Result<SnapshotBundle> LoadSnapshotFile(const std::string& path);
+Result<SnapshotBundle> LoadSnapshotFile(
+    const std::string& path, const EngineContext& engine = EngineContext());
 
 /// Human-readable summary for `ocdx snapshot read`: scenario name,
 /// universe totals, stored pairs with row/trigger counts. Deterministic.

@@ -66,10 +66,12 @@ std::string MappingErrorLine(const DxMappingDecl& m, const Status& status) {
 
 // The run's canonical solutions, one per (mapping, instance) pair: by
 // Corollary 2 it serves the chase, certain and membership sections alike.
-// A pair in options.prechased is borrowed from that store; any other is
+// A pair in options.prechased is borrowed from that store when a chase
+// under the run's budget would not trip (FitsChaseBudget); any other is
 // chased at first use into the run's universe, and the outcome — the
 // solution or its governed trip — answers every later lookup of the run.
-// Callers read the solution in place.
+// A store built under a looser budget than the run's thus still reports
+// the trip a cold run reports. Callers read the solution in place.
 class RunSolutions {
  public:
   RunSolutions(Universe* u, const DxDriverOptions& options)
@@ -80,7 +82,9 @@ class RunSolutions {
     if (options_.prechased != nullptr) {
       const CanonicalSolution* hit =
           options_.prechased->Find(m.name, inst.name);
-      if (hit != nullptr) return hit;
+      if (hit != nullptr && FitsChaseBudget(*hit, options_.engine.budget)) {
+        return hit;
+      }
     }
     std::optional<Result<CanonicalSolution>>& slot = chased_[{&m, &inst}];
     if (!slot) slot.emplace(Chase(m.mapping, inst.plain, u_, options_.engine));

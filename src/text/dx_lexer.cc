@@ -11,9 +11,8 @@ using namespace dx_chars;
 
 DxLineIndex::DxLineIndex(std::string_view src) {
   line_starts_.push_back(0);
-  // memchr, not a per-char loop: the index is built on every parse,
-  // including the snapshot loader's elided parse, where this scan is a
-  // measurable slice of warm-start time on MB-scale files.
+  // memchr, not a per-char loop: the index is built on every parse, and
+  // this scan is a measurable slice of parse time on MB-scale files.
   size_t i = 0;
   while (const void* hit = std::memchr(src.data() + i, '\n', src.size() - i)) {
     i = static_cast<size_t>(static_cast<const char*>(hit) - src.data()) + 1;
@@ -96,36 +95,6 @@ DxToken DxLexer::NextSlow(size_t i) {
   const size_t len = kind == DxTokKind::kBang ? 1 : 2;
   pos_ = i + len;
   return DxToken{kind, src_.substr(i, len), i};
-}
-
-void DxLexer::SkipInstanceBody() {
-  // Table-driven scan: run over uninteresting bytes in a single-branch
-  // loop and only dispatch on the four characters that matter (`}` ends
-  // the body, quotes and comments may hide one).
-  static constexpr std::array<bool, 256> kStop = [] {
-    std::array<bool, 256> t{};
-    for (unsigned char c : {'}', '\'', '#', '/'}) t[c] = true;
-    return t;
-  }();
-  const size_t n = src_.size();
-  size_t i = pos_;
-  while (i < n) {
-    while (i < n && !kStop[static_cast<unsigned char>(src_[i])]) ++i;
-    if (i >= n || src_[i] == '}') break;
-    if (src_[i] == '\'') {
-      ++i;
-      while (i < n && src_[i] != '\'' && src_[i] != '\n') ++i;
-      if (i < n) ++i;  // closing quote (or keep the newline)
-    } else if (src_[i] == '#' || (src_[i] == '/' && i + 1 < n &&
-                                  src_[i + 1] == '/')) {
-      const void* nl = std::memchr(src_.data() + i, '\n', n - i);
-      i = nl ? static_cast<size_t>(static_cast<const char*>(nl) - src_.data())
-             : n;
-    } else {
-      ++i;  // a lone '/', ordinary body content
-    }
-  }
-  pos_ = i;
 }
 
 }  // namespace ocdx

@@ -14,11 +14,6 @@
 // block-interior tokens back into logic tokens (preserving absolute
 // offsets) so the existing recursive-descent rule/formula parsers can be
 // reused mid-stream with correctly positioned errors.
-//
-// Instance-row elision is the parser's decision, not the lexer's: at the
-// `{` of an instance body the parser may call SkipInstanceBody(), which
-// jumps to the closing `}` with a raw character scan. Offsets of every
-// token outside instance bodies are the same either way.
 
 #ifndef OCDX_TEXT_DX_LEXER_H_
 #define OCDX_TEXT_DX_LEXER_H_
@@ -153,11 +148,6 @@ class DxLexer {
     pos_ = j;
     return DxToken{kind, src_.substr(i, j - i), i};
   }
-
-  /// Call right after Next() returned the `{` of an instance body: skips
-  /// the body's facts, honoring comments and quotes (which may hide a
-  /// `}`), so the following Next() returns the closing `}` (or kEnd).
-  void SkipInstanceBody();
 
   /// OK until Next() has returned kError.
   const Status& status() const { return status_; }

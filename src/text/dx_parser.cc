@@ -39,11 +39,8 @@ Status TranslatePositions(const Status& status, const DxLineIndex& lines) {
 
 class DxParser {
  public:
-  DxParser(std::string_view src, Universe* universe, bool elide_instance_rows)
-      : lexer_(src),
-        tok_(lexer_.Next()),
-        universe_(universe),
-        elide_instance_rows_(elide_instance_rows) {}
+  DxParser(std::string_view src, Universe* universe)
+      : lexer_(src), tok_(lexer_.Next()), universe_(universe) {}
 
   Result<DxScenario> ParseFile();
 
@@ -137,7 +134,6 @@ class DxParser {
   DxLexer lexer_;
   DxToken tok_;  ///< The one lookahead token.
   Universe* universe_;
-  const bool elide_instance_rows_;
   bool saw_scenario_decl_ = false;
   bool saw_budget_decl_ = false;
   /// Null literals are interned per file: `_n1` denotes the same null
@@ -476,8 +472,6 @@ Status DxParser::ParseInstanceDecl(DxScenario* out) {
   if (Peek().kind != DxTokKind::kLBrace) {
     return Error("expected '{' before instance facts");
   }
-  // The lookahead is the `{`, and nothing after it has been lexed yet.
-  if (elide_instance_rows_) lexer_.SkipInstanceBody();
   Advance();
 
   DxInstanceDecl decl;
@@ -594,12 +588,7 @@ Result<DxScenario> DxParser::ParseFile() {
 }  // namespace
 
 Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe) {
-  return ParseDxScenario(src, universe, DxParseOptions{});
-}
-
-Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe,
-                                   const DxParseOptions& options) {
-  DxParser parser(src, universe, options.elide_instance_rows);
+  DxParser parser(src, universe);
   Result<DxScenario> out = parser.ParseFile();
   if (out.ok()) return out;
   Status lexical = parser.LexicalError();

@@ -30,21 +30,16 @@
 // vector or fact buffer is ever built. When an instance block opens,
 // each schema relation is resolved once to its AnnotatedRelation; every
 // fact is then parsed into two scratch buffers (values, annotations)
-// that all facts reuse, and added to its relation at once. Instance-row
-// elision (DxParseOptions) is decided here, at the `{` of each instance
-// body, by asking the lexer to skip the body.
+// that all facts reuse, and added to its relation at once.
 //
 // Invariants:
 //   - Constants and nulls get Universe ids in order of first appearance
-//     in the text, whatever block they appear in. Canonical output and
-//     the snapshot loader's check that an elided re-parse mints nothing
-//     new both rely on it.
+//     in the text, whatever block they appear in. Canonical output
+//     relies on it.
 //   - A lexical error anywhere in the file outranks a parse error: when
 //     the parse fails, the rest of the file is lexed and its first
 //     lexical error, if any, is reported instead, exactly as if the
-//     whole file had been lexed up front. Under elision, instance bodies
-//     after the failure point are lexed as well, so a lexical error
-//     inside one of them is reported too.
+//     whole file had been lexed up front.
 
 #ifndef OCDX_TEXT_DX_PARSER_H_
 #define OCDX_TEXT_DX_PARSER_H_
@@ -56,26 +51,12 @@
 
 namespace ocdx {
 
-struct DxParseOptions {
-  /// Skip the facts of every instance body (DxLexer::SkipInstanceBody):
-  /// every instance parses as declared-but-empty (schema relations
-  /// present, zero rows, not annotated), and no constants or nulls are
-  /// interned from facts. Token offsets outside instance bodies are the
-  /// same as in a full parse, so errors keep their positions. The
-  /// snapshot loader uses this to recover scenario *structure* from the
-  /// embedded text in microseconds and fill the instances from binary
-  /// sections instead.
-  bool elide_instance_rows = false;
-};
-
 /// Parses a complete `.dx` file. Constants and nulls are interned into
 /// `*universe`; all cross-references (schema names, fact arities, query
 /// variables vs. free variables, mapping validity) are checked, so an OK
 /// result is ready for the driver (text/dx_driver.h) with no further
 /// validation.
 Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe);
-Result<DxScenario> ParseDxScenario(std::string_view src, Universe* universe,
-                                   const DxParseOptions& options);
 
 }  // namespace ocdx
 

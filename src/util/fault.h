@@ -34,8 +34,9 @@ namespace fault {
 ///   "chase"      once per STD in Chase, before firing its witnesses;
 ///   "plan-bind"  once per Evaluator query dispatch, before BindQuery;
 ///   "enum"       once per valuation in RepAMemberEnumerator;
-///   "snap-write" once per section in snap::WriteSnapshot;
-///   "snap-read"  once per section in snap::LoadSnapshot.
+///   "snap-write" once per file in snap::SerializeSnapshot;
+///   "snap-read"  once per file in snap::ParseSnapshot / LoadSnapshotFile,
+///                after the header checks and before the build.
 
 /// Parses OCDX_FAULT="<site>:<n>" and installs the fault (fires from the
 /// n-th probe hit onward; n >= 1). Malformed values are ignored. No-op

@@ -7,9 +7,10 @@
 // which keep their own chases). It must hold for a direct RunDxCommand at
 // every shard width, for a batch `--command=all` at every worker count,
 // and — minus the stored pairs, which a warm run borrows instead of
-// chasing — for a snapshot's warm `all`. The concurrent case runs warm
-// `all` on one prechased bundle from several threads at once; the `tsan`
-// test preset runs this file under ThreadSanitizer.
+// chasing — for a snapshot's warm `all`. A stored solution's totals
+// decide whether a run under a chase budget may borrow it. The concurrent
+// case runs warm `all` on one prechased bundle from several threads at
+// once; the `tsan` test preset runs this file under ThreadSanitizer.
 
 #include <algorithm>
 #include <filesystem>
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chase/canonical.h"
 #include "exec/batch_runner.h"
 #include "exec/frozen_scenario.h"
 #include "logic/engine_context.h"
@@ -159,6 +161,54 @@ TEST(ChaseOnce, WarmAllChasesOnlyWhatTheSnapshotLacks) {
     // Ungoverned files store every pair, so only compose chases.
     EXPECT_EQ(stats.chase_triggers, ChasePlusCompose(src) - stored);
   }
+}
+
+// A solution records the chase's totals: one trigger per firing (the
+// `fired` count the chase reports as chase_triggers) and the fresh nulls
+// of each. FitsChaseBudget, which decides whether a run may borrow a
+// stored solution, must agree with a re-chase at each cap's boundary:
+// the totals fit exactly, and one less trips the chase.
+TEST(ChaseOnce, StoredTotalsDecideBorrowingAtTheCapBoundary) {
+  int boundaries = 0;
+  for (const std::string& file : ScenarioFiles()) {
+    SCOPED_TRACE(file);
+    Universe u;
+    Result<DxScenario> scenario = ParseDxScenario(ReadFileOrDie(file), &u);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    for (const DxMappingDecl& m : scenario.value().mappings) {
+      for (const DxInstanceDecl& inst : scenario.value().instances) {
+        if (!DxChasePairOk(m, inst)) continue;
+        EngineStats stats;
+        EngineContext ctx;
+        ctx.stats = &stats;
+        Result<CanonicalSolution> csol = Chase(m.mapping, inst.plain, &u, ctx);
+        ASSERT_TRUE(csol.ok()) << csol.status().ToString();
+        const uint64_t fired = csol.value().triggers.size();
+        EXPECT_EQ(fired, stats.chase_triggers);
+        uint64_t minted = 0;
+        for (const ChaseTrigger& t : csol.value().triggers) {
+          minted += t.fresh_nulls.len;
+        }
+        for (uint64_t Budget::*cap :
+             {&Budget::chase_max_triggers, &Budget::chase_max_nulls}) {
+          const uint64_t total =
+              cap == &Budget::chase_max_triggers ? fired : minted;
+          EngineContext capped;
+          capped.budget.*cap = total;
+          EXPECT_TRUE(FitsChaseBudget(csol.value(), capped.budget));
+          if (total == 0) continue;
+          capped.budget.*cap = total - 1;
+          EXPECT_FALSE(FitsChaseBudget(csol.value(), capped.budget));
+          Result<CanonicalSolution> again =
+              Chase(m.mapping, inst.plain, &u, capped);
+          ASSERT_FALSE(again.ok());
+          EXPECT_EQ(again.status().code(), StatusCode::kResourceExhausted);
+          ++boundaries;
+        }
+      }
+    }
+  }
+  EXPECT_GT(boundaries, 0);
 }
 
 TEST(ChaseOnce, ConcurrentWarmRunsBorrowOneBundle) {

@@ -1,8 +1,7 @@
 // `.dx` mutation fuzzing: corpus files are mutated — random byte flips,
 // truncation at every token boundary, and tokens spliced in from other
-// corpus files — and every mutant, parsed in full and with instance rows
-// elided, must either parse or fail with a message that names a
-// "line L, col C" inside the mutant. Never a crash, a hang or a throw
+// corpus files — and every mutant must either parse or fail with a
+// message that names a "line L, col C" inside the mutant. Never a crash, a hang or a throw
 // (CI runs this binary under AddressSanitizer).
 //
 // The mutation schedule is a fixed-seed mt19937, so a failure
@@ -98,22 +97,17 @@ bool PositionsInside(const std::string& msg, std::string_view src) {
   return any;
 }
 
-// The contract: OK, or a failure positioned inside the mutant — for the
-// full parse and for the snapshot loader's elided parse alike.
+// The contract: OK, or a failure positioned inside the mutant.
 void ExpectCleanOutcome(const std::string& mutant) {
-  for (bool elide : {false, true}) {
-    SCOPED_TRACE(elide ? "elided parse" : "full parse");
-    Universe u;
-    try {
-      Result<DxScenario> result = ParseDxScenario(
-          mutant, &u, DxParseOptions{.elide_instance_rows = elide});
-      if (result.ok()) continue;
-      EXPECT_TRUE(PositionsInside(result.status().message(), mutant))
-          << "unpositioned or out-of-file error: "
-          << result.status().ToString() << "\n--- mutant ---\n" << mutant;
-    } catch (...) {
-      ADD_FAILURE() << "ParseDxScenario threw\n--- mutant ---\n" << mutant;
-    }
+  Universe u;
+  try {
+    Result<DxScenario> result = ParseDxScenario(mutant, &u);
+    if (result.ok()) return;
+    EXPECT_TRUE(PositionsInside(result.status().message(), mutant))
+        << "unpositioned or out-of-file error: "
+        << result.status().ToString() << "\n--- mutant ---\n" << mutant;
+  } catch (...) {
+    ADD_FAILURE() << "ParseDxScenario threw\n--- mutant ---\n" << mutant;
   }
 }
 

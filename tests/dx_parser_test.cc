@@ -1,7 +1,7 @@
 // Tests for the `.dx` scenario parser, printer and the rule-parser error
 // paths: feature coverage, positioned errors on malformed input, the
 // formula nesting cap, what the streaming parser must keep (id order,
-// error positions deep in a block, elided-parse offsets), and the
+// error positions deep in a block), and the
 // parse -> print -> parse round-trip over the whole golden corpus.
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 
 #include "logic/parser.h"
 #include "mapping/rule_parser.h"
-#include "text/dx_lexer.h"
 #include "text/dx_parser.h"
 #include "text/dx_printer.h"
 
@@ -366,8 +365,7 @@ TEST(DxParserErrors, NestingCapCountsLevels) {
 // --- What the streaming parser must keep --------------------------------------
 
 // Constants and nulls get ids in order of first appearance in the text,
-// whichever block they appear in: byte-identical output and the snapshot
-// loader's elided re-parse both depend on it.
+// whichever block they appear in: byte-identical output depends on it.
 TEST(DxParserOrder, IdsFollowFirstAppearance) {
   constexpr char kSrc[] = R"(
 schema s { R(a, b); P(a); }
@@ -389,19 +387,6 @@ query q(x) { T(x, 'q1') | T(x, 7) | R(x, 'q2') }
   ASSERT_EQ(u.num_nulls(), 2u);
   EXPECT_EQ(u.null_info(Value::MakeNull(0)).label, "n2");
   EXPECT_EQ(u.null_info(Value::MakeNull(1)).label, "n1");
-
-  // With instance rows elided only rule and query constants remain, still
-  // in text order.
-  Universe elided_u;
-  Result<DxScenario> elided = ParseDxScenario(
-      kSrc, &elided_u, DxParseOptions{.elide_instance_rows = true});
-  ASSERT_TRUE(elided.ok()) << elided.status().ToString();
-  const std::vector<std::string> want_elided = {"r1", "r2", "q1", "7", "q2"};
-  ASSERT_EQ(elided_u.num_consts(), want_elided.size());
-  for (uint32_t i = 0; i < want_elided.size(); ++i) {
-    EXPECT_EQ(elided_u.ConstName(i), want_elided[i]) << "const id " << i;
-  }
-  EXPECT_EQ(elided_u.num_nulls(), 0u);
 }
 
 // An error deep inside a large instance block reports the position a
@@ -450,60 +435,6 @@ std::vector<fs::path> CorpusFiles() {
   }
   std::sort(files.begin(), files.end());
   return files;
-}
-
-// Byte offsets just past the closing `}` of every instance body in `src`
-// (a full lex: fact bodies hold no braces outside quotes).
-std::vector<size_t> InstanceBodyEnds(std::string_view src) {
-  std::vector<size_t> ends;
-  DxLexer lexer(src);
-  std::vector<DxToken> seen;
-  bool in_instance = false;
-  for (DxToken t = lexer.Next();
-       t.kind != DxTokKind::kEnd && t.kind != DxTokKind::kError;
-       t = lexer.Next()) {
-    const size_t n = seen.size();
-    if (t.kind == DxTokKind::kLBrace && n >= 4 &&
-        seen[n - 4].text == "instance" && seen[n - 2].text == "over") {
-      in_instance = true;
-    } else if (t.kind == DxTokKind::kRBrace && in_instance) {
-      ends.push_back(t.offset + 1);
-      in_instance = false;
-    }
-    seen.push_back(t);
-  }
-  return ends;
-}
-
-// The elided parse lexes everything outside instance bodies at the same
-// offsets as the full parse: a bad token right after any instance gives
-// the same positioned error either way.
-TEST(DxParserElision, OffsetsOutsideInstanceBodiesMatchTheFullParse) {
-  for (const fs::path& file : CorpusFiles()) {
-    const std::string src = ReadFileOrDie(file);
-    const std::vector<size_t> ends = InstanceBodyEnds(src);
-    for (size_t end : ends) {
-      for (const char* bad : {" oops", " $", "\n  'unterminated"}) {
-        SCOPED_TRACE(file.filename().string() + " at offset " +
-                     std::to_string(end) + " with" + bad);
-        const std::string mutant =
-            src.substr(0, end) + bad + src.substr(end);
-        Universe full_u;
-        Result<DxScenario> full = Parse(mutant, &full_u);
-        Universe elided_u;
-        Result<DxScenario> elided = ParseDxScenario(
-            mutant, &elided_u, DxParseOptions{.elide_instance_rows = true});
-        ASSERT_FALSE(full.ok());
-        ASSERT_FALSE(elided.ok());
-        EXPECT_EQ(full.status(), elided.status());
-        const size_t at = mutant.find_first_not_of(" \n", end);
-        EXPECT_NE(full.status().message().find(
-                      " at " + DxLineIndex(mutant).Describe(at)),
-                  std::string::npos)
-            << full.status().message();
-      }
-    }
-  }
 }
 
 // --- Round-trips over the corpus --------------------------------------------

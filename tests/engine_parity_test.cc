@@ -174,6 +174,50 @@ TEST_P(CqEngineParity, IndexedNaiveAndGenericAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CqEngineParity, ::testing::Range(0, 32));
 
+// Answers with an empty output order is a sentence's truth as a 0-arity
+// relation, {()} or {}, under both engines: CQ-shaped sentences run as
+// relational plans under kIndexed, everything runs the domain odometer
+// under kGeneric, and an empty instance leaves the odometer an empty
+// domain, over which the sentence is still evaluated once.
+TEST(SentenceParity, ZeroArityAnswersAgreeAcrossEngines) {
+  Universe u;
+  Instance graph;
+  graph.Add("E", {u.Const("a"), u.Const("b")});
+  graph.Add("E", {u.Const("b"), u.Const("c")});
+  graph.Add("P", {u.Const("c")});
+  Instance empty;
+  empty.GetOrCreate("E", 2);
+  empty.GetOrCreate("P", 1);
+  const char* const kSentences[] = {
+      "exists x y. E(x, y)",
+      "exists x y z. E(x, y) & E(y, z) & P(z)",
+      "exists x. E(x, 'a')",
+      "exists x y. E(x, y) & !P(y)",
+      "forall x y. E(x, y) -> !P(x)",
+      "forall x. P(x)",
+  };
+  for (const Instance* inst : {&graph, &empty}) {
+    for (const char* text : kSentences) {
+      SCOPED_TRACE(std::string(text) +
+                   (inst == &empty ? " (empty instance)" : ""));
+      Result<FormulaPtr> f = ParseFormula(text, &u);
+      ASSERT_TRUE(f.ok()) << f.status().ToString();
+      Evaluator generic(*inst, u,
+                        EngineContext::ForMode(JoinEngineMode::kGeneric));
+      Result<bool> holds = generic.Holds(f.value());
+      ASSERT_TRUE(holds.ok()) << holds.status().ToString();
+      for (JoinEngineMode mode :
+           {JoinEngineMode::kIndexed, JoinEngineMode::kGeneric}) {
+        Evaluator ev(*inst, u, EngineContext::ForMode(mode));
+        Result<Relation> answers = ev.Answers(f.value(), {});
+        ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+        EXPECT_EQ(answers.value().arity(), 0u);
+        EXPECT_EQ(answers.value().size(), holds.value() ? 1u : 0u);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Homomorphism parity: indexed vs generic (static-order scan) vs brute
 // force.

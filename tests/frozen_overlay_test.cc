@@ -293,23 +293,16 @@ Relation MakeRelation() {
 }
 
 // Proper rows under two annotations plus one empty marker per
-// annotation, bulk-loaded: LoadRows defers the dedup table, so the
-// readers' first Contains races its build too.
-AnnotatedRelation MakeLoadedAnnotated() {
-  std::vector<AnnVec> pool = {
-      AnnVec(kArity, Ann::kOpen),
-      AnnVec{Ann::kClosed, Ann::kOpen, Ann::kClosed, Ann::kOpen}};
-  std::vector<Value> flat;
-  std::vector<AnnotatedRelation::RowSpec> specs;
-  for (uint32_t r = 0; r < kRows; ++r) {
-    std::vector<Value> row = RowValues(r);
-    flat.insert(flat.end(), row.begin(), row.end());
-    specs.push_back({static_cast<uint32_t>(kArity), r % 2});
-  }
-  specs.push_back({0, 0});
-  specs.push_back({0, 1});
+// annotation.
+AnnotatedRelation MakeAnnotated() {
+  const AnnVec open(kArity, Ann::kOpen);
+  const AnnVec mixed{Ann::kClosed, Ann::kOpen, Ann::kClosed, Ann::kOpen};
   AnnotatedRelation rel(kArity);
-  EXPECT_TRUE(rel.LoadRows(flat, specs, pool));
+  for (uint32_t r = 0; r < kRows; ++r) {
+    rel.Add(AnnotatedTupleRef{RowValues(r), r % 2 == 0 ? open : mixed});
+  }
+  rel.Add(AnnotatedTuple::EmptyMarker(open));
+  rel.Add(AnnotatedTuple::EmptyMarker(mixed));
   return rel;
 }
 
@@ -350,9 +343,9 @@ std::vector<std::vector<uint32_t>> ProbeAllProper(const AnnotatedRelation& rel,
 }
 
 // The concurrency pin of the frozen-relation invariant: 8 threads
-// first-probe a frozen Relation and a frozen, bulk-loaded
-// AnnotatedRelation at once — two masks every thread probes plus one
-// mask per thread — and race the deferred dedup build with Contains.
+// first-probe a frozen Relation and a frozen AnnotatedRelation at once —
+// two masks every thread probes plus one mask per thread — between
+// Contains calls.
 // Every result must equal the single-threaded one, and each distinct
 // mask must be built exactly once across all threads. Under the tsan
 // preset any unpublished write in the probe path is a reported race.
@@ -375,7 +368,7 @@ TEST(FrozenRelation, ConcurrentFirstProbeBuildsOnce) {
 
   // Single-threaded reference over identical, unfrozen relations.
   const Relation ref_rel = MakeRelation();
-  const AnnotatedRelation ref_ann = MakeLoadedAnnotated();
+  const AnnotatedRelation ref_ann = MakeAnnotated();
   std::map<uint64_t, std::vector<std::vector<uint32_t>>> want, want_proper;
   for (int t = 0; t < kThreads; ++t) {
     for (uint64_t m : masks_of(t)) want[m] = ProbeAll(ref_rel, m);
@@ -385,7 +378,7 @@ TEST(FrozenRelation, ConcurrentFirstProbeBuildsOnce) {
   }
 
   Relation rel = MakeRelation();
-  AnnotatedRelation ann = MakeLoadedAnnotated();
+  AnnotatedRelation ann = MakeAnnotated();
   rel.Freeze();
   ann.Freeze();
   ASSERT_TRUE(rel.frozen() && ann.frozen());

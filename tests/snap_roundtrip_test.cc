@@ -2,13 +2,17 @@
 // serialized (snap/snapshot.h), reloaded from bytes, and driven through
 // every driver command — the warm output must be byte-identical to a
 // cold parse-and-chase run under BOTH join engines and shard widths 1
-// and 4. This is the pin for the whole relocatable-arena design: if any
-// offset, null id, annotation pool or witness survives serialization
-// wrong, a canonical output byte moves.
+// and 4: runs on an overlay of a frozen, prechased scenario mint and
+// render exactly what a fresh parse does.
 //
-// The second fixture pins serialization determinism:
-// serialize(parse(serialize(b))) == serialize(b), so a snapshot is a
-// fixed point of the round trip, not merely behavior-equivalent.
+// The budget fixtures pin warm = cold under a chase trigger cap the
+// stored solutions exceed, set at load time (the `--chase-max-triggers`
+// flag of `ocdx snapshot run` and `ocdxd`) or only at run time (an
+// `ocdxd` request's `chase-max-triggers=` field).
+//
+// The last fixtures pin serialization determinism —
+// serialize(parse(serialize(b))) == serialize(b) — and the file
+// wrappers.
 
 #include <cstdint>
 #include <filesystem>
@@ -124,6 +128,63 @@ TEST(SnapRoundtrip, CorpusWarmRunsAreByteIdentical) {
       }
     }
   }
+}
+
+// Runs `all` on every corpus file cold and warm under a one-trigger
+// chase cap, the warm run on a snapshot loaded under `load_engine`, and
+// expects equal output and governed status. Returns how many files the
+// cap governed, so callers can check the case was exercised.
+int ExpectWarmEqualsColdUnderOneTrigger(const EngineContext& load_engine) {
+  int governed_files = 0;
+  for (const fs::path& file : CorpusFiles()) {
+    SCOPED_TRACE(file.string());
+    const std::string src = ReadFileOrDie(file);
+    Result<snap::SnapshotBundle> built =
+        snap::BuildSnapshotBundle(file.string(), src);
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    if (!built.ok()) continue;
+    Result<std::string> bytes = snap::SerializeSnapshot(built.value());
+    EXPECT_TRUE(bytes.ok());
+    if (!bytes.ok()) continue;
+    Result<snap::SnapshotBundle> warm_bundle =
+        snap::ParseSnapshot(AsBytes(bytes.value()), load_engine);
+    EXPECT_TRUE(warm_bundle.ok()) << warm_bundle.status().ToString();
+    if (!warm_bundle.ok()) continue;
+
+    DxDriverOptions options;
+    options.engine.budget.chase_max_triggers = 1;
+    Universe cold_universe;
+    Result<DxScenario> scenario = ParseDxScenario(src, &cold_universe);
+    EXPECT_TRUE(scenario.ok());
+    if (!scenario.ok()) continue;
+    Status cold_governed;
+    Result<std::string> cold = RunDxCommand(
+        scenario.value(), "all", &cold_universe, options, &cold_governed);
+    Status warm_governed;
+    Result<std::string> warm = snap::RunSnapshotCommand(
+        warm_bundle.value(), "all", options, &warm_governed);
+    EXPECT_EQ(cold.ok(), warm.ok());
+    if (cold.ok() && warm.ok()) {
+      EXPECT_EQ(cold.value(), warm.value());
+    }
+    EXPECT_EQ(cold_governed.ToString(), warm_governed.ToString());
+    if (!cold_governed.ok()) ++governed_files;
+  }
+  return governed_files;
+}
+
+// The cap is set at load: the load leaves the governed pairs out of the
+// store, and the run re-chases them.
+TEST(SnapRoundtrip, ChaseBudgetAtLoadMatchesCold) {
+  EngineContext load;
+  load.budget.chase_max_triggers = 1;
+  EXPECT_GT(ExpectWarmEqualsColdUnderOneTrigger(load), 0);
+}
+
+// The cap is set only for the run: the store holds solutions the cap
+// forbids, and the run must re-chase instead of borrowing them.
+TEST(SnapRoundtrip, ChaseBudgetAtRunMatchesCold) {
+  EXPECT_GT(ExpectWarmEqualsColdUnderOneTrigger(EngineContext()), 0);
 }
 
 TEST(SnapRoundtrip, SerializationIsAFixedPoint) {

@@ -1,8 +1,9 @@
-// Version-skew and framing rejection, pinned by a golden file.
+// Header rejection, pinned by a golden file.
 //
 // A reader must reject — with STABLE error text — snapshots it cannot
-// safely interpret: wrong magic, a bumped format version, a foreign byte
-// order, truncated framing, checksum mismatches and trailing garbage.
+// safely interpret: wrong magic, another format version (a future
+// writer's, or a version 1 binary snapshot), a short header, lengths
+// that disagree with the file, checksum mismatches and trailing bytes.
 // The exact error strings are an API (operators grep for them, the
 // daemon forwards them over the wire), so this test collects each
 // rejection's text and diffs the block against
@@ -14,7 +15,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
@@ -46,8 +46,10 @@ std::span<const uint8_t> AsBytes(const std::string& s) {
 std::string BaselineSnapshot() {
   const fs::path file = fs::path(OCDX_CORPUS_DIR) / "conference.dx";
   const std::string src = ReadFileOrDie(file);
+  // A relative path keeps the pinned lengths independent of the
+  // checkout's location.
   Result<snap::SnapshotBundle> bundle =
-      snap::BuildSnapshotBundle(file.string(), src);
+      snap::BuildSnapshotBundle("conference.dx", src);
   EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
   if (!bundle.ok()) return "";
   Result<std::string> bytes = snap::SerializeSnapshot(bundle.value());
@@ -55,24 +57,32 @@ std::string BaselineSnapshot() {
   return bytes.ok() ? bytes.value() : "";
 }
 
-// Offsets into the fixed header (snap/format.h): magic[8], then
-// version:u32 at 8, endian:u32 at 12, section_count:u32 at 16.
-constexpr size_t kVersionOffset = 8;
-constexpr size_t kEndianOffset = 12;
-
-void PutU32(std::string* buf, size_t at, uint32_t v) {
-  std::memcpy(buf->data() + at, &v, sizeof v);
+// Header fields are little-endian (snap/format.h).
+void PutLE(std::string* buf, size_t at, uint64_t v, size_t width) {
+  for (size_t b = 0; b < width; ++b) {
+    (*buf)[at + b] = static_cast<char>((v >> (8 * b)) & 0xff);
+  }
 }
 
-uint32_t GetU32(const std::string& buf, size_t at) {
-  uint32_t v;
-  std::memcpy(&v, buf.data() + at, sizeof v);
+uint64_t GetLE(const std::string& buf, size_t at, size_t width) {
+  uint64_t v = 0;
+  for (size_t b = 0; b < width; ++b) {
+    v |= uint64_t{static_cast<uint8_t>(buf[at + b])} << (8 * b);
+  }
   return v;
 }
 
-uint32_t ByteSwap32(uint32_t v) {
-  return ((v & 0x000000ffu) << 24) | ((v & 0x0000ff00u) << 8) |
-         ((v & 0x00ff0000u) >> 8) | ((v & 0xff000000u) >> 24);
+// The leading bytes of a version 1 snapshot: magic, version 1, its
+// endian tag, four sections, a reserved word, then the first section
+// header (id 1, reserved, payload length, checksum).
+std::string VersionOneHeader() {
+  std::string v1(snap::kMagic, sizeof snap::kMagic);
+  v1.resize(48, '\0');
+  PutLE(&v1, 8, 1, 4);
+  PutLE(&v1, 12, 0x01020304, 4);
+  PutLE(&v1, 16, 4, 4);
+  PutLE(&v1, 24, 1, 4);
+  return v1;
 }
 
 TEST(SnapVersion, RejectionTextsMatchGolden) {
@@ -96,46 +106,28 @@ TEST(SnapVersion, RejectionTextsMatchGolden) {
   // Bumped format version (a future writer's file).
   {
     std::string m = base;
-    PutU32(&m, kVersionOffset, snap::kFormatVersion + 1);
+    PutLE(&m, snap::kVersionOffset, snap::kFormatVersion + 1, 4);
     reject("future-version", m);
   }
-  // Foreign byte order: the whole header as a big-endian writer would
-  // produce it — every u32 swapped, endian tag included.
-  {
-    std::string m = base;
-    PutU32(&m, kVersionOffset,
-           ByteSwap32(GetU32(base, kVersionOffset)));
-    PutU32(&m, kEndianOffset, ByteSwap32(snap::kEndianTag));
-    reject("foreign-endian", m);
-  }
-  // Foreign byte order wins over version skew: a swapped header must
-  // report endianness, not a nonsense version number.
-  {
-    std::string m = base;
-    PutU32(&m, kEndianOffset, ByteSwap32(snap::kEndianTag));
-    reject("foreign-endian-before-version", m);
-  }
+  // A version 1 binary snapshot is an unsupported version, not garbage.
+  reject("version-1-file", VersionOneHeader());
   // Truncated header.
   reject("short-header", base.substr(0, 10));
-  // Truncated mid-section-header.
-  reject("short-section-header", base.substr(0, 26));
-  // Payload byte flip: the per-section checksum catches it before any
-  // decoder runs (last byte of the file lives in the final section).
+  // The text length claims one byte more than the file holds.
+  {
+    std::string m = base;
+    PutLE(&m, snap::kTextLenOffset,
+          GetLE(base, snap::kTextLenOffset, 8) + 1, 8);
+    reject("length-mismatch", m);
+  }
+  // A text byte flip: the checksum catches it before the parser runs.
   {
     std::string m = base;
     m.back() = static_cast<char>(static_cast<uint8_t>(m.back()) ^ 0xff);
     reject("checksum-mismatch", m);
   }
-  // Trailing garbage after the last section.
+  // Trailing garbage after the text.
   reject("trailing-bytes", base + "xyz");
-  // A structurally valid container with the wrong section layout.
-  {
-    std::string m;
-    snap::AppendHeader(&m, 1);
-    snap::Sink empty;
-    snap::AppendSection(&m, snap::SectionId::kMeta, empty);
-    reject("wrong-section-count", m);
-  }
 
   const fs::path golden_path =
       fs::path(OCDX_CORPUS_DIR) / "golden" / "snapshot_errors.golden";
@@ -160,8 +152,7 @@ TEST(SnapVersion, RejectionTextsMatchGolden) {
 TEST(SnapVersion, CurrentVersionRoundTrips) {
   const std::string base = BaselineSnapshot();
   ASSERT_FALSE(base.empty());
-  EXPECT_EQ(GetU32(base, kVersionOffset), snap::kFormatVersion);
-  EXPECT_EQ(GetU32(base, kEndianOffset), snap::kEndianTag);
+  EXPECT_EQ(GetLE(base, snap::kVersionOffset, 4), snap::kFormatVersion);
   EXPECT_TRUE(snap::ParseSnapshot(AsBytes(base)).ok());
 }
 

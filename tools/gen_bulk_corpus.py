@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Regenerates tests/corpus/bulk_import.dx (deterministic).
 
-The bulk_import scenario is the snapshot benchmark's cold-vs-warm
-workload: a small chase (one existential copy rule and one 2-atom join
-over E) riding on top of ~24k bulk facts in Log* relations that no rule
-touches. A cold run pays the full text parse — tokenizing every bulk
-fact — while a warm snapshot load reads the same rows back from the
-binary instances section in bulk, which is what bench_snapshot_load's
->=10x cold/warm headline measures. The chase itself is deliberately tiny,
+The bulk_import scenario is the corpus's parse-bound workload: a small
+chase (one existential copy rule and one 2-atom join over E) riding on
+top of ~24k bulk facts in Log* relations that no rule touches, so a run
+pays the full text parse, tokenizing every bulk fact. bench_parse and
+the warm-request rows of bench_fanout_setup time it. The file's header
+comment (emitted below) still names the snapshot benchmark it was
+written for; the benchmark pins the file's bytes, so the comment stays
+until the pin moves. The chase itself is deliberately tiny,
 so the indexed engine runs the file in tens of milliseconds. The generic
 active-domain engine (--engine=generic) enumerates the domain of every
 bulk fact and takes about a minute here, so the corpus-wide generic test
@@ -58,11 +59,10 @@ def main():
         emit(f"  E('{a}', '{b}');")
 
     # Bulk facts are all-integer and packed several per line: integers
-    # lex without quote characters and fewer lines keep the elided
-    # loader's raw body scan and line index cheap, while the cold parse
-    # still tokenizes and interns every argument. Bounded value ranges
-    # keep the constant table small — the one snapshot payload that costs
-    # per-string work on warm load; the cold/warm gap lives in the facts.
+    # lex without quote characters and fewer lines keep the line index
+    # cheap, while the parse still tokenizes and interns every argument.
+    # Bounded value ranges keep the constant table small, so the parse
+    # cost lives in the facts.
     for r in range(4):
         row = []
         for i in range(6000):

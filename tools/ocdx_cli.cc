@@ -13,16 +13,18 @@
 //                                    run output, byte-identical for
 //                                    every -j, timing goes to stderr
 //   ocdx snapshot write FILE.dx OUT.snap
-//                                    parse + chase once, persist the
-//                                    result as a relocatable binary
-//                                    snapshot (snap/format.h)
-//   ocdx snapshot read SNAP.snap     validate a snapshot and print its
+//                                    check that the file parses and
+//                                    chases, then save its text behind a
+//                                    checksummed header (snap/format.h)
+//   ocdx snapshot read SNAP.snap     load a snapshot and print its
 //                                    summary (scenario, universe totals,
 //                                    stored pairs)
 //   ocdx snapshot run SNAP.snap [--command=CMD]
-//                                    warm-start: serve a driver command
-//                                    from the snapshot, byte-identical to
-//                                    the cold `ocdx CMD FILE.dx` output
+//                                    load a snapshot (parse + chase under
+//                                    the given engine and budget flags)
+//                                    and run a driver command on it,
+//                                    byte-identical to the cold
+//                                    `ocdx CMD FILE.dx` output
 //
 // Flags:
 //   --engine=indexed|generic         join-engine mode (default: indexed)
@@ -321,8 +323,7 @@ int main(int argc, char** argv) {
       }
       size_t prechased = 0;
       {
-        // One span over build + serialize + write: the phase a warm
-        // start amortizes away.
+        // One span over build + serialize + write.
         obs::ScopedSpan span(options.engine.stats, options.engine.trace,
                              obs::kPhaseSnapWrite);
         Result<snap::SnapshotBundle> bundle = snap::BuildSnapshotBundle(
@@ -356,7 +357,7 @@ int main(int argc, char** argv) {
       {
         obs::ScopedSpan span(options.engine.stats, options.engine.trace,
                              obs::kPhaseSnapLoad);
-        bundle.emplace(snap::LoadSnapshotFile(positional[2]));
+        bundle.emplace(snap::LoadSnapshotFile(positional[2], options.engine));
       }
       if (!bundle->ok()) {
         std::fprintf(stderr, "ocdx: %s\n",

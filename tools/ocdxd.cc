@@ -5,14 +5,16 @@
 //               [--deadline-ms=N] [--shards=N]
 //               [--preload=SNAP.snap ...]
 //
-// --preload (repeatable) loads binary snapshots (snap/snapshot.h) at
-// startup: a request whose <file-path> names either a preloaded snapshot
-// file or the `.dx` path recorded inside one is served warm from the
-// snapshot's pre-chased universe — no re-parse, no re-chase — with a
-// response byte-identical to the cold path. Unmatched paths fall through
-// to the usual fresh-parse job. A snapshot that fails to load aborts
-// startup with exit 1 (a server silently missing its warm set would be a
-// latency regression, not a convenience).
+// --preload (repeatable) loads snapshots (snap/snapshot.h) at startup:
+// each is parsed and chased once, under the server's engine and budget
+// flags, into a frozen scenario. A request whose <file-path> names either
+// a preloaded snapshot file or the `.dx` path recorded inside one is
+// served warm from it — no re-parse, and no re-chase of a pair whose
+// stored solution fits the request's budget — with a response
+// byte-identical to the cold path. Unmatched paths fall through to the
+// usual fresh-parse job. A snapshot that fails to load aborts startup
+// with exit 1 (a server silently missing its warm set would be a latency
+// regression, not a convenience).
 //
 // Protocol (stdin/stdout, one request per line — run it under socat or
 // (x)inetd for network service; keeping the transport external keeps the
@@ -219,7 +221,9 @@ int main(int argc, char** argv) {
     EngineStats load_stats;
     Result<snap::SnapshotBundle> bundle = [&] {
       obs::ScopedSpan span(&load_stats, nullptr, obs::kPhaseSnapLoad);
-      return snap::LoadSnapshotFile(snap_path);
+      EngineContext load = options.engine;
+      load.stats = &load_stats;
+      return snap::LoadSnapshotFile(snap_path, load);
     }();
     registry.Merge(load_stats);
     if (!bundle.ok()) {

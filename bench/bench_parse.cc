@@ -5,10 +5,16 @@
 //                             append is the whole cost)
 //   BM_ParseCorpus            every tests/corpus/*.dx file, one after the
 //                             other, per iteration
+//   BM_InternDistinct         the constant interner alone: 32k distinct
+//                             short names into a fresh StringInterner
+//                             (every call a first sight)
+//   BM_InternHits             the same names again into an interner that
+//                             holds them all (every call a hit)
 //
-// Each row reports bytes/s (source text) and facts/s (instance facts in
-// the text), so rows over different files compare. Every
-// iteration parses into a fresh Universe, the way a cold job does.
+// The parse rows report bytes/s (source text) and facts/s (instance
+// facts in the text), so rows over different files compare. Every
+// iteration parses into a fresh Universe, the way a cold job does. The
+// intern rows report names/s.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "base/interner.h"
 #include "text/dx_parser.h"
 
 namespace ocdx {
@@ -41,7 +48,9 @@ int64_t CountFacts(const std::string& src) {
   if (!s.ok()) return 0;
   int64_t facts = 0;
   for (const DxInstanceDecl& inst : s.value().instances) {
-    facts += static_cast<int64_t>(inst.annotated_instance.TotalTuples());
+    facts += static_cast<int64_t>(inst.annotated
+                                      ? inst.annotated_instance.TotalTuples()
+                                      : inst.plain.TotalTuples());
   }
   return facts;
 }
@@ -92,6 +101,41 @@ void BM_ParseCorpus(benchmark::State& state) {
   ParseLoop(state, srcs);
 }
 BENCHMARK(BM_ParseCorpus)->Unit(benchmark::kMillisecond);
+
+// Short distinct names, like the generated ingest files' constants.
+const std::vector<std::string>& InternNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (int i = 0; i < 32768; ++i) {
+      out.push_back("n" + std::to_string(i * 7919));
+    }
+    return out;
+  }();
+  return names;
+}
+
+void BM_InternDistinct(benchmark::State& state) {
+  const std::vector<std::string>& names = InternNames();
+  for (auto _ : state) {
+    StringInterner in;
+    for (const std::string& n : names) benchmark::DoNotOptimize(in.Intern(n));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(names.size()));
+}
+BENCHMARK(BM_InternDistinct)->Unit(benchmark::kMicrosecond);
+
+void BM_InternHits(benchmark::State& state) {
+  const std::vector<std::string>& names = InternNames();
+  StringInterner in;
+  for (const std::string& n : names) in.Intern(n);
+  for (auto _ : state) {
+    for (const std::string& n : names) benchmark::DoNotOptimize(in.Intern(n));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(names.size()));
+}
+BENCHMARK(BM_InternHits)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ocdx

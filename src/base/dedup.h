@@ -1,4 +1,5 @@
-// Open-addressed (hash, id) table: the dedup set behind Relation::Add.
+// Open-addressed (hash, id) table: the dedup set behind Relation::Add,
+// and the name -> id table of the constant interner (base/interner.h).
 //
 // Replaces the node-based std::unordered_multimap<size_t, uint32_t> the
 // relations used for dedup — one heap allocation per inserted tuple — with
@@ -6,8 +7,8 @@
 // bits of the row's hash beside its id, 8 bytes in all: every relation
 // carries one of these tables for its lifetime, so its size is resident
 // memory. The low bits pick the home slot, and a tag match is confirmed
-// by the caller-supplied equality (which compares the actual tuples), so
-// the table itself never needs to see tuple payloads.
+// by the caller-supplied equality (which compares the actual tuples or
+// names), so the table itself never needs to see payloads.
 
 #ifndef OCDX_BASE_DEDUP_H_
 #define OCDX_BASE_DEDUP_H_

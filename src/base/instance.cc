@@ -125,8 +125,6 @@ bool AnnotatedInstance::Add(const std::string& name, TupleRef t, AnnRef ann) {
 Instance AnnotatedInstance::RelPart() const {
   Instance out;
   for (const auto& [name, rel] : relations_) {
-    // Per-relation RelPart so the bulk fast path (single-annotation,
-    // marker-free relations) applies; move-assigned into place.
     out.GetOrCreate(name, rel.arity()) = rel.RelPart();
   }
   return out;

@@ -80,7 +80,7 @@ std::unique_ptr<Universe> Universe::NewOverlay() const {
 std::string Universe::Describe(Value v) const {
   CheckRead();
   if (!v.IsValid()) return "<invalid>";
-  if (v.IsConst()) return ConstName(v.id());
+  if (v.IsConst()) return std::string(ConstName(v.id()));
   const NullInfo& info = null_info(v);
   if (!info.label.empty()) return StrCat("_", info.label);
   // Chase nulls skip eager label materialization (it is measurable chase

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/interner.h"
+#include "base/interner.h"
 
 namespace ocdx {
 
@@ -225,8 +225,9 @@ class Universe {
     return id == UINT32_MAX ? Value() : Value::MakeConst(base_consts_ + id);
   }
 
-  /// The interned name of constant id `id` (< num_consts()).
-  const std::string& ConstName(uint32_t id) const {
+  /// The interned name of constant id `id` (< num_consts()); the view
+  /// stays valid for the universe's lifetime.
+  std::string_view ConstName(uint32_t id) const {
     CheckRead();
     if (base_ != nullptr && id < base_consts_) return base_->ConstName(id);
     return consts_.Get(id - base_consts_);

@@ -104,16 +104,22 @@ class DxParser {
   Status ParseInstanceDecl(DxScenario* out);
   Status ParseQueryDecl(DxScenario* out);
 
-  /// An instance's schema relation, resolved once per instance block.
+  /// An instance's schema relation, resolved once per instance block:
+  /// its rel(T) part, and its annotated relation once the instance is
+  /// annotated (null before the instance's first `^`).
   struct FactTarget {
     size_t arity;
-    AnnotatedRelation* rel;
+    Relation* plain;
+    AnnotatedRelation* annotated = nullptr;
   };
   using FactTargets = std::unordered_map<std::string_view, FactTarget>;
 
-  /// Parses one fact into its relation; sets `*annotated` if any of its
-  /// positions carries an annotation.
-  Status ParseFact(const FactTargets& targets, bool* annotated);
+  /// Parses one fact into `decl`'s relations. The first fact with an
+  /// annotated position makes `decl` annotated (SeedAnnotated).
+  Status ParseFact(FactTargets& targets, DxInstanceDecl* decl);
+  /// Marks `decl` annotated and fills its annotated view with the facts
+  /// parsed so far, every position `cl` (the default annotation).
+  static void SeedAnnotated(FactTargets& targets, DxInstanceDecl* decl);
   // The fact path reports success as a bool and builds a Status only on
   // failure: it runs once per value of every fact in the file.
   /// Interns the value at the cursor and advances past it; on anything
@@ -393,7 +399,7 @@ Status DxParser::ValueError() const {
   return Error("expected a value ('const', integer, or _null)");
 }
 
-Status DxParser::ParseFact(const FactTargets& targets, bool* annotated) {
+Status DxParser::ParseFact(FactTargets& targets, DxInstanceDecl* decl) {
   const size_t offset = Peek().offset;
   if (Peek().kind != DxTokKind::kIdent) {
     return Error("expected a relation name");
@@ -450,9 +456,22 @@ Status DxParser::ParseFact(const FactTargets& targets, bool* annotated) {
                                   " but the schema declares arity ",
                                   target.arity));
   }
-  target.rel->Add(AnnotatedTupleRef{values_, ann_});
-  *annotated |= any_annotated;
+  if (any_annotated && !decl->annotated) SeedAnnotated(targets, decl);
+  if (marker_positions == 0) target.plain->Add(values_);
+  if (decl->annotated) target.annotated->Add(AnnotatedTupleRef{values_, ann_});
   return Status::OK();
+}
+
+void DxParser::SeedAnnotated(FactTargets& targets, DxInstanceDecl* decl) {
+  decl->annotated = true;
+  for (auto& [name, target] : targets) {
+    target.annotated = &decl->annotated_instance.GetOrCreate(
+        std::string(name), target.arity);
+    const std::vector<Ann> closed(target.arity, Ann::kClosed);
+    for (TupleRef t : target.plain->tuples()) {
+      target.annotated->Add(AnnotatedTupleRef{t, closed});
+    }
+  }
 }
 
 Status DxParser::ParseInstanceDecl(DxScenario* out) {
@@ -482,14 +501,12 @@ Status DxParser::ParseInstanceDecl(DxScenario* out) {
   // straight into its relation.
   FactTargets targets;
   for (const RelationDecl& rd : schema->schema.decls()) {
-    AnnotatedRelation& rel =
-        decl.annotated_instance.GetOrCreate(rd.name, rd.arity());
+    Relation& rel = decl.plain.GetOrCreate(rd.name, rd.arity());
     targets.emplace(rd.name, FactTarget{rd.arity(), &rel});
   }
   while (!Accept(DxTokKind::kRBrace)) {
-    OCDX_RETURN_IF_ERROR(ParseFact(targets, &decl.annotated));
+    OCDX_RETURN_IF_ERROR(ParseFact(targets, &decl));
   }
-  decl.plain = decl.annotated_instance.RelPart();
   out->instances.push_back(std::move(decl));
   return Status::OK();
 }

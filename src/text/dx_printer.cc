@@ -36,31 +36,50 @@ void PrintMapping(const DxMappingDecl& decl, const Universe& u,
   *out += "}\n";
 }
 
-std::string FactLine(const AnnotatedTupleRef& t, const std::string& rel,
-                     bool annotated, const Universe& u) {
+// `ann` is empty for a fact of an unannotated instance.
+std::string FactLine(const std::string& rel, TupleRef values, AnnRef ann,
+                     const Universe& u) {
   std::vector<std::string> args;
-  if (t.IsEmptyMarker()) {
-    for (Ann a : t.ann) args.push_back(StrCat("^", AnnToString(a)));
+  if (values.empty()) {
+    // An empty marker (or a 0-ary fact, which has no positions at all).
+    for (Ann a : ann) args.push_back(StrCat("^", AnnToString(a)));
   } else {
-    for (size_t i = 0; i < t.values.size(); ++i) {
-      std::string arg = DxValueLiteral(t.values[i], u);
-      if (annotated) arg += StrCat("^", AnnToString(t.ann[i]));
+    for (size_t i = 0; i < values.size(); ++i) {
+      std::string arg = DxValueLiteral(values[i], u);
+      if (!ann.empty()) arg += StrCat("^", AnnToString(ann[i]));
       args.push_back(std::move(arg));
     }
   }
   return StrCat("  ", rel, "(", Join(args, ", "), ");\n");
 }
 
+// Each relation's facts, one per line, sorted.
+template <typename Relations, typename Line>
+void PrintFacts(const Relations& relations, const Line& line,
+                std::string* out) {
+  for (const auto& [rel, relation] : relations) {
+    std::vector<std::string> lines;
+    for (const auto& t : relation.tuples()) lines.push_back(line(rel, t));
+    std::sort(lines.begin(), lines.end());
+    for (const std::string& l : lines) *out += l;
+  }
+}
+
 void PrintInstance(const DxInstanceDecl& decl, const Universe& u,
                    std::string* out) {
   *out += StrCat("instance ", decl.name, " over ", decl.over, " {\n");
-  for (const auto& [rel, relation] : decl.annotated_instance.relations()) {
-    std::vector<std::string> lines;
-    for (const AnnotatedTupleRef& t : relation.tuples()) {
-      lines.push_back(FactLine(t, rel, decl.annotated, u));
-    }
-    std::sort(lines.begin(), lines.end());
-    for (const std::string& line : lines) *out += line;
+  if (decl.annotated) {
+    PrintFacts(decl.annotated_instance.relations(),
+               [&](const std::string& rel, const AnnotatedTupleRef& t) {
+                 return FactLine(rel, t.values, t.ann, u);
+               },
+               out);
+  } else {
+    PrintFacts(decl.plain.relations(),
+               [&](const std::string& rel, TupleRef t) {
+                 return FactLine(rel, t, {}, u);
+               },
+               out);
   }
   *out += "}\n";
 }

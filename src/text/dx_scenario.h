@@ -43,10 +43,13 @@ struct DxMappingDecl {
 
 /// `instance NAME over SCHEMA { R('a', _n1); ... }`
 ///
-/// Facts whose arguments carry `^op` / `^cl` annotations — or bare-
-/// annotation empty markers `R(^cl, ^op)` — make the instance
-/// *annotated*; `annotated` below is then true and `plain` holds only
-/// rel(T). Unannotated instances populate both views identically.
+/// `plain` holds every fact's values: the whole instance, or rel(T) of
+/// an annotated one. Facts whose arguments carry `^op` / `^cl`
+/// annotations — or bare-annotation empty markers `R(^cl, ^op)` — make
+/// the instance *annotated*; `annotated` below is then true and
+/// `annotated_instance` holds the facts with their annotations (a
+/// position without one is `cl`). An unannotated instance is held once,
+/// in `plain`, and its `annotated_instance` is empty.
 struct DxInstanceDecl {
   std::string name;
   std::string over;  ///< Schema name.

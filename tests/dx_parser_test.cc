@@ -137,6 +137,60 @@ instance T over s {
   EXPECT_EQ(t.plain.Find("R")->size(), 0u);
 }
 
+TEST(DxParser, UnannotatedInstanceIsHeldOnce) {
+  Universe u;
+  Result<DxScenario> sc = Parse(R"(
+schema s { Q(a, b); R(a); }
+instance I over s { Q('a', 'b'); Q('a', 'b'); R('c'); }
+)", &u);
+  ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+  const DxInstanceDecl& i = sc.value().instances[0];
+  EXPECT_FALSE(i.annotated);
+  EXPECT_EQ(i.plain.Find("Q")->size(), 1u);
+  EXPECT_EQ(i.plain.Find("R")->size(), 1u);
+  EXPECT_TRUE(i.annotated_instance.relations().empty());
+}
+
+TEST(DxParser, FirstAnnotationSeedsEarlierFactsAsClosed) {
+  // Facts before the instance's first `^` enter the annotated view as
+  // all-`cl` rows, in order; rel(T) is the annotated view's RelPart,
+  // row for row.
+  Universe u;
+  Result<DxScenario> sc = Parse(R"(
+schema s { R(a); P(a); }
+instance T over s {
+  R('b'); R('a'); R('b');
+  R('a'^op); R('c'); R(^op); R('d'^cl);
+}
+)", &u);
+  ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+  const DxInstanceDecl& t = sc.value().instances[0];
+  ASSERT_TRUE(t.annotated);
+  const AnnotatedRelation* r = t.annotated_instance.Find("R");
+  ASSERT_NE(r, nullptr);
+  ASSERT_NE(t.annotated_instance.Find("P"), nullptr);
+  const std::vector<std::pair<std::string, Ann>> want = {
+      {"b", Ann::kClosed}, {"a", Ann::kClosed}, {"a", Ann::kOpen},
+      {"c", Ann::kClosed}, {"", Ann::kOpen},    {"d", Ann::kClosed}};
+  ASSERT_EQ(r->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const AnnotatedTupleRef row = r->tuples()[i];
+    ASSERT_EQ(row.ann.size(), 1u) << "row " << i;
+    EXPECT_EQ(row.ann[0], want[i].second) << "row " << i;
+    if (want[i].first.empty()) {
+      EXPECT_TRUE(row.IsEmptyMarker()) << "row " << i;
+    } else {
+      EXPECT_EQ(u.Describe(row.values[0]), want[i].first) << "row " << i;
+    }
+  }
+  const Relation rel_part = r->RelPart();
+  const Relation* plain = t.plain.Find("R");
+  ASSERT_EQ(plain->size(), rel_part.size());
+  for (size_t i = 0; i < rel_part.size(); ++i) {
+    EXPECT_EQ(plain->tuples()[i], rel_part.tuples()[i]) << "row " << i;
+  }
+}
+
 TEST(DxParser, IntegerConstantsInternLikeQuoted) {
   Universe u;
   Result<DxScenario> sc = Parse(R"(

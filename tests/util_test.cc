@@ -1,12 +1,15 @@
-// Unit tests for src/util: Status/Result, enumerators, RNG.
+// Unit tests for src/util (Status/Result, enumerators, RNG) and the
+// constant interner (src/base/interner.h).
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/interner.h"
 #include "util/combinatorics.h"
-#include "util/interner.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/str.h"
@@ -60,6 +63,56 @@ TEST(InternerTest, StableIds) {
   EXPECT_EQ(in.Get(b), "beta");
   EXPECT_EQ(in.Find("gamma"), UINT32_MAX);
   EXPECT_EQ(in.size(), 2u);
+}
+
+TEST(InternerTest, IdsFollowFirstSightAcrossGrowth) {
+  // 100k names force many table growths and arena chunks; ids stay the
+  // first-sight order and every name still maps back to its id.
+  constexpr uint32_t kNames = 100000;
+  StringInterner in;
+  for (uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_EQ(in.Intern("name" + std::to_string(i)), i);
+  }
+  ASSERT_EQ(in.size(), kNames);
+  for (uint32_t i = 0; i < kNames; ++i) {
+    const std::string name = "name" + std::to_string(i);
+    ASSERT_EQ(in.Intern(name), i);
+    ASSERT_EQ(in.Find(name), i);
+    ASSERT_EQ(in.Get(i), name);
+  }
+  EXPECT_EQ(in.size(), kNames);
+}
+
+TEST(InternerTest, FindOnEmptyInterner) {
+  const StringInterner in;
+  EXPECT_EQ(in.Find("x"), UINT32_MAX);
+  EXPECT_EQ(in.Find(""), UINT32_MAX);
+  EXPECT_EQ(in.size(), 0u);
+}
+
+TEST(InternerTest, EmptyAndPrefixSharingNamesAreDistinct) {
+  StringInterner in;
+  const std::vector<std::string> names = {"abc", "", "a", "ab"};
+  for (uint32_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(in.Intern(names[i]), i);
+  }
+  for (uint32_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(in.Find(names[i]), i) << "'" << names[i] << "'";
+    EXPECT_EQ(in.Get(i), names[i]);
+  }
+  EXPECT_EQ(in.Find("abcd"), UINT32_MAX);
+  EXPECT_EQ(in.size(), names.size());
+}
+
+TEST(InternerTest, ViewsOutliveLaterInterns) {
+  // Get hands out views into the arena; later Interns open new chunks
+  // but never move old bytes, so a held view still reads its name.
+  StringInterner in;
+  const std::string_view alpha = in.Get(in.Intern("alpha"));
+  const std::string_view omega = in.Get(in.Intern(std::string(5000, 'w')));
+  for (int i = 0; i < 100000; ++i) in.Intern("k" + std::to_string(i));
+  EXPECT_EQ(alpha, "alpha");
+  EXPECT_EQ(omega, std::string(5000, 'w'));
 }
 
 TEST(PartitionEnumeratorTest, CountsAreBellNumbers) {

@@ -150,7 +150,10 @@ void Relation::Clear() {
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  indexes_.Clear();
+  // Live indexes stay live, emptied in place: a relation refilled in a
+  // loop (member images) keeps each probed mask's index and its capacity
+  // instead of rebuilding it on the next probe.
+  indexes_.ClearIndexes();
 }
 
 void Relation::Truncate(size_t n) {
@@ -308,7 +311,7 @@ void AnnotatedRelation::Clear() {
   arena_.Clear();
   rows_.clear();
   set_.Clear();
-  indexes_.Clear();
+  indexes_.ClearIndexes();
   // ann_pool_ is deliberately kept: pool indexes held by future rows stay
   // meaningful, and the pool is tiny.
 }

@@ -22,13 +22,14 @@
 //   *incrementally* from then on — Add appends the new tuple id into the
 //   affected bucket of every live index (counted by
 //   index_maintenance_stats(); the differential tests pin builds ==
-//   distinct probed masks). Bucket pointers returned by Probe /
-//   ProbeProper stay valid across later Adds (buckets live in a
-//   node-stable unordered_map): under Add a bucket only ever *grows*,
-//   append-only, in ascending id order — never reorders or moves; only
-//   Truncate shrinks one, popping the ids it removes. A nullptr
-//   probe result is NOT a stable answer: the key's bucket can appear
-//   with a later Add.
+//   distinct probed masks). Clear empties live indexes in place rather
+//   than dropping them, so they keep being maintained by the Adds after
+//   it. Bucket pointers returned by Probe / ProbeProper stay valid
+//   across later Adds (buckets live in a std::deque; tuple_index.h):
+//   under Add a bucket only ever *grows*, append-only, in ascending id
+//   order — never reorders or moves; only Truncate shrinks one, popping
+//   the ids it removes. A nullptr probe result is NOT a stable answer:
+//   the key's bucket can appear with a later Add.
 //
 // \invariant The one sharp edge: iterating a bucket while inserting into
 //   the *same* relation can grow the bucket mid-iteration — snapshot the
@@ -203,8 +204,11 @@ class Relation {
   void Reserve(size_t rows);
 
   /// Empties the relation but keeps arena/table capacity — for scratch
-  /// relations filled and cleared in a loop (e.g. per search leaf).
-  /// Invalidates all previously returned spans and bucket pointers.
+  /// relations filled and cleared in a loop (e.g. per search leaf, per
+  /// member image). Live indexes are emptied in place, keeping their
+  /// capacity, and go on absorbing later Adds: a mask probed before the
+  /// Clear is not built again. Invalidates all previously returned spans
+  /// and bucket pointers.
   void Clear();
 
   /// Removes the rows with ids >= `n` — the undo of the Adds that
@@ -295,9 +299,10 @@ class AnnotatedRelation {
 
   void Reserve(size_t rows);
 
-  /// As Relation::Clear; the annotation pool is retained (pool indexes
-  /// stay meaningful, and scratch reuse is exactly the case that re-adds
-  /// the same few annotations).
+  /// As Relation::Clear (live indexes are emptied in place); the
+  /// annotation pool is retained (pool indexes stay meaningful, and
+  /// scratch reuse is exactly the case that re-adds the same few
+  /// annotations).
   void Clear();
 
   bool Contains(const AnnotatedTupleRef& t) const;

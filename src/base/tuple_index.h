@@ -6,17 +6,23 @@
 // projection. Relations build these lazily, one per bound-position
 // signature that the join planner actually probes, and then maintain them
 // *incrementally*: an Add appends the new tuple id into the affected
-// bucket of every live index instead of dropping the indexes. Probes are
-// allocation-free: callers pass a std::span over a scratch buffer and the
-// map is searched through heterogeneous (is_transparent) hashing.
+// bucket of every live index instead of dropping the indexes. The index
+// is flat: distinct keys are stored back to back in one value arena and
+// found through an open-addressed (hash, bucket number) table
+// (base/dedup.h); bucket number b's key is the b-th key of the arena and
+// its ids are the b-th bucket. Probes are allocation-free: callers pass a
+// std::span over a scratch buffer.
 //
-// \invariant Buckets are node-stable: they live in an unordered_map whose
-//   mapped values never move, so a pointer returned by Probe stays valid
-//   across any number of later Insert calls. Under Insert a bucket only
-//   ever *grows*, append-only, with ids in ascending insertion order —
-//   never reorders or moves. The one way it shrinks is EraseLast, the
-//   undo of the latest Insert (Relation::Truncate), which pops ids off
-//   bucket ends in the reverse order they came. A nullptr probe result
+// \invariant Buckets are stable: they live in a std::deque, which never
+//   moves its elements when it grows at the back, so a pointer returned
+//   by Probe stays valid across any number of later Insert calls. Under
+//   Insert a bucket only ever *grows*, append-only, with ids in ascending
+//   insertion order — never reorders or moves. The one way it shrinks
+//   under a live relation is EraseLast, the undo of the latest Insert
+//   (Relation::Truncate), which pops ids off bucket ends in the reverse
+//   order they came. Clear empties the index in place: every bucket
+//   keeps its capacity for the keys that come after it, and every
+//   pointer Probe returned before it is invalid. A nullptr probe result
 //   is not stable: the key's bucket can appear with a later Insert.
 //
 // \invariant Iterating a bucket while inserting into the same relation
@@ -38,15 +44,17 @@
 #ifndef OCDX_BASE_TUPLE_INDEX_H_
 #define OCDX_BASE_TUPLE_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "base/dedup.h"
 #include "base/tuple.h"
 
 namespace ocdx {
@@ -55,37 +63,6 @@ namespace internal {
 /// The striped build mutex guarding `owner`'s lazy builds (relation.cc).
 std::mutex& BuildMutex(const void* owner);
 }  // namespace internal
-
-/// Hashes a projection key, whether materialized (Tuple) or borrowed
-/// (span over a scratch buffer). Must agree with TupleHash.
-struct ProjKeyHash {
-  using is_transparent = void;
-
-  size_t operator()(std::span<const Value> s) const { return TupleHash{}(s); }
-  size_t operator()(const Tuple& t) const { return TupleHash{}(t); }
-};
-
-struct ProjKeyEq {
-  using is_transparent = void;
-
-  static bool Equal(std::span<const Value> a, std::span<const Value> b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i] != b[i]) return false;
-    }
-    return true;
-  }
-  bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
-  bool operator()(std::span<const Value> a, const Tuple& b) const {
-    return Equal(a, std::span<const Value>(b.data(), b.size()));
-  }
-  bool operator()(const Tuple& a, std::span<const Value> b) const {
-    return Equal(std::span<const Value>(a.data(), a.size()), b);
-  }
-  bool operator()(std::span<const Value> a, std::span<const Value> b) const {
-    return Equal(a, b);
-  }
-};
 
 /// Per-thread maintenance counters: how often an index was built by a
 /// full scan vs. extended in place. The differential tests pin the "zero
@@ -111,11 +88,9 @@ inline IndexMaintenanceStats& index_maintenance_stats() {
 
 /// One hash index over a fixed set of key positions.
 ///
-/// Keys are materialized projections; buckets hold tuple ids in ascending
-/// insertion order, so index-driven iteration visits tuples in the same
-/// order a scan would. Buckets live in an unordered_map, whose mapped
-/// values are reference-stable across inserts: a bucket pointer survives
-/// any number of later Insert calls.
+/// Keys are projections, all of one width; buckets hold tuple ids in
+/// ascending insertion order, so index-driven iteration visits tuples in
+/// the same order a scan would. See the bucket \invariant above.
 class PositionIndex {
  public:
   /// `mask` bit p set means position p is part of the key. Key values are
@@ -125,27 +100,27 @@ class PositionIndex {
   uint64_t mask() const { return mask_; }
 
   /// Adds `id` under the projection of `t` (a full-width tuple).
-  void Insert(TupleRef t, uint32_t id) {
-    thread_local Tuple key;
-    key.clear();
-    for (uint64_t m = mask_; m != 0; m &= m - 1) {
-      key.push_back(t[static_cast<size_t>(__builtin_ctzll(m))]);
-    }
-    InsertKey(key, id);
-  }
+  void Insert(TupleRef t, uint32_t id) { InsertKey(Project(t), id); }
 
-  /// Adds `id` under an explicit, pre-built (borrowed) key. The key is
-  /// only materialized when it opens a new bucket — appending to an
-  /// existing bucket is allocation-free, which keeps incremental
-  /// maintenance cheap on the Add-heavy paths.
+  /// Adds `id` under an explicit, pre-built (borrowed) key. Appending to
+  /// an existing bucket copies nothing; a new key is copied into the key
+  /// arena, and reuses a cleared bucket's capacity when there is one.
   void InsertKey(std::span<const Value> key, uint32_t id) {
-    auto it = buckets_.find(key);
-    if (it != buckets_.end()) {
-      it->second.push_back(id);
-      return;
+    const size_t h = TupleHash{}(key);
+    uint32_t b = Find(h, key);
+    if (b == DedupIndex::kNone) {
+      if (num_buckets_ == 0) width_ = key.size();
+      assert(key.size() == width_ && "index keys must share one width");
+      b = static_cast<uint32_t>(num_buckets_++);
+      keys_.insert(keys_.end(), key.begin(), key.end());
+      table_.Insert(h, b);
+      if (b < buckets_.size()) {
+        buckets_[b].clear();
+      } else {
+        buckets_.emplace_back();
+      }
     }
-    buckets_.emplace(Tuple(key.begin(), key.end()),
-                     std::vector<uint32_t>{id});
+    buckets_[b].push_back(id);
   }
 
   /// Removes `id` from the end of the bucket of `t`'s projection, where
@@ -153,16 +128,20 @@ class PositionIndex {
   /// (Relation::Truncate). The emptied bucket stays allocated for reuse;
   /// Probe reports it as no match.
   void EraseLast(TupleRef t, uint32_t id) {
-    thread_local Tuple key;
-    key.clear();
-    for (uint64_t m = mask_; m != 0; m &= m - 1) {
-      key.push_back(t[static_cast<size_t>(__builtin_ctzll(m))]);
-    }
-    auto it = buckets_.find(std::span<const Value>(key));
-    assert(it != buckets_.end() && !it->second.empty() &&
-           it->second.back() == id && "EraseLast must undo the last Insert");
+    std::span<const Value> key = Project(t);
+    uint32_t b = Find(TupleHash{}(key), key);
+    assert(b != DedupIndex::kNone && !buckets_[b].empty() &&
+           buckets_[b].back() == id && "EraseLast must undo the last Insert");
     (void)id;
-    it->second.pop_back();
+    buckets_[b].pop_back();
+  }
+
+  /// Empties the index but keeps the capacity of its table, key arena and
+  /// buckets. Invalidates every bucket pointer Probe returned.
+  void Clear() {
+    table_.Clear();
+    keys_.clear();
+    num_buckets_ = 0;
   }
 
   /// The bucket for `key`, or nullptr if empty.
@@ -176,14 +155,38 @@ class PositionIndex {
   /// Probe with an explicit key layout (AnnotatedRelation prepends an
   /// annotation pseudo-value, so the key is one wider than the mask).
   const std::vector<uint32_t>* ProbeRaw(std::span<const Value> key) const {
-    auto it = buckets_.find(key);
-    return it == buckets_.end() || it->second.empty() ? nullptr : &it->second;
+    uint32_t b = Find(TupleHash{}(key), key);
+    return b == DedupIndex::kNone || buckets_[b].empty() ? nullptr
+                                                         : &buckets_[b];
   }
 
  private:
+  /// The projection of `t` onto the mask, in a per-thread scratch buffer
+  /// (valid until the thread's next Project).
+  std::span<const Value> Project(TupleRef t) const {
+    thread_local Tuple key;
+    key.clear();
+    for (uint64_t m = mask_; m != 0; m &= m - 1) {
+      key.push_back(t[static_cast<size_t>(__builtin_ctzll(m))]);
+    }
+    return key;
+  }
+
+  /// The bucket number of `key` (hash `h`), or DedupIndex::kNone.
+  uint32_t Find(size_t h, std::span<const Value> key) const {
+    if (key.size() != width_) return DedupIndex::kNone;
+    return table_.Find(h, [&](uint32_t b) {
+      const Value* stored = keys_.data() + size_t{b} * width_;
+      return std::equal(key.begin(), key.end(), stored);
+    });
+  }
+
   uint64_t mask_;
-  std::unordered_map<Tuple, std::vector<uint32_t>, ProjKeyHash, ProjKeyEq>
-      buckets_;
+  size_t width_ = 0;        ///< Key width, fixed by the first key.
+  size_t num_buckets_ = 0;  ///< Live buckets: buckets_[0, num_buckets_).
+  DedupIndex table_;        ///< Key hash -> bucket number.
+  std::vector<Value> keys_;  ///< Bucket b's key at [b * width_, +width_).
+  std::deque<std::vector<uint32_t>> buckets_;
 };
 
 /// A relation's per-mask indexes: an append-only singly linked list
@@ -241,6 +244,11 @@ class IndexList {
          n = n->next) {
       f(n->index);
     }
+  }
+
+  /// Empties every index in place (PositionIndex::Clear). Owner-only.
+  void ClearIndexes() {
+    ForEach([](PositionIndex& index) { index.Clear(); });
   }
 
   /// Drops every index. Owner-only.

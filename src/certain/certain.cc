@@ -4,10 +4,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "certain/naive.h"
 #include "logic/evaluator.h"
+#include "plan/runner.h"
 #include "util/str.h"
 
 namespace ocdx {
@@ -67,27 +69,42 @@ size_t LeadingForallCount(const FormulaPtr& q) {
   return l;
 }
 
-// A shard visitor's evaluation state: the query, prepared at the
-// shard's first member, and an evaluator over the shard's member image.
-// The enumerator hands a shard the same image object for every member
-// (certain/member_enum.h), so the evaluator — and the context copy it
-// holds, whose plan-table refcount every shard shares — is built once
-// per shard, not per member; a different object gets a new evaluator.
-struct ShardEvaluator {
-  std::optional<PreparedQuery> query;
-
-  Evaluator& For(const Instance& member, const Universe& universe,
-                 const EngineContext& ctx) {
-    if (image_ != &member) {
-      image_ = &member;
-      ev_.emplace(member, universe, ctx);
+// A shard visitor's evaluation state: an evaluator over the shard's
+// member image and the query, prepared and bound to that image at the
+// shard's first member. The enumerator hands a shard the same image
+// object for every member (certain/member_enum.h), so the evaluator — and
+// the context copy it holds, whose plan-table refcount every shard
+// shares — is built, and the query's relations resolved, once per shard;
+// each member then refreshes the binding in place and runs the plan. A
+// different object gets a new evaluator and a new binding.
+class ShardEvaluator {
+ public:
+  /// The evaluator over `member`; `prepare(Evaluator&)` yields the query
+  /// the first time.
+  template <typename Prepare>
+  Status For(const Instance& member, const Universe& universe,
+             const EngineContext& ctx, Prepare&& prepare) {
+    if (image_ == &member) return Status::OK();
+    ev_.emplace(member, universe, ctx);
+    if (!query_) {
+      OCDX_ASSIGN_OR_RETURN(PreparedQuery q, prepare(*ev_));
+      query_.emplace(std::move(q));
     }
-    return *ev_;
+    bound_ = ev_->Bind(*query_);
+    image_ = &member;
+    return Status::OK();
   }
+
+  Result<bool> Holds(const Env& binding) {
+    return ev_->Holds(*query_, &bound_, binding);
+  }
+  Status Answers(Relation* out) { return ev_->Answers(*query_, &bound_, out); }
 
  private:
   const Instance* image_ = nullptr;
   std::optional<Evaluator> ev_;
+  std::optional<PreparedQuery> query_;
+  plan::BoundQuery bound_;
 };
 
 }  // namespace
@@ -259,10 +276,11 @@ Result<CertainVerdict> CertainAnswerEngine::IsCertain(
         const EngineContext* sctx = shard.ctx;
         return [state, su, sctx, &q, &env](
                    const Instance& member) -> Result<bool> {
-          ShardEvaluator& se = state->eval;
-          Evaluator& ev = se.For(member, *su, *sctx);
-          if (!se.query) se.query = ev.PrepareHolds(q, env);
-          OCDX_ASSIGN_OR_RETURN(bool holds, ev.Holds(*se.query, env));
+          OCDX_RETURN_IF_ERROR(state->eval.For(
+              member, *su, *sctx, [&](Evaluator& ev) -> Result<PreparedQuery> {
+                return ev.PrepareHolds(q, env);
+              }));
+          OCDX_ASSIGN_OR_RETURN(bool holds, state->eval.Holds(env));
           if (!holds) {
             state->certain = false;  // Concrete counterexample.
             return false;            // First success: stop every shard.
@@ -335,11 +353,15 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
   // is identical for every shard count. A shard whose own intersection
   // empties stops the fan-out early: empty is final (every removal was
   // witnessed by a concrete member), and it forces the merged set empty.
+  // `answers` and `next` are per-member scratch, cleared in place.
   struct ShardAnswers {
     bool first = true;
     Relation candidates;
+    Relation answers;
+    Relation next;
     ShardEvaluator eval;
-    explicit ShardAnswers(size_t arity) : candidates(arity) {}
+    explicit ShardAnswers(size_t arity)
+        : candidates(arity), answers(arity), next(arity) {}
   };
   std::vector<std::unique_ptr<ShardAnswers>> parts;
   Status st = en.ForEachMember(
@@ -350,12 +372,12 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
         const EngineContext* sctx = shard.ctx;
         return [state, su, sctx, &q, &order, &allowed](
                    const Instance& member) -> Result<bool> {
-          ShardEvaluator& se = state->eval;
-          Evaluator& ev = se.For(member, *su, *sctx);
-          if (!se.query) {
-            OCDX_ASSIGN_OR_RETURN(se.query, ev.PrepareAnswers(q, order));
-          }
-          OCDX_ASSIGN_OR_RETURN(Relation ans, ev.Answers(*se.query));
+          OCDX_RETURN_IF_ERROR(state->eval.For(
+              member, *su, *sctx, [&](Evaluator& ev) {
+                return ev.PrepareAnswers(q, order);
+              }));
+          const Relation& ans = state->answers;
+          OCDX_RETURN_IF_ERROR(state->eval.Answers(&state->answers));
           if (state->first) {
             state->first = false;
             // Seed filtered to `allowed`: certain answers are ground
@@ -368,11 +390,11 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
               if (ok) state->candidates.Add(t);
             }
           } else {
-            Relation next(order.size());
+            state->next.Clear();
             for (TupleRef t : state->candidates.tuples()) {
-              if (ans.Contains(t)) next.Add(t);
+              if (ans.Contains(t)) state->next.Add(t);
             }
-            state->candidates = std::move(next);
+            std::swap(state->candidates, state->next);
           }
           return !state->candidates.empty();
         };

@@ -13,14 +13,17 @@
 //
 // Members are edits of one image, not fresh instances: each shard keeps
 // one Instance with every relation of T resolved once, refills it with
-// v(rel(T)) per valuation (Relation::Clear keeps the capacity), and pushes
-// and pops the chosen extras as the subset recursion descends and returns
+// v(rel(T)) per valuation from flat cells (each source value is a
+// constant or an index into the valuation's images; Relation::Clear keeps
+// the capacity and empties live indexes in place), and pushes and pops
+// the chosen extras as the subset recursion descends and returns
 // (Relation::Truncate unwinds dedup and index state with the rows). The
 // Instance a visitor receives is that image — the same object for every
 // member of a shard, edited between calls — so a visitor that keeps a
-// member must copy it. A
-// universe holding exactly max_universe distinct extras is complete;
-// only a further distinct candidate marks the run truncated.
+// member must copy it, and a visitor may bind its queries to it once
+// (plan::ResolveQuery) and refresh them per member. A universe holding
+// exactly max_universe distinct extras is complete; only a further
+// distinct candidate marks the run truncated.
 //
 // Exactness guarantees, following the paper:
 //   - all-closed T: no extras exist; enumeration is exact (Lemma 1 +
@@ -36,18 +39,21 @@
 //     enumeration is then a sound but incomplete counterexample search
 //     and reports a non-exhausted outcome.
 //
-// Intra-job fan-out (EngineContext::shards > 1): the valuation space is
-// partitioned round-robin across a scoped worker pool. The caller's
-// Universe is read-shared (Universe::ScopedReadShare) for the fan-out's
-// duration and each shard mints through its own copy-on-write overlay
-// (Universe::NewOverlay — nothing is cloned; overlay ids continue the
-// base's id spaces, honoring the one-Universe-per-job contract per
-// overlay), every shard probes the caller's thread-safe plan::PlanTable
-// (plan/plan_table.h; compile-once per job, whatever the shard count),
-// and the shard contexts' Budget::cancel points at a per-fan-out stop
-// flag, so the first shard that stops the run (counterexample found,
-// intersection emptied, budget trip) cooperatively cancels the NP
-// searches still running in the others. Shard results merge in shard order, and every merged observable
+// Intra-job fan-out (EngineContext::shards > 1): the shards of a scoped
+// worker pool draw valuation prefixes (a partition of the nulls and its
+// first block's image; iso_enum.h) from one shared ticket counter, so
+// uneven prefixes balance themselves and no shard steps through the
+// valuations of another. The caller's Universe is read-shared
+// (Universe::ScopedReadShare) for the fan-out's duration and each shard
+// mints through its own copy-on-write overlay (Universe::NewOverlay —
+// nothing is cloned; overlay ids continue the base's id spaces, honoring
+// the one-Universe-per-job contract per overlay), every shard probes the
+// caller's thread-safe plan::PlanTable (plan/plan_table.h; compile-once
+// per job, whatever the shard count), and the shard contexts'
+// Budget::cancel points at a per-fan-out stop flag, so the first shard
+// that stops the run (counterexample found, intersection emptied, budget
+// trip) cooperatively cancels the NP searches still running in the
+// others. Shard results merge in shard order, and every merged observable
 // (outcome, the surfaced governed trip, the early-stop decision) is
 // chosen so canonical `ocdx` output is byte-identical for every shard
 // count; only members_visited() may vary under early stop, and the driver
@@ -156,11 +162,11 @@ class RepAMemberEnumerator {
   /// Always sequential, whatever ctx->shards says.
   Status ForEachMember(const MemberFn& fn);
 
-  /// The sharded entry point: partitions the valuation space across
-  /// ctx->shards workers (sequential when that is 1). Visitor errors are
-  /// returned from here; the first shard to stop the run cancels the
-  /// rest through the shard budgets' cooperative flag. See the header
-  /// comment for the determinism contract.
+  /// The sharded entry point: ctx->shards workers draw valuation
+  /// prefixes from a shared counter (sequential when that is 1). Visitor
+  /// errors are returned from here; the first shard to stop the run
+  /// cancels the rest through the shard budgets' cooperative flag. See
+  /// the header comment for the determinism contract.
   Status ForEachMember(const ShardFnFactory& factory);
 
   /// How the last ForEachMember run ended.
@@ -177,18 +183,24 @@ class RepAMemberEnumerator {
  private:
   // Per-shard result record, merged in shard order by RunSharded.
   struct ShardOutcome {
-    // Terminal event: at most one per shard, stamped with the global
-    // valuation index it occurred in so the merge can pick the earliest.
+    // Terminal event: at most one per shard, stamped with the ordinal of
+    // the valuation it occurred in (its place in the unsharded order) so
+    // the merge can pick the earliest.
     enum class Event { kNone, kEarlyStop, kSoftCap, kTrip };
     Event event = Event::kNone;
-    uint64_t event_index = UINT64_MAX;
+    ValuationOrdinal event_index;
     Status trip;             // Set when event == kTrip.
     bool truncated = false;  // Universe/extra-tuple truncation seen.
   };
 
+  class ShardLoop;
+
   Status RunSharded(size_t shards, const ShardFnFactory& factory);
+  /// Runs one shard over the prefixes it draws from `prefix_tickets`, or
+  /// over every prefix when that is null (shard count 1).
   void RunShard(const MemberShard& shard, const ShardMemberFn& fn,
                 std::atomic<bool>* stop, std::atomic<uint64_t>* total_members,
+                std::atomic<uint64_t>* prefix_tickets,
                 ShardOutcome* out) const;
 
   const AnnotatedInstance& t_;

@@ -113,26 +113,60 @@ Result<Relation> Evaluator::Answers(const FormulaPtr& f,
   return Answers(q);
 }
 
-Result<bool> Evaluator::Holds(const PreparedQuery& q, const Env& binding) {
-  OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
-  // A raw pointer, not a shared_ptr copy: shards run one prepared plan
-  // per member, and refcount traffic on it would bounce between cores.
-  const plan::CompiledQuery* cq = q.plan_.get();
-  plan::CompiledQueryPtr fallback;
-  if (cq->kind == plan::PlanKind::kRelational) {
-    plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
-    if (bound.arity_ok) {
-      if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
-      return plan::RunRelational(bound, &binding, /*out=*/nullptr);
-    }
-    fallback = FreshGeneric(q.req_, inst_);
-    cq = fallback.get();
-  }
+plan::BoundQuery Evaluator::Bind(const PreparedQuery& q) const {
+  return plan::ResolveQuery(*q.plan_, inst_, &ctx_);
+}
 
+Result<bool> Evaluator::Holds(const PreparedQuery& q, const Env& binding) {
+  plan::BoundQuery bound = Bind(q);
+  return Holds(q, &bound, binding);
+}
+
+Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
+  plan::BoundQuery bound = Bind(q);
+  Relation out(q.req_.order.size());
+  OCDX_RETURN_IF_ERROR(Answers(q, &bound, &out));
+  return out;
+}
+
+Result<bool> Evaluator::Holds(const PreparedQuery& q, plan::BoundQuery* bound,
+                              const Env& binding) {
+  OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
+  plan::RefreshQuery(bound);
+  if (q.plan_->kind == plan::PlanKind::kGeneric) {
+    return HoldsGeneric(q, *bound, binding);
+  }
+  if (bound->arity_ok) {
+    if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
+    return plan::RunRelational(*bound, &binding, /*out=*/nullptr);
+  }
+  plan::CompiledQueryPtr fallback = FreshGeneric(q.req_, inst_);
+  return HoldsGeneric(q, plan::BindQuery(*fallback, inst_, &ctx_), binding);
+}
+
+Status Evaluator::Answers(const PreparedQuery& q, plan::BoundQuery* bound,
+                          Relation* out) {
+  OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
+  plan::RefreshQuery(bound);
+  out->Clear();
+  if (q.plan_->kind == plan::PlanKind::kGeneric) {
+    return AnswersGeneric(q, *bound, out);
+  }
+  if (bound->arity_ok) {
+    if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
+    plan::RunRelational(*bound, /*binding=*/nullptr, out);
+    return Status::OK();
+  }
+  plan::CompiledQueryPtr fallback = FreshGeneric(q.req_, inst_);
+  return AnswersGeneric(q, plan::BindQuery(*fallback, inst_, &ctx_), out);
+}
+
+Result<bool> Evaluator::HoldsGeneric(const PreparedQuery& q,
+                                     const plan::BoundQuery& bound,
+                                     const Env& binding) {
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
   std::vector<Value> domain = GenericDomain(q);
-  const plan::GenericPlan& gp = *cq->generic;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
+  const plan::GenericPlan& gp = *bound.query->generic;
   plan::GenericRunner runner(bound, oracle_);
   BudgetGauge gauge(ctx_.budget, ctx_.stats);
   runner.set_gauge(&gauge);
@@ -143,41 +177,23 @@ Result<bool> Evaluator::Holds(const PreparedQuery& q, const Env& binding) {
   return runner.Run(domain);
 }
 
-Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
-  const std::vector<std::string>& order = q.req_.order;
-  OCDX_RETURN_IF_ERROR(fault::Probe("plan-bind"));
-  // A raw pointer, not a shared_ptr copy: shards run one prepared plan
-  // per member, and refcount traffic on it would bounce between cores.
-  const plan::CompiledQuery* cq = q.plan_.get();
-  plan::CompiledQueryPtr fallback;
-  if (cq->kind == plan::PlanKind::kRelational) {
-    plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
-    if (bound.arity_ok) {
-      if (ctx_.stats != nullptr) ++ctx_.stats->cq_plans;
-      Relation out(order.size());
-      plan::RunRelational(bound, /*binding=*/nullptr, &out);
-      return out;
-    }
-    fallback = FreshGeneric(q.req_, inst_);
-    cq = fallback.get();
-  }
-
+Status Evaluator::AnswersGeneric(const PreparedQuery& q,
+                                 const plan::BoundQuery& bound,
+                                 Relation* out) {
   if (ctx_.stats != nullptr) ++ctx_.stats->generic_evals;
   std::vector<Value> domain = GenericDomain(q);
-  Relation out(order.size());
-  size_t k = order.size();
+  size_t k = q.req_.order.size();
   // With no output column the odometer below makes one pass, the
   // sentence's truth, even over an empty domain: {()} or {}.
-  if (k > 0 && domain.empty()) return out;
+  if (k > 0 && domain.empty()) return Status::OK();
 
-  const plan::GenericPlan& gp = *cq->generic;
-  plan::BoundQuery bound = plan::BindQuery(*cq, inst_, &ctx_);
+  const plan::GenericPlan& gp = *bound.query->generic;
   plan::GenericRunner runner(bound, oracle_);
   BudgetGauge gauge(ctx_.budget, ctx_.stats);
   runner.set_gauge(&gauge);
   std::vector<Value>& frame = runner.frame();
 
-  out.Reserve(16);
+  out->Reserve(16);
   std::vector<size_t> idx(k, 0);
   Tuple t(k);
   while (true) {
@@ -189,7 +205,7 @@ Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
       t[i] = domain[idx[i]];
     }
     OCDX_ASSIGN_OR_RETURN(bool v, runner.Run(domain));
-    if (v) out.Add(t);
+    if (v) out->Add(t);
     bool done = true;
     for (size_t p = k; p-- > 0;) {
       if (++idx[p] < domain.size()) {
@@ -200,7 +216,7 @@ Result<Relation> Evaluator::Answers(const PreparedQuery& q) {
     }
     if (done) break;
   }
-  return out;
+  return Status::OK();
 }
 
 Result<bool> EvalSentence(const FormulaPtr& f, const Instance& inst,

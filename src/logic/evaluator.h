@@ -21,6 +21,7 @@
 #include "logic/formula.h"
 #include "logic/function_oracle.h"
 #include "plan/compile.h"
+#include "plan/runner.h"
 #include "util/status.h"
 
 namespace ocdx {
@@ -36,8 +37,10 @@ using Env = std::map<std::string, Value>;
 /// and prebound analysis, the compile request, the plan-table lookup
 /// and, for a generic plan, the formula's constants. Each
 /// Evaluator::Holds / Answers on a prepared query then costs one
-/// BindQuery and one run. The formula overloads of Holds / Answers
-/// prepare and run in one call, so there is one evaluation path.
+/// BindQuery and one run; with a binding from Evaluator::Bind kept by
+/// the caller, one refresh (plan::RefreshQuery) and one run. The formula
+/// overloads of Holds / Answers prepare and run in one call, so there is
+/// one evaluation path.
 ///
 /// Run a prepared query only through evaluators with the context and
 /// function oracle it was prepared under. A boolean one must be run
@@ -98,6 +101,20 @@ class Evaluator {
   Result<bool> Holds(const PreparedQuery& q, const Env& binding = {});
   Result<Relation> Answers(const PreparedQuery& q);
 
+  /// Resolves `q` against this evaluator's instance object, for callers
+  /// that run it many times while the instance's contents change (the
+  /// member loops' image). The result serves only `q` and this
+  /// evaluator, and both must outlive it.
+  plan::BoundQuery Bind(const PreparedQuery& q) const;
+
+  /// Holds / Answers through a binding from Bind: refreshes it against
+  /// the instance's current contents and runs, with no name lookup.
+  /// Answers replaces `out`'s rows (arity: the query's output order).
+  Result<bool> Holds(const PreparedQuery& q, plan::BoundQuery* bound,
+                     const Env& binding);
+  Status Answers(const PreparedQuery& q, plan::BoundQuery* bound,
+                 Relation* out);
+
   /// The evaluation domain for `f`: active domain + constants of f +
   /// extras, deduplicated and sorted.
   std::vector<Value> Domain(const FormulaPtr& f) const;
@@ -105,6 +122,11 @@ class Evaluator {
  private:
   std::vector<Value> Domain(const std::vector<Value>& constants) const;
   std::vector<Value> GenericDomain(const PreparedQuery& q) const;
+  Result<bool> HoldsGeneric(const PreparedQuery& q,
+                            const plan::BoundQuery& bound,
+                            const Env& binding);
+  Status AnswersGeneric(const PreparedQuery& q, const plan::BoundQuery& bound,
+                        Relation* out);
   plan::CompiledQueryPtr Compile(const plan::CompileRequest& req,
                                  bool cq_eligible) const;
 

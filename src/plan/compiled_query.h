@@ -20,7 +20,9 @@
 //
 // Execution is two-phase: plan::BindQuery (runner.h) resolves the plan's
 // relation-name table against a concrete Instance — cheap, a handful of
-// map lookups — and the runners execute the bound plan. Nothing in this
+// map lookups — and refreshes the content-dependent facts, and the
+// runners execute the bound plan (a binding kept for one Instance object
+// needs only the refresh before each run). Nothing in this
 // header refers to a particular Instance.
 //
 // \invariant A CompiledQuery is immutable after CompileQuery returns.

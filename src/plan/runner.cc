@@ -29,12 +29,16 @@ constexpr size_t kScanBelow = 16;
 /// first full match ends the run.
 class RelationalRunner {
  public:
-  RelationalRunner(const BoundQuery& bound, Relation* out)
+  RelationalRunner(BoundQuery& bound, Relation* out)
       : plan_(*bound.query->relational),
         bound_(bound),
         out_(out),
-        frame_(plan_.num_slots),
-        out_scratch_(plan_.out_slots.size()) {}
+        frame_(bound.frame),
+        key_scratch_(bound.key_scratch),
+        out_scratch_(bound.out_scratch) {
+    frame_.assign(plan_.num_slots, Value());
+    out_scratch_.resize(plan_.out_slots.size());
+  }
 
   uint64_t matches() const { return matches_; }
 
@@ -202,49 +206,59 @@ class RelationalRunner {
   const RelationalPlan& plan_;
   const BoundQuery& bound_;
   Relation* out_;
-  std::vector<Value> frame_;
-  std::vector<Value> key_scratch_;
-  Tuple out_scratch_;
+  std::vector<Value>& frame_;
+  std::vector<Value>& key_scratch_;
+  Tuple& out_scratch_;
   uint64_t matches_ = 0;
 };
 
 }  // namespace
 
-BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst) {
+BoundQuery ResolveQuery(const CompiledQuery& q, const Instance& inst,
+                        const EngineContext* ctx) {
+  EngineStats* stats = ctx != nullptr ? ctx->stats : nullptr;
+  uint64_t start_ns = stats != nullptr ? obs::NowNs() : 0;
   BoundQuery b;
   b.query = &q;
   b.rels.reserve(q.relations.size());
   for (const std::string& name : q.relations) {
     b.rels.push_back(inst.Find(name));
   }
+  if (stats != nullptr) stats->plan_bind_ns += obs::NowNs() - start_ns;
+  return b;
+}
 
-  auto check_atom = [&b](const PlanAtomStep& ap, bool is_guard,
-                         bool* guard_dead) {
-    const Relation* rel = b.rels[ap.rel_slot];
+void RefreshQuery(BoundQuery* b) {
+  b->arity_ok = true;
+  b->trivially_empty = false;
+  auto check_atom = [b](const PlanAtomStep& ap, bool is_guard,
+                        bool* guard_dead) {
+    const Relation* rel = b->rels[ap.rel_slot];
     if (rel == nullptr || rel->empty()) {
       if (is_guard) {
         *guard_dead = true;  // The guard's sub-CQ can never match.
       } else {
-        b.trivially_empty = true;
+        b->trivially_empty = true;
       }
     }
-    if (rel != nullptr && rel->arity() != ap.arity) b.arity_ok = false;
+    if (rel != nullptr && rel->arity() != ap.arity) b->arity_ok = false;
   };
 
+  const CompiledQuery& q = *b->query;
   switch (q.kind) {
     case PlanKind::kRelational: {
       const RelationalPlan& plan = *q.relational;
       for (const PlanAtomStep& ap : plan.atoms) {
         check_atom(ap, /*is_guard=*/false, nullptr);
       }
-      b.guard_active.assign(plan.num_guards, true);
+      b->guard_active.assign(plan.num_guards, true);
       for (const auto& stage : plan.guards_after) {
         for (const PlanGuard& g : stage) {
           bool dead = false;
           for (const PlanAtomStep& ap : g.atoms) {
             check_atom(ap, /*is_guard=*/true, &dead);
           }
-          if (dead) b.guard_active[g.guard_id] = false;
+          if (dead) b->guard_active[g.guard_id] = false;
         }
       }
       break;
@@ -254,19 +268,16 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst) {
       // InvalidArgument during execution, as they always have.
       break;
   }
-  return b;
 }
 
 BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
                      const EngineContext* ctx) {
-  if (ctx == nullptr || ctx->stats == nullptr) return BindQuery(q, inst);
-  uint64_t start_ns = obs::NowNs();
-  BoundQuery b = BindQuery(q, inst);
-  ctx->stats->plan_bind_ns += obs::NowNs() - start_ns;
+  BoundQuery b = ResolveQuery(q, inst, ctx);
+  RefreshQuery(&b);
   return b;
 }
 
-bool RunRelational(const BoundQuery& b,
+bool RunRelational(BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out) {
   const bool negate = b.query->relational->negate;

@@ -1,19 +1,24 @@
 // Binding and executing CompiledQuery plans (see compiled_query.h).
 //
-// BindQuery is the per-instance half of the compile-once split: it
-// resolves the plan's relation-name table against one Instance, re-checks
-// arities, and precomputes the instance-dependent facts the pre-PR 5
-// compiler baked into the plan (trivially-empty main atoms, guards over
-// missing/empty relations). Binding is a handful of map lookups — the
-// member-enumeration loops bind per member and reuse one compiled plan.
+// Binding is the per-instance half of the compile-once split, in two
+// steps. ResolveQuery looks the plan's relation names up in one Instance
+// (a map lookup per name). RefreshQuery then re-checks arities and
+// precomputes the content-dependent facts a schema-level plan cannot
+// carry (trivially-empty main atoms, guards over missing/empty
+// relations); it touches no name and allocates nothing once warm.
+// BindQuery does both. The member-enumeration loops resolve once per
+// shard image (the same Instance object for every member, with the same
+// relations) and refresh per member.
 //
 // \invariant Runners never mutate the CompiledQuery. All scratch (the
 //   dense binding frame, probe keys, per-node quantifier state) is owned
-//   by the runner or this call's BoundQuery, so a plan can be executed
-//   concurrently from any number of jobs.
+//   by the runner or by the BoundQuery it runs, so a plan can be executed
+//   concurrently from any number of jobs, each with its own BoundQuery.
 // \invariant A BoundQuery borrows its CompiledQuery and its Instance's
-//   relations; it must not outlive either. It is a per-call value, not a
-//   cacheable artifact.
+//   relations; it must not outlive either, and it serves one Instance
+//   object: relation pointers stay valid while that Instance adds no
+//   relation, whatever its relations' contents do. Refresh it after the
+//   contents change and before the next run.
 
 #ifndef OCDX_PLAN_RUNNER_H_
 #define OCDX_PLAN_RUNNER_H_
@@ -52,17 +57,27 @@ struct BoundQuery {
   /// Relational plans, by PlanGuard::guard_id: a guard over a missing or
   /// empty relation can never match and is skipped.
   std::vector<bool> guard_active;
+  /// RunRelational's scratch, kept here so repeated runs reuse it: the
+  /// dense binding frame, the shared probe key and the output row.
+  std::vector<Value> frame;
+  std::vector<Value> key_scratch;
+  Tuple out_scratch;
 };
 
-/// Resolves `q` against `inst`. Cheap; call per instance.
-BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst);
+/// Resolves `q`'s relation names against `inst`, accumulating the time
+/// into ctx->stats->plan_bind_ns when a stats sink is attached (the timer
+/// only — deliberately no trace event per bind). RefreshQuery must run
+/// before the first run.
+BoundQuery ResolveQuery(const CompiledQuery& q, const Instance& inst,
+                        const EngineContext* ctx = nullptr);
 
-/// As above, accumulating the bind time into ctx->stats->plan_bind_ns
-/// when a stats sink is attached. Binding is the hottest instrumented
-/// phase (once per member instance in enumeration loops), so it feeds
-/// the timer only — deliberately no trace event per bind.
+/// Re-derives arity_ok, trivially_empty and guard_active from the
+/// resolved relations' current contents, in place.
+void RefreshQuery(BoundQuery* b);
+
+/// ResolveQuery, then RefreshQuery: a plan bound for one run.
 BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
-                     const EngineContext* ctx);
+                     const EngineContext* ctx = nullptr);
 
 /// Executes a bound relational plan (kind kRelational, arity_ok). In
 /// boolean mode (`out` == nullptr) stops at the first full match. In
@@ -77,7 +92,7 @@ BoundQuery BindQuery(const CompiledQuery& q, const Instance& inst,
 /// Returns true iff at least one match was found — or, for a negated
 /// plan (RelationalPlan::negate), iff none was. A trivially empty
 /// binding runs nothing.
-bool RunRelational(const BoundQuery& b,
+bool RunRelational(BoundQuery& b,
                    const std::map<std::string, Value>* binding,
                    Relation* out);
 

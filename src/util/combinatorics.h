@@ -55,6 +55,15 @@ class AssignmentEnumerator {
   AssignmentEnumerator(size_t k, size_t base)
       : k_(k), base_(base), started_(false) {}
 
+  /// Restarts as AssignmentEnumerator(k, base), keeping the digit
+  /// vector's capacity (loops that enumerate per iteration allocate
+  /// nothing once warm).
+  void Reset(size_t k, size_t base) {
+    k_ = k;
+    base_ = base;
+    started_ = false;
+  }
+
   bool Next();
 
   const std::vector<uint32_t>& digits() const { return digits_; }

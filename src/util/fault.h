@@ -32,7 +32,8 @@ namespace fault {
 
 /// Known probe sites, for reference (probes accept any name):
 ///   "chase"      once per STD in Chase, before firing its witnesses;
-///   "plan-bind"  once per Evaluator query dispatch, before BindQuery;
+///   "plan-bind"  once per Evaluator query dispatch, before the binding
+///                is refreshed;
 ///   "enum"       once per valuation in RepAMemberEnumerator;
 ///   "snap-write" once per file in snap::SerializeSnapshot;
 ///   "snap-read"  once per file in snap::ParseSnapshot / LoadSnapshotFile,

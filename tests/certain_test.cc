@@ -5,10 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "certain/certain.h"
 #include "certain/naive.h"
 #include "logic/parser.h"
 #include "mapping/rule_parser.h"
+#include "text/dx_driver.h"
+#include "text/dx_parser.h"
 
 namespace ocdx {
 namespace {
@@ -418,6 +427,119 @@ TEST_F(PositiveTest, NaiveEvalHelper) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().size(), 1u);
   EXPECT_TRUE(r.value().Contains({u_.Const("a"), u_.Const("b")}));
+}
+
+// The work of every certain-answer enumeration over the corpus and the
+// enumerate fixtures, pinned: members_checked at shards = 1 for each
+// (mapping, instance, query) that `ocdx certain` runs. How the member loop
+// generates valuations and refills its image may change what a member
+// costs, never which members are visited or in which order (the first
+// counterexample ends a run, so the order shows in the count).
+TEST(CorpusMembersChecked, UnchangedAtOneShard) {
+  namespace fs = std::filesystem;
+  std::vector<fs::path> files;
+  const fs::path corpus(OCDX_CORPUS_DIR);
+  for (const auto& entry : fs::directory_iterator(corpus)) {
+    if (entry.path().extension() == ".dx") files.push_back(entry.path());
+  }
+  // The generated enumerate files (perfbench's enumerate workload shape)
+  // visit thousands of members per query.
+  for (const auto& entry :
+       fs::directory_iterator(corpus.parent_path() / "render_fixtures")) {
+    if (entry.path().filename().string().rfind("enumerate_", 0) == 0) {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::string got;
+  for (const fs::path& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    Universe u;
+    Result<DxScenario> sc = ParseDxScenario(text.str(), &u);
+    ASSERT_TRUE(sc.ok()) << file << ": " << sc.status().ToString();
+    EngineContext ctx;
+    Budget scenario_budget;
+    for (const auto& [key, value] : sc.value().budget_settings) {
+      SetBudgetField(&scenario_budget, key, value);
+    }
+    ctx.budget.Tighten(scenario_budget);
+    for (const DxMappingDecl& m : sc.value().mappings) {
+      for (const DxInstanceDecl& inst : sc.value().instances) {
+        if (!DxChasePairOk(m, inst)) continue;
+        Result<CertainAnswerEngine> engine =
+            CertainAnswerEngine::Create(m.mapping, inst.plain, &u, ctx);
+        if (!engine.ok()) continue;
+        for (const DxQuery& q : sc.value().queries) {
+          bool over_target = true;
+          for (const std::string& rel : RelationsIn(q.formula)) {
+            over_target = over_target && m.mapping.target().Contains(rel);
+          }
+          if (!over_target) continue;
+          CertainVerdict v;
+          if (q.vars.empty()) {
+            Result<CertainVerdict> r =
+                engine.value().IsCertainBoolean(q.formula);
+            if (r.ok()) v = r.value();
+          } else {
+            (void)engine.value().CertainAnswers(q.formula, q.vars, &v);
+          }
+          got += file.filename().string() + " " + m.name + "/" + inst.name +
+                 " " + q.name + " " + std::to_string(v.members_checked) + "\n";
+        }
+      }
+    }
+  }
+  const std::string want = R"(annotated_literals.dx M/S has_pair 1
+bulk_import.dx M/S hops 1
+bulk_import.dx M/S tagged 1
+conference.dx M/S submitted 1
+conference.dx M/S reviewed 1
+conference.dx M/S one_author 5
+empty_markers.dx Open/S nobody_banned 2
+empty_markers.dx Open/S accounts 1
+empty_markers.dx Closed/S nobody_banned 1
+empty_markers.dx Closed/S accounts 1
+fresh_pool_alias.dx M/S only_named 3
+fresh_pool_alias.dx M/S unnamed_pair 7
+member_search.dx M/S owns_read 1
+member_search.dx M/S nothing_extra 2
+member_search.dx M/S single_title 2
+member_search.dx M/S no_shared_title 4
+membership.dx Mop/S copied 1
+membership.dx Mcl/S copied 1
+nulls_and_ineq.dx M/S hops 1
+nulls_and_ineq.dx M/S proper_hop 5
+nulls_and_ineq.dx M/S connected 5
+open_vs_closed.dx Mop/S copied 1
+open_vs_closed.dx Mop/S nothing_else 2
+open_vs_closed.dx Mop/S sink_exists 10
+open_vs_closed.dx Mcl/S copied 1
+open_vs_closed.dx Mcl/S nothing_else 1
+open_vs_closed.dx Mcl/S sink_exists 1
+valuation_enum.dx M/S someone_assigned 1
+valuation_enum.dx M/S unique_office 799
+valuation_enum.dx M/S shared_office 591
+valuation_enum.dx M/S lonely_office 1
+enumerate_12.dx Mcl/S someone_assigned 1
+enumerate_12.dx Mcl/S unique_office 10427
+enumerate_12.dx Mcl/S shared_office 8882
+enumerate_12.dx Mcl/S lonely_office 1
+enumerate_12.dx Mop1/S someone_assigned 1
+enumerate_12.dx Mop1/S unique_office 2
+enumerate_12.dx Mop1/S shared_office 8882
+enumerate_12.dx Mop1/S lonely_office 1
+enumerate_small.dx Mcl/S someone_assigned 1
+enumerate_small.dx Mcl/S unique_office 77
+enumerate_small.dx Mcl/S shared_office 44
+enumerate_small.dx Mcl/S lonely_office 1
+enumerate_small.dx Mop1/S someone_assigned 1
+enumerate_small.dx Mop1/S unique_office 2
+enumerate_small.dx Mop1/S shared_office 44
+enumerate_small.dx Mop1/S lonely_office 1
+)";
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

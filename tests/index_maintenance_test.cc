@@ -518,6 +518,74 @@ TEST(RelationMaintenance, InterleavedAddProbeDoesOneBuildPerMask) {
   EXPECT_GE(index_maintenance_stats().incremental_inserts, 199u);
 }
 
+// Clear empties live indexes in place (the member loops refill one image
+// per valuation): across rounds of Clear, refill, Truncate and probe, every
+// probe answers like a scan of the current rows, no mask is ever built a
+// second time, and a bucket pointer taken after a refill survives the
+// inserts of many new keys (buckets are deque-stable).
+TEST(RelationMaintenance, ClearEmptiesIndexesInPlace) {
+  Universe u;
+  Rng rng(52177);
+  std::vector<Value> pool = MakePool(&u, 6, 4);
+  Relation rel(2);
+  index_maintenance_stats().Reset();
+  std::set<uint64_t> probed_masks;
+  for (int round = 0; round < 60; ++round) {
+    rel.Clear();
+    std::vector<Tuple> shadow;
+    std::set<Tuple> shadow_set;
+    const size_t rows = 1 + rng.Below(40);
+    for (size_t i = 0; i < rows; ++i) {
+      Tuple t = RandomTuple(pool, 2, &rng);
+      if (shadow_set.insert(t).second) shadow.push_back(t);
+      rel.Add(t);
+    }
+    if (round % 3 == 2 && shadow.size() > 1) {  // Undo the newest rows.
+      const size_t keep = shadow.size() / 2;
+      rel.Truncate(keep);
+      shadow.resize(keep);
+    }
+    for (uint64_t mask : {uint64_t{0b01}, uint64_t{0b10}, uint64_t{0b11}}) {
+      if (round == 0 && mask == 0b11) continue;  // Built in a later round.
+      probed_masks.insert(mask);
+      for (Value a : pool) {
+        for (Value b : pool) {
+          Tuple key;
+          if (mask & 0b01) key.push_back(a);
+          if (mask & 0b10) key.push_back(b);
+          std::vector<uint32_t> expect;
+          for (uint32_t id = 0; id < shadow.size(); ++id) {
+            if (((mask & 0b01) == 0 || shadow[id][0] == a) &&
+                ((mask & 0b10) == 0 || shadow[id][1] == b)) {
+              expect.push_back(id);
+            }
+          }
+          const std::vector<uint32_t>* ids = rel.Probe(mask, key);
+          if (expect.empty()) {
+            EXPECT_TRUE(ids == nullptr || ids->empty());
+          } else {
+            ASSERT_NE(ids, nullptr);
+            EXPECT_EQ(*ids, expect);
+          }
+          if ((mask & 0b10) == 0) break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(index_maintenance_stats().full_builds, probed_masks.size());
+
+  // Deque-stable buckets: a pointer taken now survives 500 new keys.
+  rel.Clear();
+  rel.Add({u.Const("k"), u.Const("v")});
+  std::vector<Value> key = {u.Const("k")};
+  const std::vector<uint32_t>* ids = rel.Probe(0b01, key);
+  ASSERT_NE(ids, nullptr);
+  for (int i = 0; i < 500; ++i) rel.Add({u.IntConst(i), u.Const("v")});
+  rel.Add({u.Const("k"), u.Const("w")});
+  EXPECT_EQ(rel.Probe(0b01, key), ids);
+  EXPECT_EQ(*ids, (std::vector<uint32_t>{0, 501}));
+}
+
 // Cross-relation interleaving under a live BucketIterationGuard is the
 // supported pattern (the chase probes sources while appending targets):
 // the guard must stay silent, and the guarded bucket pointer must stay

@@ -23,8 +23,11 @@
 #include "certain/member_enum.h"
 #include "exec/pool.h"
 #include "logic/engine_context.h"
+#include "logic/evaluator.h"
+#include "logic/parser.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -203,6 +206,99 @@ TEST(MemberEnumShardTest, CrossThreadCancellationSurfacesAsCancelled) {
   EXPECT_EQ(st.code(), StatusCode::kCancelled) << st.ToString();
   EXPECT_EQ(en.outcome(), EnumOutcome::kTruncated);
   EXPECT_FALSE(en.exhausted());
+}
+
+// Regression (stats sink): a fan-out under a caller without stats gives
+// its shards none either — detached instrumentation is two null checks,
+// not a clock read per member bind. With a caller sink, each shard gets
+// its own and the counters merge into the caller's after the fan-out.
+TEST(MemberEnumShardTest, ShardsGetAStatsSinkOnlyWhenTheCallerHasOne) {
+  for (bool with_stats : {false, true}) {
+    SCOPED_TRACE(with_stats ? "caller stats" : "no caller stats");
+    Universe u;
+    AnnotatedInstance t = MakeSpreadInstance(&u, 3);
+    Result<FormulaPtr> f =
+        ParseFormula("forall x y z. (R(x, y) & R(x, z)) -> y = z", &u);
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    EngineStats stats;
+    EngineContext ctx;
+    ctx.EnsureCache();
+    ctx.shards = 2;
+    if (with_stats) ctx.stats = &stats;
+    MemberEnumOptions options;
+    options.open_replication_limit = 2;
+    RepAMemberEnumerator en(t, {u.Const("a")}, &u, options, &ctx);
+    std::vector<const EngineStats*> sinks;
+    Status st = en.ForEachMember(
+        [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
+          sinks.push_back(shard.ctx->stats);
+          return [&f, shard](const Instance& member) -> Result<bool> {
+            Evaluator ev(member, *shard.universe, *shard.ctx);
+            OCDX_RETURN_IF_ERROR(ev.Holds(f.value()).status());
+            return true;
+          };
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(sinks.size(), 2u);
+    for (const EngineStats* sink : sinks) {
+      if (with_stats) {
+        EXPECT_NE(sink, nullptr);
+        EXPECT_NE(sink, &stats);  // One sink per thread.
+      } else {
+        EXPECT_EQ(sink, nullptr);
+      }
+    }
+    if (with_stats) {
+      EXPECT_EQ(stats.enum_shard_runs, 1u);
+      EXPECT_EQ(stats.enum_shard_tasks, 2u);
+      EXPECT_EQ(stats.cq_plans, en.members_visited());
+      EXPECT_GT(stats.cq_plans, 100u);
+    }
+  }
+}
+
+// Governed trips are exact at shard count 1: a hard member cap of N lets
+// the visitor see exactly N members, across valuation and subset
+// boundaries alike, and an expired deadline trips at the first
+// valuation's poll, before any member.
+TEST(MemberEnumShardTest, HardCapAndDeadlineTripExactlyAtOneShard) {
+  MemberEnumOptions options;
+  options.open_replication_limit = 2;
+  for (uint64_t cap : {uint64_t{1}, uint64_t{7}, uint64_t{50}, uint64_t{333}}) {
+    SCOPED_TRACE(StrCat("max_members=", cap));
+    Universe u;
+    AnnotatedInstance t = MakeSpreadInstance(&u, 3);
+    EngineContext ctx;
+    ctx.budget.max_members = cap;
+    RepAMemberEnumerator en(t, {u.Const("a")}, &u, options, &ctx);
+    uint64_t seen = 0;
+    Status st = en.ForEachMember([&](const Instance&) {
+      ++seen;
+      return true;
+    });
+    EXPECT_EQ(seen, cap);
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+    EXPECT_EQ(st.message(), StrCat("member enumeration exceeded budget of ",
+                                   cap, " members"));
+    EXPECT_EQ(en.outcome(), EnumOutcome::kTruncated);
+  }
+
+  Universe u;
+  AnnotatedInstance t = MakeSpreadInstance(&u, 3);
+  EngineContext ctx;
+  ctx.budget.deadline_ms = 1;
+  ctx.budget.deadline =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  ctx.budget.deadline_armed = true;
+  RepAMemberEnumerator en(t, {u.Const("a")}, &u, options, &ctx);
+  uint64_t seen = 0;
+  Status st = en.ForEachMember([&](const Instance&) {
+    ++seen;
+    return true;
+  });
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
+  EXPECT_EQ(en.outcome(), EnumOutcome::kTruncated);
 }
 
 // Regression (fresh-constant pool): a scenario constant literally named

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "chase/canonical.h"
 #include "mapping/rule_parser.h"
 #include "semantics/homomorphism.h"
@@ -11,6 +18,8 @@
 #include "semantics/membership.h"
 #include "semantics/repa.h"
 #include "semantics/solutions.h"
+#include "util/combinatorics.h"
+#include "util/str.h"
 
 namespace ocdx {
 namespace {
@@ -413,6 +422,144 @@ TEST_F(SemanticsTest, ValuationEnumeratorRepresentsAllIsoClasses) {
     for (size_t i = 0; i < 3; ++i) w.Set(nulls[i], pool[ae.digits()[i]]);
     EXPECT_TRUE(rep_patterns.count(pattern(w)))
         << "missing isomorphism class " << pattern(w);
+  }
+}
+
+// The enumerator's order, pinned against its definition: partitions in
+// restricted-growth order, and per partition every block assignment over
+// {fixed..., fresh} in lexicographic order (last block fastest), minus
+// those where two blocks share a fixed constant. The reference builds
+// every assignment with AssignmentEnumerator and rejects — the
+// enumerator generates only the injective ones, and must yield exactly
+// this sequence, fresh names included.
+std::vector<std::vector<Value>> ReferenceValuations(
+    const std::vector<Value>& nulls, const std::vector<Value>& distinguished,
+    Universe* u) {
+  std::set<Value> dedup(distinguished.begin(), distinguished.end());
+  const std::vector<Value> fixed(dedup.begin(), dedup.end());
+  size_t offset = 0;
+  for (Value c : fixed) {
+    const std::string& name = u->Describe(c);
+    if (name.rfind("#f", 0) == 0) {
+      offset = std::max<size_t>(offset, std::stoul(name.substr(2)) + 1);
+    }
+  }
+  std::vector<std::vector<Value>> out;
+  PartitionEnumerator partitions(nulls.size());
+  while (partitions.Next()) {
+    const uint32_t k = partitions.num_blocks();
+    AssignmentEnumerator assign(k, fixed.size() + 1);
+    while (assign.Next()) {
+      const std::vector<uint32_t>& d = assign.digits();
+      std::vector<bool> used(fixed.size(), false);
+      bool injective = true;
+      for (uint32_t digit : d) {
+        if (digit == fixed.size()) continue;
+        injective = injective && !used[digit];
+        used[digit] = true;
+      }
+      if (!injective) continue;
+      std::vector<Value> images;
+      for (uint32_t b : partitions.blocks()) {
+        images.push_back(d[b] < fixed.size()
+                             ? fixed[d[b]]
+                             : u->Const(StrCat("#f", offset + b)));
+      }
+      out.push_back(std::move(images));
+    }
+  }
+  return out;
+}
+
+TEST_F(SemanticsTest, ValuationEnumeratorMatchesRejectFilterReference) {
+  // "#f3" among the fixed constants moves the fresh names to "#f4" on.
+  const std::vector<Value> pool = {u_.Const("b"), u_.Const("#f3"),
+                                   u_.Const("a"), u_.Const("c")};
+  for (size_t n = 0; n <= 5; ++n) {
+    std::vector<Value> nulls;
+    for (size_t i = 0; i < n; ++i) nulls.push_back(u_.FreshNull());
+    for (size_t f = 0; f <= pool.size(); ++f) {
+      SCOPED_TRACE(StrCat("nulls=", n, " fixed=", f));
+      std::vector<Value> fixed(pool.begin(), pool.begin() + f);
+      if (f > 0) fixed.push_back(pool[0]);  // Duplicates are dropped.
+      std::vector<std::vector<Value>> want =
+          ReferenceValuations(nulls, fixed, &u_);
+      ValuationEnumerator en(nulls, fixed, &u_);
+      std::vector<std::vector<Value>> got;
+      ValuationOrdinal last;
+      while (en.Advance()) {
+        got.push_back(en.images());
+        if (got.size() > 1) {
+          EXPECT_LT(last, en.ordinal());
+        }
+        last = en.ordinal();
+      }
+      EXPECT_EQ(got, want);
+      // Next(Valuation*) walks the same sequence.
+      ValuationEnumerator again(nulls, fixed, &u_);
+      Valuation v;
+      size_t i = 0;
+      while (again.Next(&v)) {
+        ASSERT_LT(i, want.size());
+        for (size_t j = 0; j < n; ++j) {
+          EXPECT_EQ(v.Apply(nulls[j]), want[i][j]);
+        }
+        ++i;
+      }
+      EXPECT_EQ(i, want.size());
+    }
+  }
+}
+
+// Enumerators sharing one prefix counter split the valuations between
+// them: driven round-robin (one thread, so the interleaving is fixed),
+// together they yield each sequential valuation exactly once, and their
+// ordinals sort the union back into the sequential order.
+TEST_F(SemanticsTest, ValuationEnumeratorsSharingPrefixesCoverOnce) {
+  const std::vector<Value> fixed = {u_.Const("a"), u_.Const("b")};
+  for (size_t n : {size_t{0}, size_t{1}, size_t{4}}) {
+    std::vector<Value> nulls;
+    for (size_t i = 0; i < n; ++i) nulls.push_back(u_.FreshNull());
+    std::vector<std::vector<Value>> sequential;
+    ValuationEnumerator seq(nulls, fixed, &u_);
+    while (seq.Advance()) sequential.push_back(seq.images());
+
+    for (size_t k : {size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(StrCat("nulls=", n, " enumerators=", k));
+      std::atomic<uint64_t> tickets{0};
+      std::vector<std::unique_ptr<ValuationEnumerator>> ens;
+      for (size_t i = 0; i < k; ++i) {
+        ens.push_back(
+            std::make_unique<ValuationEnumerator>(nulls, fixed, &u_, &tickets));
+      }
+      std::vector<std::pair<ValuationOrdinal, std::vector<Value>>> seen;
+      std::vector<bool> done(k, false);
+      std::set<size_t> producers;
+      for (size_t live = k; live > 0;) {
+        live = 0;
+        for (size_t i = 0; i < k; ++i) {
+          if (done[i]) continue;
+          if (!ens[i]->Advance()) {
+            done[i] = true;
+            continue;
+          }
+          ++live;
+          producers.insert(i);
+          seen.emplace_back(ens[i]->ordinal(), ens[i]->images());
+        }
+      }
+      std::sort(seen.begin(), seen.end());
+      ASSERT_EQ(seen.size(), sequential.size());
+      for (size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i].second, sequential[i]) << "position " << i;
+        if (i > 0) {
+          EXPECT_LT(seen[i - 1].first, seen[i].first);
+        }
+      }
+      if (n == 4) {
+        EXPECT_EQ(producers.size(), k);  // 45 prefixes to share.
+      }
+    }
   }
 }
 

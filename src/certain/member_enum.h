@@ -1,8 +1,11 @@
 // Bounded enumeration of the members of RepA(T).
 //
 // Every certain-answer and composition procedure in the paper ultimately
-// quantifies over RepA(CSolA(S)) — an infinite set. This enumerator makes
-// that quantification finite and (within stated bounds) exact:
+// quantifies over RepA(CSolA(S)) — an infinite set. This enumerator is the
+// one loop over it: the certain-answer searches and every composition
+// path (compose/compose.h) visit their members here, the NP paths'
+// valuation searches included. It makes that quantification finite and
+// (within stated bounds) exact:
 //
 //   * valuations of the nulls are enumerated up to isomorphism fixing a
 //     caller-supplied constant set (genericity; see iso_enum.h);

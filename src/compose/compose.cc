@@ -1,12 +1,10 @@
 #include "compose/compose.h"
 
+#include <algorithm>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "chase/canonical.h"
-#include "logic/budget.h"
-#include "semantics/iso_enum.h"
 #include "semantics/membership.h"
 #include "semantics/solutions.h"
 #include "util/str.h"
@@ -14,27 +12,6 @@
 namespace ocdx {
 
 namespace {
-
-// Distinguished constants for the J-search: everything W, Delta and the
-// canonical solution can "see".
-std::vector<Value> FixedConstants(const AnnotatedInstance& csola,
-                                  const Mapping& delta,
-                                  const Instance& target) {
-  std::set<Value> fixed;
-  for (Value v : csola.ActiveDomain()) {
-    if (v.IsConst()) fixed.insert(v);
-  }
-  for (Value v : target.ActiveDomain()) fixed.insert(v);
-  for (const AnnotatedStd& std_ : delta.stds()) {
-    for (Value v : ConstantsIn(std_.body)) fixed.insert(v);
-    for (const HeadAtom& atom : std_.head) {
-      for (const Term& t : atom.terms) {
-        if (t.IsConst()) fixed.insert(t.constant);
-      }
-    }
-  }
-  return std::vector<Value>(fixed.begin(), fixed.end());
-}
 
 uint64_t SatShift(uint64_t base, size_t k) {
   if (k >= 40) return UINT64_MAX;
@@ -96,16 +73,21 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
 
   OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
                         Chase(sigma, source, universe, call_ctx));
-  std::vector<Value> fixed = FixedConstants(csol.annotated, delta, target);
+  std::vector<Value> fixed = DistinguishedConstants(
+      {csol.annotated.ActiveDomain(), target.ActiveDomain()}, {&delta});
 
   ComposeVerdict out;
 
   const bool delta_monotone_open =
       delta.IsAllOpen() && delta.HasMonotoneBodies();
   const bool sigma_closed = sigma.IsAllClosed();
-
+  // The enumerated T, and whether visiting all of RepA(T) proves a
+  // negative verdict.
+  AnnotatedInstance& t = csol.annotated;
+  bool bounds_are_proof = true;
   if (delta_monotone_open || sigma_closed) {
-    // NP paths: J ranges over the valuation images of CSol(S) only.
+    // NP paths: J ranges over the valuation images of CSol(S) only, the
+    // members of its closed view (an all-closed CSolA(S) already is one).
     //  - sigma all-closed: [[S]]_{Sigma_cl} = Rep(CSol(S)) exactly;
     //  - monotone all-open Delta: Lemma 3 collapses Sigma_alpha to
     //    Sigma_op, and the minimal J = v(CSol(S)) decides membership.
@@ -113,73 +95,43 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                      ? "valuation enumeration (all-closed Sigma, NP)"
                      : "valuation enumeration (monotone all-open Delta, "
                        "Lemma 3 / Cor 4, NP)";
-    // Requirement formulas built once: the plan table keys on formula
-    // identity, so per-J construction would recompile per intermediate.
-    const std::vector<FormulaPtr> delta_reqs =
-        delta_monotone_open ? StdRequirements(delta) : std::vector<FormulaPtr>{};
-    ValuationEnumerator en(csol.annotated.Nulls(), fixed, universe);
-    // One deadline/cancellation poll per intermediate J (logic/budget.h):
-    // the valuation space is exponential in the null count, so the loop
-    // itself must be governed, not just the membership checks inside it.
-    BudgetGauge gauge(call_ctx.budget, call_ctx.stats);
-    Valuation v;
-    while (en.Next(&v)) {
-      OCDX_RETURN_IF_ERROR(gauge.Tick());
-      ++out.intermediates_checked;
-      Instance j = v.ApplyRelPart(csol.annotated);
-      for (const RelationDecl& d : sigma.target().decls()) {
-        j.GetOrCreate(d.name, d.arity());
-      }
-      if (delta_monotone_open) {
-        OCDX_ASSIGN_OR_RETURN(
-            bool ok,
-            SatisfiesStds(delta, delta_reqs, j, target, *universe, call_ctx));
-        if (ok) {
-          out.member = true;
-          return out;
-        }
-      } else {
-        OCDX_ASSIGN_OR_RETURN(
-            MembershipResult res,
-            InSolutionSpace(delta, j, target, universe, options.repa, call_ctx));
-        if (res.member) {
-          out.member = true;
-          return out;
-        }
-      }
+    if (!sigma_closed) t = Annotate(t.RelPart(), Ann::kClosed);
+  } else {
+    // General path: J ranges over RepA(CSolA(S)) within bounds.
+    size_t max_open = sigma.MaxOpenPerAtom();
+    // A Claim-5-style sufficiency bound on the fresh pool, conservative
+    // per Lemma 2 applied to the conjunction of Delta's rule bodies.
+    uint64_t k = 0;
+    size_t arity_total = 0;
+    for (const AnnotatedStd& std_ : delta.stds()) {
+      k += static_cast<uint64_t>(QuantifierRank(std_.body)) +
+           FreeVars(std_.body).size();
+      arity_total += FreeVars(std_.body).size();
     }
-    out.member = false;
-    return out;
+    uint64_t paper_bound = SatShift(std::max<uint64_t>(1, k + arity_total),
+                                    CountOpenTemplates(t));
+    bounds_are_proof = max_open <= 1 &&
+                       paper_bound <= options.enum_options.fresh_pool;
+    out.method = max_open <= 1
+                     ? "bounded J-search (#op = 1, NEXPTIME, Thm 4.2)"
+                     : "bounded J-search (#op >= 2: undecidable, Thm 4.3)";
   }
+  // Every member must hold every intermediate relation, so Delta's bodies
+  // see empty relations rather than missing ones.
+  for (const RelationDecl& d : sigma.target().decls()) {
+    t.GetOrCreate(d.name, d.arity());
+  }
+  // Requirement formulas built once: the plan table keys on formula
+  // identity, so per-J construction would recompile per intermediate.
+  const std::vector<FormulaPtr> delta_reqs =
+      delta_monotone_open ? StdRequirements(delta) : std::vector<FormulaPtr>{};
 
-  // General path: J ranges over RepA(CSolA(S)) within bounds.
-  size_t max_open = sigma.MaxOpenPerAtom();
-  // A Claim-5-style sufficiency bound on the fresh pool, conservative per
-  // Lemma 2 applied to the conjunction of Delta's rule bodies.
-  uint64_t k = 0;
-  size_t arity_total = 0;
-  for (const AnnotatedStd& std_ : delta.stds()) {
-    k += static_cast<uint64_t>(QuantifierRank(std_.body)) +
-         FreeVars(std_.body).size();
-    arity_total += FreeVars(std_.body).size();
-  }
-  uint64_t paper_bound =
-      SatShift(std::max<uint64_t>(1, k + arity_total),
-               CountOpenTemplates(csol.annotated));
-  bool bounds_are_proof = max_open <= 1;
-  if (paper_bound > options.enum_options.fresh_pool) {
-    bounds_are_proof = false;
-  }
-  out.method = max_open <= 1
-                   ? "bounded J-search (#op = 1, NEXPTIME, Thm 4.2)"
-                   : "bounded J-search (#op >= 2: undecidable, Thm 4.3)";
-
-  RepAMemberEnumerator en(csol.annotated, fixed, universe,
+  RepAMemberEnumerator en(t, fixed, universe,
                           options.enum_options, &call_ctx);
-  // Per-shard search state. Each shard chases Delta into its own scratch
-  // universe, and gets its own copy of `target`: the RepA matcher builds
-  // lazy probe indexes on the ground instance, which must not be shared
-  // across shard threads. found merges by OR (order-independent), and the
+  // Per-shard search state. Each shard checks Delta in its own scratch
+  // universe, and gets its own copy of `target`: the checks build lazy
+  // probe indexes on the ground instance, which must not be shared across
+  // shard threads. found merges by OR (order-independent), and the
   // first shard to find a witnessing J cancels the NP searches still
   // running in the others through the shard budgets' cooperative flag.
   struct ShardSearch {
@@ -195,18 +147,28 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
         state->target_copy = target;
         Universe* su = shard.universe;
         const EngineContext* sctx = shard.ctx;
-        return [state, su, sctx, &sigma, &delta, &options](
-                   const Instance& j_raw) -> Result<bool> {
+        return [state, su, sctx, &delta, &delta_reqs, &options,
+                delta_monotone_open](const Instance& j) -> Result<bool> {
           ++state->checked;
-          Instance j = j_raw;
-          for (const RelationDecl& d : sigma.target().decls()) {
-            j.GetOrCreate(d.name, d.arity());
+          // Delta's chases over J count into compose_check_triggers as
+          // well (logic/engine_stats.def), failed checks included.
+          EngineStats* stats = sctx->stats;
+          const uint64_t fired = stats != nullptr ? stats->chase_triggers : 0;
+          Result<bool> member = false;
+          if (delta_monotone_open) {
+            member = SatisfiesStds(delta, delta_reqs, j, state->target_copy,
+                                   *su, *sctx);
+          } else {
+            Result<MembershipResult> res = InSolutionSpace(
+                delta, j, state->target_copy, su, options.repa, *sctx);
+            member = res.ok() ? Result<bool>(res.value().member)
+                              : Result<bool>(res.status());
           }
-          OCDX_ASSIGN_OR_RETURN(
-              MembershipResult res,
-              InSolutionSpace(delta, j, state->target_copy, su, options.repa,
-                              *sctx));
-          if (res.member) {
+          if (stats != nullptr) {
+            stats->compose_check_triggers += stats->chase_triggers - fired;
+          }
+          OCDX_RETURN_IF_ERROR(member.status());
+          if (member.value()) {
             state->found = true;
             return false;  // First success: stop every shard.
           }
@@ -222,7 +184,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
   }
 
   out.member = found;
-  out.exhaustive = found ? true : (en.exhausted() && bounds_are_proof);
+  out.exhaustive = found || (en.exhausted() && bounds_are_proof);
   return out;
 }
 

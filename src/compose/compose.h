@@ -15,6 +15,12 @@
 //     #op > 1   undecidable          (bounded search, flagged)
 //   + NP for monotone all-open Delta regardless of Sigma's annotation
 //     (Lemma 3 / Corollary 4).
+//
+// Every path is one RepAMemberEnumerator run (certain/member_enum.h), so
+// each shards under EngineContext::shards and honours the budget's
+// max_members, its deadline and the "enum" fault probe. The NP paths
+// enumerate CSolA(S) with every position closed, whose members are
+// exactly the valuation images v(CSol(S)).
 
 #ifndef OCDX_COMPOSE_COMPOSE_H_
 #define OCDX_COMPOSE_COMPOSE_H_
@@ -31,7 +37,8 @@
 namespace ocdx {
 
 struct ComposeOptions {
-  /// Bounds for the intermediate-instance search when #op(Sigma) >= 1.
+  /// Bounds for the intermediate-instance search. The extra-tuple bounds
+  /// matter only when #op(Sigma) >= 1; max_members applies to every path.
   MemberEnumOptions enum_options;
   RepAOptions repa;
 };
@@ -39,9 +46,12 @@ struct ComposeOptions {
 struct ComposeVerdict {
   bool member = false;
   /// Positive verdicts are always proofs (a concrete intermediate J is
-  /// found). Negative verdicts are proofs exactly on the decidable paths
-  /// (all-closed Sigma; monotone all-open Delta; #op = 1 within the
-  /// Claim 5 / Lemma 2 bounds).
+  /// found). A negative verdict is a proof when the member search visited
+  /// its whole bounded space on a decidable path: on the NP paths
+  /// (all-closed Sigma; monotone all-open Delta) that space is every
+  /// valuation, so only the soft MemberEnumOptions::max_members cap makes
+  /// it false; on the general path #op = 1 must also hold within the
+  /// Claim 5 / Lemma 2 bounds.
   bool exhaustive = true;
   std::string method;
   uint64_t intermediates_checked = 0;

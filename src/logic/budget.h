@@ -49,7 +49,10 @@ struct Budget {
   uint64_t chase_max_nulls = kUnlimited;
   /// Hard cap on members visited per RepA member enumeration (on top of
   /// the soft MemberEnumOptions::max_members, which merely marks the run
-  /// non-exhaustive).
+  /// non-exhaustive): the certain-answer searches and every InComposition
+  /// path, the NP valuation searches included. The Skolem interpretation
+  /// searches are bounded by SkolemMembershipOptions::max_interpretations
+  /// instead.
   uint64_t max_members = kUnlimited;
   /// Wall-clock deadline in milliseconds; 0 = none. ArmDeadline converts
   /// it into an absolute steady_clock point when the command starts.

@@ -181,4 +181,26 @@ std::string Mapping::ToString(const Universe& u) const {
   return out;
 }
 
+std::vector<Value> DistinguishedConstants(
+    std::initializer_list<std::vector<Value>> domains,
+    std::initializer_list<const Mapping*> mappings) {
+  std::set<Value> fixed;
+  for (const std::vector<Value>& domain : domains) {
+    for (Value v : domain) {
+      if (v.IsConst()) fixed.insert(v);
+    }
+  }
+  for (const Mapping* m : mappings) {
+    for (const AnnotatedStd& std_ : m->stds()) {
+      for (Value v : ConstantsIn(std_.body)) fixed.insert(v);
+      for (const HeadAtom& atom : std_.head) {
+        for (const Term& t : atom.terms) {
+          if (t.IsConst()) fixed.insert(t.constant);
+        }
+      }
+    }
+  }
+  return std::vector<Value>(fixed.begin(), fixed.end());
+}
+
 }  // namespace ocdx

@@ -15,6 +15,7 @@
 #ifndef OCDX_MAPPING_MAPPING_H_
 #define OCDX_MAPPING_MAPPING_H_
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,14 @@ class Mapping {
   Schema target_;
   std::vector<AnnotatedStd> stds_;
 };
+
+/// The distinguished constants of a valuation search (iso_enum.h): every
+/// constant of `domains` (nulls are skipped) and every constant written in
+/// a rule of `mappings`, sorted and deduplicated. Searches enumerate
+/// valuations up to the permutations of Const that fix this set.
+std::vector<Value> DistinguishedConstants(
+    std::initializer_list<std::vector<Value>> domains,
+    std::initializer_list<const Mapping*> mappings);
 
 }  // namespace ocdx
 

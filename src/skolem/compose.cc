@@ -4,7 +4,6 @@
 #include <set>
 
 #include "logic/classify.h"
-#include "semantics/iso_enum.h"
 #include "util/str.h"
 
 namespace ocdx {
@@ -314,103 +313,29 @@ Result<SkolemMembership> InSkolemComposition(const Mapping& sigma,
                    ? "J = Sol_F'(S) (all-closed Sigma)"
                    : "J = Sol_F'(S) (monotone all-open Delta, Claim 8)";
 
-  // Lemma 4: plain STD rules become Skolemized rules first.
-  for (const AnnotatedStd& std_ : sigma.stds()) {
-    if (!std_.ExistentialVars().empty()) {
-      OCDX_ASSIGN_OR_RETURN(Mapping sk, EnsureSkolemized(sigma));
-      return InSkolemComposition(sk, delta, source, target, universe,
-                                 options, ctx);
-    }
-  }
-
   // One plan table for the whole composition decision (unless the
   // caller attached one): the interpretation loops below re-run Sigma's
   // bodies per phase-1 valuation and Delta's per intermediate J.
   EngineContext call_ctx = ctx;
   call_ctx.EnsureCache();
 
-  // Distinguished constants: everything W, Sigma and Delta can "see".
-  std::vector<Value> adom = source.ActiveDomain();
-  std::set<Value> fixed_set(adom.begin(), adom.end());
-  for (Value v : target.ActiveDomain()) fixed_set.insert(v);
-  for (const Mapping* m : {&sigma, &delta}) {
-    for (const AnnotatedStd& std_ : m->stds()) {
-      for (Value v : ConstantsIn(std_.body)) fixed_set.insert(v);
-      for (const HeadAtom& atom : std_.head) {
-        for (const Term& t : atom.terms) {
-          if (t.IsConst()) fixed_set.insert(t.constant);
+  OCDX_RETURN_IF_ERROR(ForEachInterpretation(
+      sigma, source,
+      DistinguishedConstants({source.ActiveDomain(), target.ActiveDomain()},
+                             {&sigma, &delta}),
+      "cs", options.max_interpretations, universe, call_ctx,
+      [&](const AnnotatedInstance& sol, const Valuation& v2) -> Result<bool> {
+        Instance j = v2.ApplyRelPart(sol);
+        for (const RelationDecl& d : sigma.target().decls()) {
+          j.GetOrCreate(d.name, d.arity());
         }
-      }
-    }
-  }
-  std::vector<Value> fixed(fixed_set.begin(), fixed_set.end());
-
-  // Phase 1: sigma's demanded *body* slots (guard analysis); head slots
-  // surface as placeholders during each solve and form phase 2.
-  OCDX_ASSIGN_OR_RETURN(SlotSet demanded,
-                        DemandedBodySlots(sigma, source, universe, call_ctx));
-  std::vector<std::pair<std::string, Tuple>> slots(demanded.begin(),
-                                                   demanded.end());
-  std::vector<Value> slot_nulls;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    slot_nulls.push_back(universe->FreshNull(StrCat("cs", i)));
-  }
-
-  // Shared deadline/cancellation gauge for both interpretation loops
-  // (logic/budget.h), mirroring InSkolemSemantics.
-  BudgetGauge gauge(call_ctx.budget, call_ctx.stats);
-  ValuationEnumerator phase1(slot_nulls, fixed, universe);
-  Valuation v1;
-  while (phase1.Next(&v1)) {
-    OCDX_RETURN_IF_ERROR(gauge.Tick());
-    if (++out.interpretations_checked > options.max_interpretations) {
-      out.exhaustive = false;
-      return out;
-    }
-    TableOracle table;
-    std::vector<Value> phase1_images;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      Value img = v1.Apply(slot_nulls[i]);
-      table.Set(slots[i].first, slots[i].second, img);
-      phase1_images.push_back(img);
-    }
-    RecordingOracle head_oracle(&table, universe);
-    Result<AnnotatedInstance> sol =
-        SolveSkolem(sigma, source, &head_oracle, universe, call_ctx);
-    if (!sol.ok()) return sol.status();
-
-    // Phase 2: valuate head-slot placeholders that reached tuples.
-    std::set<Value> in_tuples;
-    for (Value v : sol.value().Nulls()) in_tuples.insert(v);
-    std::vector<Value> phase2_nulls;
-    for (const auto& [slot, null] : head_oracle.placeholders()) {
-      if (in_tuples.count(null)) phase2_nulls.push_back(null);
-    }
-    std::vector<Value> fixed2 = fixed;
-    for (Value v : phase1_images) fixed2.push_back(v);
-    ValuationEnumerator phase2(phase2_nulls, fixed2, universe);
-    Valuation v2;
-    while (phase2.Next(&v2)) {
-      OCDX_RETURN_IF_ERROR(gauge.Tick());
-      if (++out.interpretations_checked > options.max_interpretations) {
-        out.exhaustive = false;
-        return out;
-      }
-      Instance j = v2.ApplyRelPart(sol.value());
-      for (const RelationDecl& d : sigma.target().decls()) {
-        j.GetOrCreate(d.name, d.arity());
-      }
-      OCDX_ASSIGN_OR_RETURN(
-          SkolemMembership inner,
-          InSkolemSemantics(delta, j, target, universe, options, call_ctx));
-      if (!inner.exhaustive) out.exhaustive = false;
-      if (inner.member) {
-        out.member = true;
-        return out;
-      }
-    }
-  }
-  out.member = false;
+        OCDX_ASSIGN_OR_RETURN(
+            SkolemMembership inner,
+            InSkolemSemantics(delta, j, target, universe, options, call_ctx));
+        if (!inner.exhaustive) out.exhaustive = false;
+        return inner.member;
+      },
+      &out));
   return out;
 }
 

@@ -451,6 +451,76 @@ AnnotatedInstance ApplyValuationAnnotated(const AnnotatedInstance& t,
 
 }  // namespace
 
+Status ForEachInterpretation(const Mapping& mapping, const Instance& source,
+                             const std::vector<Value>& fixed,
+                             std::string_view slot_prefix,
+                             uint64_t max_interpretations, Universe* universe,
+                             const EngineContext& ctx,
+                             const InterpretationVisitor& visit,
+                             SkolemMembership* out) {
+  // Phase 1: the *demanded* body slots (guard analysis): only these can
+  // change which witnesses fire. Phase 2: head-term slots demanded during
+  // each solve, discovered as placeholder nulls and valuated afterwards.
+  OCDX_ASSIGN_OR_RETURN(SlotSet demanded,
+                        DemandedBodySlots(mapping, source, universe, ctx));
+  std::vector<std::pair<std::string, Tuple>> slots(demanded.begin(),
+                                                   demanded.end());
+  std::vector<Value> slot_nulls;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    slot_nulls.push_back(universe->FreshNull(StrCat(slot_prefix, i)));
+  }
+
+  // Both phases share one deadline/cancellation gauge (logic/budget.h):
+  // the space is exponential in the slot count, and the
+  // per-interpretation solves alone do not poll often enough. False once
+  // the interpretation cap is passed.
+  BudgetGauge gauge(ctx.budget, ctx.stats);
+  auto admit = [&]() -> Result<bool> {
+    OCDX_RETURN_IF_ERROR(gauge.Tick());
+    if (++out->interpretations_checked <= max_interpretations) return true;
+    out->exhaustive = false;
+    return false;
+  };
+  ValuationEnumerator phase1(slot_nulls, fixed, universe);
+  Valuation v1;
+  while (phase1.Next(&v1)) {
+    OCDX_ASSIGN_OR_RETURN(bool admitted, admit());
+    if (!admitted) return Status::OK();
+    TableOracle table;
+    std::vector<Value> fixed2 = fixed;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      Value img = v1.Apply(slot_nulls[i]);
+      table.Set(slots[i].first, slots[i].second, img);
+      fixed2.push_back(img);
+    }
+    RecordingOracle oracle(&table, universe);
+    OCDX_ASSIGN_OR_RETURN(AnnotatedInstance sol,
+                          SolveSkolem(mapping, source, &oracle, universe, ctx));
+
+    // Phase 2: valuate the placeholder (head-slot) nulls that actually
+    // reached solution tuples; placeholders that only entered the
+    // evaluation domain are irrelevant.
+    std::set<Value> in_tuples;
+    for (Value v : sol.Nulls()) in_tuples.insert(v);
+    std::vector<Value> phase2_nulls;
+    for (const auto& [slot, null] : oracle.placeholders()) {
+      if (in_tuples.count(null)) phase2_nulls.push_back(null);
+    }
+    ValuationEnumerator phase2(phase2_nulls, fixed2, universe);
+    Valuation v2;
+    while (phase2.Next(&v2)) {
+      OCDX_ASSIGN_OR_RETURN(admitted, admit());
+      if (!admitted) return Status::OK();
+      OCDX_ASSIGN_OR_RETURN(bool member, visit(sol, v2));
+      if (member) {
+        out->member = true;
+        return Status::OK();
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Result<SkolemMembership> InSkolemSemantics(const Mapping& mapping,
                                            const Instance& source,
                                            const Instance& target,
@@ -493,88 +563,17 @@ Result<SkolemMembership> InSkolemSemantics(const Mapping& mapping,
 
   // Explicit enumeration of interpretations.
   call_ctx.EnsureCache();
-  // Phase 1: the *demanded* body slots (guard analysis): only these can
-  // change which witnesses fire. Phase 2: head-term slots demanded during
-  // each solve, discovered as placeholder nulls and valuated afterwards.
-  OCDX_ASSIGN_OR_RETURN(SlotSet demanded,
-                        DemandedBodySlots(mapping, source, universe, call_ctx));
-
-  // Distinguished constants: everything the target / mapping can "see".
-  std::vector<Value> adom = source.ActiveDomain();
-  std::set<Value> fixed_set(adom.begin(), adom.end());
-  for (Value v : target.ActiveDomain()) fixed_set.insert(v);
-  for (const AnnotatedStd& std_ : mapping.stds()) {
-    for (Value v : ConstantsIn(std_.body)) fixed_set.insert(v);
-    for (const HeadAtom& atom : std_.head) {
-      for (const Term& t : atom.terms) {
-        if (t.IsConst()) fixed_set.insert(t.constant);
-      }
-    }
-  }
-  std::vector<Value> fixed(fixed_set.begin(), fixed_set.end());
-
-  // Phase-1 slot handles, one placeholder null per demanded body slot.
-  std::vector<std::pair<std::string, Tuple>> slots(demanded.begin(),
-                                                   demanded.end());
-  std::vector<Value> slot_nulls;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    slot_nulls.push_back(universe->FreshNull(StrCat("s", i)));
-  }
-
   out.method = "explicit F' enumeration (two-phase, up to isomorphism)";
-  // Both interpretation loops share one deadline/cancellation gauge
-  // (logic/budget.h): the space is exponential in the slot count, and the
-  // per-interpretation solves alone do not poll often enough.
-  BudgetGauge gauge(call_ctx.budget, call_ctx.stats);
-  ValuationEnumerator phase1(slot_nulls, fixed, universe);
-  Valuation v1;
-  while (phase1.Next(&v1)) {
-    OCDX_RETURN_IF_ERROR(gauge.Tick());
-    if (++out.interpretations_checked > options.max_interpretations) {
-      out.exhaustive = false;
-      return out;
-    }
-    TableOracle table;
-    std::vector<Value> phase1_images;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      Value img = v1.Apply(slot_nulls[i]);
-      table.Set(slots[i].first, slots[i].second, img);
-      phase1_images.push_back(img);
-    }
-    RecordingOracle oracle(&table, universe);
-    Result<AnnotatedInstance> sol =
-        SolveSkolem(mapping, source, &oracle, universe, call_ctx);
-    if (!sol.ok()) return sol.status();
-
-    // Phase 2: valuate the placeholder (head-slot) nulls that actually
-    // reached solution tuples; placeholders that only entered the
-    // evaluation domain are irrelevant.
-    std::set<Value> in_tuples;
-    for (Value v : sol.value().Nulls()) in_tuples.insert(v);
-    std::vector<Value> phase2_nulls;
-    for (const auto& [slot, null] : oracle.placeholders()) {
-      if (in_tuples.count(null)) phase2_nulls.push_back(null);
-    }
-    std::vector<Value> fixed2 = fixed;
-    for (Value v : phase1_images) fixed2.push_back(v);
-    ValuationEnumerator phase2(phase2_nulls, fixed2, universe);
-    Valuation v2;
-    while (phase2.Next(&v2)) {
-      OCDX_RETURN_IF_ERROR(gauge.Tick());
-      if (++out.interpretations_checked > options.max_interpretations) {
-        out.exhaustive = false;
-        return out;
-      }
-      AnnotatedInstance ground = ApplyValuationAnnotated(sol.value(), v2);
-      OCDX_ASSIGN_OR_RETURN(
-          bool member, InRepA(ground, target, nullptr, options.repa, call_ctx));
-      if (member) {
-        out.member = true;
-        return out;
-      }
-    }
-  }
-  out.member = false;
+  OCDX_RETURN_IF_ERROR(ForEachInterpretation(
+      mapping, source,
+      DistinguishedConstants({source.ActiveDomain(), target.ActiveDomain()},
+                             {&mapping}),
+      "s", options.max_interpretations, universe, call_ctx,
+      [&](const AnnotatedInstance& sol, const Valuation& v2) {
+        return InRepA(ApplyValuationAnnotated(sol, v2), target, nullptr,
+                      options.repa, call_ctx);
+      },
+      &out));
   return out;
 }
 

@@ -20,19 +20,28 @@
 //   - explicit up-to-isomorphism enumeration of F' over the finitely many
 //     relevant argument tuples; exact in general (genericity), used when
 //     bodies mention function terms (e.g. composition outputs).
+//
+// The explicit enumeration is one loop, ForEachInterpretation, shared by
+// InSkolemSemantics and InSkolemComposition (skolem/compose.h); each
+// brings only its per-interpretation check. It runs sequentially on the
+// caller's universe, whatever EngineContext::shards says.
 
 #ifndef OCDX_SKOLEM_SKOLEM_H_
 #define OCDX_SKOLEM_SKOLEM_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "base/instance.h"
 #include "logic/engine_context.h"
 #include "logic/evaluator.h"
 #include "mapping/mapping.h"
 #include "semantics/repa.h"
+#include "semantics/valuation.h"
 #include "util/status.h"
 
 namespace ocdx {
@@ -140,6 +149,29 @@ struct SkolemMembershipOptions {
   uint64_t max_interpretations = 2'000'000;
   RepAOptions repa;
 };
+
+/// Checks one interpretation F': `sol` is Sol_{F'}(S) with its head-slot
+/// placeholders still nulls, and `v2` their valuation. Returns whether
+/// the interpretation witnesses membership, which ends the search.
+using InterpretationVisitor = std::function<Result<bool>(
+    const AnnotatedInstance& sol, const Valuation& v2)>;
+
+/// The two-phase search over the interpretations F' of a Skolemized
+/// mapping, up to isomorphisms fixing `fixed`. Phase 1 valuates one null
+/// per demanded body slot (named `slot_prefix`<i>), solves, and phase 2
+/// valuates the head-slot placeholders that reached solution tuples;
+/// `visit` sees each (solution, phase-2 valuation). Counts every
+/// interpretation of either phase into out->interpretations_checked, sets
+/// out->member when `visit` returns true, and stops with out->exhaustive
+/// = false once the count passes `max_interpretations`. Polls the
+/// context's deadline and cancellation once per interpretation.
+Status ForEachInterpretation(const Mapping& mapping, const Instance& source,
+                             const std::vector<Value>& fixed,
+                             std::string_view slot_prefix,
+                             uint64_t max_interpretations, Universe* universe,
+                             const EngineContext& ctx,
+                             const InterpretationVisitor& visit,
+                             SkolemMembership* out);
 
 /// Is `target` (ground) in [[source]] of the Skolemized mapping, i.e.
 /// does some interpretation F' put target in RepA(Sol_{F'}(source))?

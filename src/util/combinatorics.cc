@@ -48,36 +48,6 @@ bool AssignmentEnumerator::Next() {
   return false;
 }
 
-bool SubsetEnumerator::Next() {
-  if (!started_) {
-    started_ = true;
-    mask_ = 0;
-    return true;
-  }
-  if (n_ >= 64) return false;  // Guarded by callers; avoid UB on shift.
-  uint64_t limit = (n_ == 63) ? ~uint64_t{0} >> 1 : (uint64_t{1} << n_) - 1;
-  if (mask_ >= limit) return false;
-  ++mask_;
-  return true;
-}
-
-std::vector<size_t> SubsetEnumerator::Elements() const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < n_; ++i) {
-    if (Contains(i)) out.push_back(i);
-  }
-  return out;
-}
-
-bool ForEachTuple(size_t k, size_t base,
-                  const std::function<bool(const std::vector<uint32_t>&)>& fn) {
-  AssignmentEnumerator en(k, base);
-  while (en.Next()) {
-    if (!fn(en.digits())) return false;
-  }
-  return true;
-}
-
 uint64_t BellNumber(size_t n) {
   // Bell triangle with saturating addition.
   std::vector<uint64_t> row = {1};

@@ -11,8 +11,8 @@
 #ifndef OCDX_UTIL_COMBINATORICS_H_
 #define OCDX_UTIL_COMBINATORICS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 namespace ocdx {
@@ -74,32 +74,6 @@ class AssignmentEnumerator {
   bool started_;
   std::vector<uint32_t> digits_;
 };
-
-/// Enumerates all subsets of {0,..,n-1} for n <= 63, as bitmasks,
-/// in increasing mask order (empty set first).
-class SubsetEnumerator {
- public:
-  explicit SubsetEnumerator(size_t n) : n_(n), mask_(0), started_(false) {}
-
-  bool Next();
-
-  uint64_t mask() const { return mask_; }
-  bool Contains(size_t i) const { return (mask_ >> i) & 1; }
-
-  /// The current subset as an index vector.
-  std::vector<size_t> Elements() const;
-
- private:
-  size_t n_;
-  uint64_t mask_;
-  bool started_;
-};
-
-/// Calls `fn` for every k-tuple over {0,..,base-1}; stops early (and
-/// returns false) if `fn` returns false. Returns true if all tuples were
-/// visited.
-bool ForEachTuple(size_t k, size_t base,
-                  const std::function<bool(const std::vector<uint32_t>&)>& fn);
 
 /// Number of set partitions of an n-element set (Bell number); saturates
 /// at UINT64_MAX. Used to pre-estimate solver costs.

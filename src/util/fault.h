@@ -34,7 +34,8 @@ namespace fault {
 ///   "chase"      once per STD in Chase, before firing its witnesses;
 ///   "plan-bind"  once per Evaluator query dispatch, before the binding
 ///                is refreshed;
-///   "enum"       once per valuation in RepAMemberEnumerator;
+///   "enum"       once per valuation in RepAMemberEnumerator (certain
+///                answers and every InComposition path);
 ///   "snap-write" once per file in snap::SerializeSnapshot;
 ///   "snap-read"  once per file in snap::ParseSnapshot / LoadSnapshotFile,
 ///                after the header checks and before the build.

@@ -116,15 +116,14 @@ Reference ReferenceMembers(const AnnotatedInstance& t,
           if (cap != SIZE_MAX) cap = cap == 0 ? 0 : cap - 1;
         }
         caps.push_back(cap);
-        ForEachTuple(open.size(), pool.size(),
-                     [&](const std::vector<uint32_t>& digits) {
-                       Tuple cand = pattern;
-                       for (size_t j = 0; j < open.size(); ++j) {
-                         cand[open[j]] = pool[digits[j]];
-                       }
-                       add(name, cand);
-                       return !full;
-                     });
+        AssignmentEnumerator fillings(open.size(), pool.size());
+        while (!full && fillings.Next()) {
+          Tuple cand = pattern;
+          for (size_t j = 0; j < open.size(); ++j) {
+            cand[open[j]] = pool[fillings.digits()[j]];
+          }
+          add(name, cand);
+        }
       }
     }
     ref.truncated = ref.truncated || full;

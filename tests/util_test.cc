@@ -167,38 +167,6 @@ TEST(AssignmentEnumeratorTest, EmptyAndZeroBase) {
   EXPECT_FALSE(zero.Next());
 }
 
-TEST(SubsetEnumeratorTest, EnumeratesPowerSet) {
-  SubsetEnumerator se(3);
-  std::set<uint64_t> masks;
-  while (se.Next()) masks.insert(se.mask());
-  EXPECT_EQ(masks.size(), 8u);
-}
-
-TEST(SubsetEnumeratorTest, ElementsMatchMask) {
-  SubsetEnumerator se(4);
-  while (se.Next()) {
-    for (size_t e : se.Elements()) {
-      EXPECT_TRUE(se.Contains(e));
-    }
-  }
-}
-
-TEST(ForEachTupleTest, VisitsAllAndStopsEarly) {
-  int visits = 0;
-  EXPECT_TRUE(ForEachTuple(2, 3, [&](const std::vector<uint32_t>&) {
-    ++visits;
-    return true;
-  }));
-  EXPECT_EQ(visits, 9);
-
-  visits = 0;
-  EXPECT_FALSE(ForEachTuple(2, 3, [&](const std::vector<uint32_t>&) {
-    ++visits;
-    return visits < 4;
-  }));
-  EXPECT_EQ(visits, 4);
-}
-
 TEST(RngTest, DeterministicForSeed) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());

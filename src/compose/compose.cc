@@ -81,11 +81,13 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
   const bool delta_monotone_open =
       delta.IsAllOpen() && delta.HasMonotoneBodies();
   const bool sigma_closed = sigma.IsAllClosed();
+  const bool np_path = delta_monotone_open || sigma_closed;
   // The enumerated T, and whether visiting all of RepA(T) proves a
   // negative verdict.
   AnnotatedInstance& t = csol.annotated;
   bool bounds_are_proof = true;
-  if (delta_monotone_open || sigma_closed) {
+  MemberEnumOptions enum_options = options.enum_options;
+  if (np_path) {
     // NP paths: J ranges over the valuation images of CSol(S) only, the
     // members of its closed view (an all-closed CSolA(S) already is one).
     //  - sigma all-closed: [[S]]_{Sigma_cl} = Rep(CSol(S)) exactly;
@@ -96,6 +98,9 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
                      : "valuation enumeration (monotone all-open Delta, "
                        "Lemma 3 / Cor 4, NP)";
     if (!sigma_closed) t = Annotate(t.RelPart(), Ann::kClosed);
+    // Every valuation is visited: only the hard Budget::max_members cap
+    // may cut an NP search short, so a negative verdict stays a proof.
+    enum_options.max_members = UINT64_MAX;
   } else {
     // General path: J ranges over RepA(CSolA(S)) within bounds.
     size_t max_open = sigma.MaxOpenPerAtom();
@@ -126,8 +131,6 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
   const std::vector<FormulaPtr> delta_reqs =
       delta_monotone_open ? StdRequirements(delta) : std::vector<FormulaPtr>{};
 
-  RepAMemberEnumerator en(t, fixed, universe,
-                          options.enum_options, &call_ctx);
   // Per-shard search state. Each shard checks Delta in its own scratch
   // universe, and gets its own copy of `target`: the checks build lazy
   // probe indexes on the ground instance, which must not be shared across
@@ -140,7 +143,7 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
     Instance target_copy;
   };
   std::vector<std::unique_ptr<ShardSearch>> searches;
-  Status st = en.ForEachMember(
+  const RepAMemberEnumerator::ShardFnFactory factory =
       [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
         searches.push_back(std::make_unique<ShardSearch>());
         ShardSearch* state = searches.back().get();
@@ -174,18 +177,47 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
           }
           return true;
         };
-      });
-  OCDX_RETURN_IF_ERROR(st);
+      };
+  auto finish = [&](const RepAMemberEnumerator& en) {
+    bool found = false;
+    for (const auto& s : searches) {
+      out.intermediates_checked += s->checked;
+      found = found || s->found;
+    }
+    out.member = found;
+    out.exhaustive = found || (en.exhausted() && bounds_are_proof);
+    return out;
+  };
 
-  bool found = false;
-  for (const auto& s : searches) {
-    out.intermediates_checked += s->checked;
-    found = found || s->found;
+  if (np_path && call_ctx.shards > 1) {
+    // Probe before fanning out: check the first intermediate on the
+    // calling thread, as a sequential search would. When it is a witness
+    // or the only valuation, no shard starts, and the search checks what
+    // a one-shard search checks. Otherwise the probe stops at the second
+    // member, unchecked, and the fan-out below starts over.
+    EngineContext probe_ctx = call_ctx;
+    probe_ctx.shards = 1;
+    RepAMemberEnumerator probe(t, fixed, universe, enum_options, &probe_ctx);
+    bool more = false;
+    OCDX_RETURN_IF_ERROR(probe.ForEachMember(
+        [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
+          return [&more, checked = false, check = factory(shard)](
+                     const Instance& j) mutable -> Result<bool> {
+            if (checked) {
+              more = true;
+              return false;
+            }
+            checked = true;
+            return check(j);
+          };
+        }));
+    if (!more) return finish(probe);
+    // The fan-out checks the first intermediate again; count it once.
+    searches.clear();
   }
-
-  out.member = found;
-  out.exhaustive = found || (en.exhausted() && bounds_are_proof);
-  return out;
+  RepAMemberEnumerator en(t, fixed, universe, enum_options, &call_ctx);
+  OCDX_RETURN_IF_ERROR(en.ForEachMember(factory));
+  return finish(en);
 }
 
 }  // namespace ocdx

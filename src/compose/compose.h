@@ -20,7 +20,9 @@
 // each shards under EngineContext::shards and honours the budget's
 // max_members, its deadline and the "enum" fault probe. The NP paths
 // enumerate CSolA(S) with every position closed, whose members are
-// exactly the valuation images v(CSol(S)).
+// exactly the valuation images v(CSol(S)); under shards > 1 they check
+// the first image on the calling thread and fan out only when the search
+// needs more.
 
 #ifndef OCDX_COMPOSE_COMPOSE_H_
 #define OCDX_COMPOSE_COMPOSE_H_
@@ -38,7 +40,8 @@ namespace ocdx {
 
 struct ComposeOptions {
   /// Bounds for the intermediate-instance search. The extra-tuple bounds
-  /// matter only when #op(Sigma) >= 1; max_members applies to every path.
+  /// and the soft max_members cap apply to the general path only; the NP
+  /// paths visit every valuation, under the budget's hard cap alone.
   MemberEnumOptions enum_options;
   RepAOptions repa;
 };
@@ -49,9 +52,9 @@ struct ComposeVerdict {
   /// found). A negative verdict is a proof when the member search visited
   /// its whole bounded space on a decidable path: on the NP paths
   /// (all-closed Sigma; monotone all-open Delta) that space is every
-  /// valuation, so only the soft MemberEnumOptions::max_members cap makes
-  /// it false; on the general path #op = 1 must also hold within the
-  /// Claim 5 / Lemma 2 bounds.
+  /// valuation, so a negative verdict there is always a proof (a search
+  /// cut by the budget returns an error, not a verdict); on the general
+  /// path #op = 1 must also hold within the Claim 5 / Lemma 2 bounds.
   bool exhaustive = true;
   std::string method;
   uint64_t intermediates_checked = 0;

@@ -310,10 +310,12 @@ std::vector<ComposeCase> NpCases() {
 }
 
 Result<ComposeVerdict> DecideCase(const ComposeCase& c,
-                                  const EngineContext& ctx) {
+                                  const EngineContext& ctx,
+                                  ComposeOptions options = {}) {
   Universe u;
   ComposeInput in = c.build(&u);
-  return InComposition(in.sigma, in.delta, in.source, in.target, &u, {}, ctx);
+  return InComposition(in.sigma, in.delta, in.source, in.target, &u, options,
+                       ctx);
 }
 
 TEST(ComposeShard, NpVerdictEqualAcrossShards) {
@@ -374,12 +376,79 @@ TEST(ComposeShard, NpPathHonoursMemberBudget) {
 // The "enum" fault probe sits in the loop the NP paths now share.
 TEST(ComposeShard, NpPathTripsEnumFault) {
   for (const ComposeCase& c : NpCases()) {
-    fault::InstallForTest("enum", 1);
-    Result<ComposeVerdict> v = DecideCase(c, EngineContext());
-    fault::Clear();
-    ASSERT_FALSE(v.ok()) << c.name;
-    EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted) << c.name;
+    for (size_t shards : {1, 2}) {
+      EngineContext ctx;
+      ctx.shards = shards;
+      fault::InstallForTest("enum", 1);
+      Result<ComposeVerdict> v = DecideCase(c, ctx);
+      fault::Clear();
+      ASSERT_FALSE(v.ok()) << c.name << " at " << shards << " shards";
+      EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted) << c.name;
+    }
   }
+}
+
+// The soft MemberEnumOptions::max_members bound does not cut an NP search
+// short: every valuation is still visited, and a negative verdict stays a
+// proof.
+TEST(ComposeShard, NpPathIgnoresSoftMemberCap) {
+  bool saw_capped = false;
+  for (const ComposeCase& c : NpCases()) {
+    Result<ComposeVerdict> free = DecideCase(c, EngineContext());
+    ASSERT_TRUE(free.ok()) << c.name;
+    if (free.value().member || free.value().intermediates_checked < 2) {
+      continue;
+    }
+    saw_capped = true;
+    ComposeOptions options;
+    options.enum_options.max_members = 1;
+    for (size_t shards : {1, 2}) {
+      EngineContext ctx;
+      ctx.shards = shards;
+      Result<ComposeVerdict> capped = DecideCase(c, ctx, options);
+      ASSERT_TRUE(capped.ok()) << c.name << ": " << capped.status().ToString();
+      EXPECT_FALSE(capped.value().member) << c.name;
+      EXPECT_TRUE(capped.value().exhaustive)
+          << c.name << " at " << shards << " shards";
+      EXPECT_EQ(capped.value().intermediates_checked,
+                free.value().intermediates_checked)
+          << c.name << " at " << shards << " shards";
+    }
+  }
+  EXPECT_TRUE(saw_capped);
+}
+
+// Under --shards>1 the NP paths check their first intermediate before
+// fanning out. A witness there ends the search without starting a shard,
+// after the same checks and chase triggers as a one-shard search; a
+// search that needs more intermediates fans out.
+TEST(ComposeShard, NpPathProbesFirstIntermediateBeforeFanningOut) {
+  bool saw_probe_witness = false, saw_fan_out = false;
+  for (const ComposeCase& c : NpCases()) {
+    EngineStats one_stats;
+    EngineContext one_ctx;
+    one_ctx.stats = &one_stats;
+    Result<ComposeVerdict> one = DecideCase(c, one_ctx);
+    ASSERT_TRUE(one.ok()) << c.name;
+    for (size_t shards : {2, 4}) {
+      EngineStats stats;
+      EngineContext ctx;
+      ctx.shards = shards;
+      ctx.stats = &stats;
+      Result<ComposeVerdict> many = DecideCase(c, ctx);
+      ASSERT_TRUE(many.ok()) << c.name;
+      if (one.value().intermediates_checked == 1) {
+        saw_probe_witness = saw_probe_witness || one.value().member;
+        EXPECT_EQ(stats.enum_shard_runs, 0u) << c.name;
+        EXPECT_EQ(many.value().intermediates_checked, 1u) << c.name;
+        EXPECT_EQ(stats.chase_triggers, one_stats.chase_triggers) << c.name;
+      } else {
+        saw_fan_out = true;
+        EXPECT_EQ(stats.enum_shard_runs, 1u) << c.name;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_probe_witness && saw_fan_out);
 }
 
 // --- Search counters pinned at one shard -----------------------------------

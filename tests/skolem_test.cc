@@ -286,6 +286,41 @@ TEST_F(ComposeSkolemTest, AllOpenCqCompositionIsCorrect) {
   }
 }
 
+// A source null is not a distinguished constant of the explicit
+// interpretation search (DistinguishedConstants keeps constants only, as
+// ValuationEnumerator always did): a Skolem term may take it only as a
+// fresh value, so a non-ground source fixes fewer constants than a ground
+// one with a constant in the null's place. Pinned: member, exhaustive and
+// interpretations_checked of both sources.
+TEST_F(ComposeSkolemTest, SourceNullsAreNotDistinguished) {
+  Mapping sigma = MustParse("T(x^cl, f(x, y)^cl) :- S(x, y);", sigma_src_,
+                            tau_, Ann::kClosed, true);
+  Mapping delta = MustParse("W(a^cl, g(b)^cl) :- T(a, b);", tau_, omega_,
+                            Ann::kClosed, true);
+  Result<ComposeSkolemResult> gamma = ComposeSkolem(sigma, delta, &u_);
+  ASSERT_TRUE(gamma.ok());
+  // Not a member (one S fact yields one W fact), so every
+  // interpretation is checked.
+  Instance w;
+  w.Add("W", {u_.Const("a"), u_.Const("w1")});
+  w.Add("W", {u_.Const("a"), u_.Const("w2")});
+  std::string got;
+  for (Value y : {u_.FreshNull("N"), u_.Const("b")}) {
+    Instance s;
+    s.Add("S", {u_.Const("a"), y});
+    Result<SkolemMembership> v =
+        InSkolemSemantics(gamma.value().gamma, s, w, &u_);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    got += StrCat(y.IsConst() ? "ground" : "null", " member=",
+                  v.value().member ? 1 : 0, " exhaustive=",
+                  v.value().exhaustive ? 1 : 0, " interpretations=",
+                  v.value().interpretations_checked, "\n");
+  }
+  EXPECT_EQ(got,
+            "null member=0 exhaustive=1 interpretations=21\n"
+            "ground member=0 exhaustive=1 interpretations=31\n");
+}
+
 TEST_F(ComposeSkolemTest, PlainStdInputsAreSkolemizedFirst) {
   // Plain STD inputs (with existential variables) go through Lemma 4
   // automatically.

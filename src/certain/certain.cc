@@ -251,6 +251,8 @@ Result<CertainVerdict> CertainAnswerEngine::IsCertain(
 
   OCDX_ASSIGN_OR_RETURN(Plan plan, MakePlan(q, cls, options));
 
+  // The check names the query's constants and the candidate's; T's other
+  // constants move under its twin symmetries (member_enum.h).
   std::vector<Value> fixed = ConstantsIn(q);
   for (Value v : t) fixed.push_back(v);
 
@@ -343,7 +345,9 @@ Result<Relation> CertainAnswerEngine::CertainAnswers(
   }
   for (Value v : ConstantsIn(q)) allowed.insert(v);
 
-  std::vector<Value> fixed = ConstantsIn(q);
+  // Every constant an answer may contain stays fixed, so no twin symmetry
+  // moves an answer (member_enum.h).
+  const std::vector<Value> fixed(allowed.begin(), allowed.end());
   RepAMemberEnumerator en(plan.target, fixed, universe_, plan.enum_options,
                           &ctx_);
 

@@ -15,6 +15,218 @@
 
 namespace ocdx {
 
+namespace {
+
+// The twins of an all-closed T (iso_enum.h). T's proper rows fall into
+// components: two rows are linked when they share a null or a constant
+// outside `fixed`. Two components are twins when a bijection of their
+// nulls and unfixed constants (nulls to nulls, constants to constants)
+// maps one's rows onto the other's, keeping relations, positions and
+// annotations and fixing every constant of `fixed`: swapping the two is
+// then an automorphism of T. Matching backtracks over row pairings under
+// one step budget for the whole search; a pair it gives up on counts as
+// not twins, which only loses symmetry. Rows without a null or an unfixed
+// constant, and empty markers, are fixed by every such automorphism.
+class TwinFinder {
+ public:
+  TwinFinder(const AnnotatedInstance& t, const std::set<Value>& fixed);
+
+  /// The twin classes, those whose members hold nulls first (the
+  /// enumerator may permute only some of them).
+  std::vector<TwinClass> Classes();
+
+ private:
+  struct Row {
+    const std::string* relation;
+    AnnotatedTupleRef tuple;
+  };
+  struct Component {
+    std::vector<uint32_t> rows;
+    std::vector<Value> values;  ///< Nulls and unfixed constants, in order.
+    bool has_null = false;
+  };
+
+  bool Movable(Value v) const { return v.IsNull() || fixed_.count(v) == 0; }
+  /// An isomorphism invariant: components of different shapes are never
+  /// twins.
+  std::string Shape(const Component& c) const;
+  /// On success `image` holds the images of a.values under a bijection
+  /// mapping a onto b.
+  bool Match(const Component& a, const Component& b, std::vector<Value>* image);
+  /// Pairs a's rows from the i-th on with b's unused rows.
+  bool Extend(const Component& a, const Component& b, size_t i);
+  bool Bind(Value x, Value y);
+  void Unwind(size_t mark);
+
+  const std::set<Value>& fixed_;
+  std::vector<Row> rows_;
+  std::vector<Component> components_;
+  std::map<Value, Value> forward_;
+  std::map<Value, Value> backward_;
+  std::vector<Value> trail_;  ///< Values bound in forward_, in order.
+  std::vector<bool> used_;    ///< Per row of the component matched onto.
+  uint64_t steps_left_ = 100'000;
+};
+
+TwinFinder::TwinFinder(const AnnotatedInstance& t,
+                       const std::set<Value>& fixed)
+    : fixed_(fixed) {
+  // Union-find over the movable values; each row links its own.
+  std::map<Value, uint32_t> ids;
+  std::vector<uint32_t> parent;
+  auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  std::vector<uint32_t> row_link;
+  for (const auto& [name, rel] : t.relations()) {
+    for (const AnnotatedTupleRef& at : rel.tuples()) {
+      if (at.IsEmptyMarker()) continue;
+      uint32_t link = UINT32_MAX;
+      for (Value v : at.values) {
+        if (!Movable(v)) continue;
+        auto [it, added] = ids.emplace(v, static_cast<uint32_t>(parent.size()));
+        if (added) parent.push_back(it->second);
+        if (link == UINT32_MAX) {
+          link = it->second;
+        } else {
+          parent[find(it->second)] = find(link);
+        }
+      }
+      if (link == UINT32_MAX) continue;
+      rows_.push_back(Row{&name, at});
+      row_link.push_back(link);
+    }
+  }
+  std::map<uint32_t, size_t> component_of;
+  for (uint32_t r = 0; r < rows_.size(); ++r) {
+    auto [it, added] = component_of.emplace(find(row_link[r]),
+                                            components_.size());
+    if (added) components_.emplace_back();
+    components_[it->second].rows.push_back(r);
+  }
+  std::set<Value> seen;
+  for (Component& c : components_) {
+    for (uint32_t r : c.rows) {
+      for (Value v : rows_[r].tuple.values) {
+        if (!Movable(v) || !seen.insert(v).second) continue;
+        c.values.push_back(v);
+        c.has_null = c.has_null || v.IsNull();
+      }
+    }
+  }
+}
+
+std::string TwinFinder::Shape(const Component& c) const {
+  std::vector<std::string> rows;
+  for (uint32_t r : c.rows) {
+    const Row& row = rows_[r];
+    std::string shape = *row.relation;
+    for (size_t p = 0; p < row.tuple.values.size(); ++p) {
+      const Value v = row.tuple.values[p];
+      shape += v.IsNull() ? "|n" : Movable(v) ? "|c" : StrCat("|=", v.raw());
+      shape += AnnToString(row.tuple.ann[p]);
+    }
+    rows.push_back(std::move(shape));
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string out;
+  for (const std::string& row : rows) out += row + "\n";
+  return out;
+}
+
+bool TwinFinder::Bind(Value x, Value y) {
+  if (!Movable(x) || !Movable(y)) return x == y;
+  if (x.IsNull() != y.IsNull()) return false;
+  auto it = forward_.find(x);
+  if (it != forward_.end()) return it->second == y;
+  if (backward_.count(y) > 0) return false;
+  forward_[x] = y;
+  backward_[y] = x;
+  trail_.push_back(x);
+  return true;
+}
+
+void TwinFinder::Unwind(size_t mark) {
+  while (trail_.size() > mark) {
+    auto it = forward_.find(trail_.back());
+    backward_.erase(it->second);
+    forward_.erase(it);
+    trail_.pop_back();
+  }
+}
+
+bool TwinFinder::Extend(const Component& a, const Component& b, size_t i) {
+  if (i == a.rows.size()) return true;
+  const Row& x = rows_[a.rows[i]];
+  for (size_t j = 0; j < b.rows.size(); ++j) {
+    if (used_[j]) continue;
+    if (steps_left_ == 0) return false;
+    --steps_left_;
+    const Row& y = rows_[b.rows[j]];
+    if (y.relation != x.relation || !(y.tuple.ann == x.tuple.ann)) continue;
+    const size_t mark = trail_.size();
+    bool bound = true;
+    for (size_t p = 0; bound && p < x.tuple.values.size(); ++p) {
+      bound = Bind(x.tuple.values[p], y.tuple.values[p]);
+    }
+    if (bound) {
+      used_[j] = true;
+      if (Extend(a, b, i + 1)) return true;
+      used_[j] = false;
+    }
+    Unwind(mark);
+  }
+  return false;
+}
+
+bool TwinFinder::Match(const Component& a, const Component& b,
+                       std::vector<Value>* image) {
+  if (a.rows.size() != b.rows.size() || a.values.size() != b.values.size()) {
+    return false;
+  }
+  Unwind(0);
+  used_.assign(b.rows.size(), false);
+  if (!Extend(a, b, 0)) return false;
+  image->clear();
+  for (Value v : a.values) image->push_back(forward_.at(v));
+  return true;
+}
+
+std::vector<TwinClass> TwinFinder::Classes() {
+  std::vector<TwinClass> classes;
+  std::vector<size_t> representative;  // Per class: its first component.
+  std::map<std::string, std::vector<size_t>> by_shape;  // Shape -> classes.
+  for (size_t c = 0; c < components_.size(); ++c) {
+    std::vector<size_t>& candidates = by_shape[Shape(components_[c])];
+    std::vector<Value> image;
+    bool placed = false;
+    for (size_t k : candidates) {
+      if (Match(components_[representative[k]], components_[c], &image)) {
+        classes[k].members.push_back(image);
+        placed = true;
+        break;
+      }
+    }
+    if (placed) continue;
+    candidates.push_back(classes.size());
+    representative.push_back(c);
+    classes.push_back(TwinClass{{components_[c].values}});
+  }
+  std::vector<TwinClass> out;
+  for (bool with_nulls : {true, false}) {
+    for (size_t k = 0; k < classes.size(); ++k) {
+      if (classes[k].members.size() > 1 &&
+          components_[representative[k]].has_null == with_nulls) {
+        out.push_back(std::move(classes[k]));
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 RepAMemberEnumerator::RepAMemberEnumerator(const AnnotatedInstance& t,
                                            const std::vector<Value>& fixed,
                                            Universe* universe,
@@ -22,6 +234,16 @@ RepAMemberEnumerator::RepAMemberEnumerator(const AnnotatedInstance& t,
                                            const EngineContext* ctx)
     : t_(t), universe_(universe), options_(options), ctx_(ctx) {
   std::set<Value> f(fixed.begin(), fixed.end());
+  // Twins only where no extras exist: an extra-tuple universe is cut at
+  // max_universe in an order that does not respect them.
+  bool closed = true;
+  for (const auto& [name, rel] : t_.relations()) {
+    for (const AnnotatedTupleRef& at : rel.tuples()) {
+      closed = closed && (at.IsEmptyMarker() ? !IsAllOpen(at.ann)
+                                             : CountOpen(at.ann) == 0);
+    }
+  }
+  if (closed && !t_.Nulls().empty()) twins_ = TwinFinder(t_, f).Classes();
   for (Value v : t_.ActiveDomain()) {
     if (v.IsConst()) f.insert(v);
   }
@@ -71,9 +293,10 @@ class RepAMemberEnumerator::ShardLoop {
         parent_cancel_(shard.count > 1 && en.ctx_ != nullptr
                            ? en.ctx_->budget.cancel
                            : nullptr),
+        stats_(shard.ctx != nullptr ? shard.ctx->stats : nullptr),
         universe_(shard.universe),
-        valuations_(en.t_.Nulls(), en.fixed_, shard.universe,
-                    prefix_tickets) {
+        valuations_(en.t_.Nulls(), en.fixed_, shard.universe, prefix_tickets,
+                    en.twins_) {
     const std::vector<Value>& nulls = valuations_.nulls();
     std::map<Value, uint32_t> null_index;
     for (uint32_t i = 0; i < nulls.size(); ++i) null_index[nulls[i]] = i;
@@ -121,61 +344,25 @@ class RepAMemberEnumerator::ShardLoop {
     used_.assign(templates_.size(), 0);
   }
 
-  void Run() {
-    while (valuations_.Advance()) {
+  /// Visits the valuations the shard draws until it stops or they run
+  /// out. With `first_prefix_only` it pauses instead at the first
+  /// valuation of a later prefix and returns true; the next Run visits
+  /// that valuation first.
+  bool Run(bool first_prefix_only = false) {
+    uint64_t first_prefix = UINT64_MAX;
+    while (pending_ || valuations_.Advance()) {
       ordinal_ = valuations_.ordinal();
-      // Stopped by a peer shard: leave quietly (no terminal event of our
-      // own); the shard that raised the flag recorded the cause.
-      if (stop_->load(std::memory_order_acquire)) return;
-      if (ParentCancelled()) {
-        Record(ShardOutcome::Event::kTrip,
-               Status::Cancelled("evaluation cancelled"));
-        stop_->store(true, std::memory_order_release);
-        return;
-      }
-      // Governance (logic/budget.h): the budget's max_members is a *hard*
-      // cap — tripping it is a kResourceExhausted error, unlike the soft
-      // options_.max_members bound, which quietly marks the run
-      // non-exhaustive. The gauge bounds wall time; the "enum" probe is
-      // the fault-injection site for this layer.
-      Status governed = fault::Probe("enum");
-      if (governed.ok()) governed = gauge_.Poll();
-      if (!governed.ok()) {
-        Record(ShardOutcome::Event::kTrip, std::move(governed));
-        stop_->store(true, std::memory_order_release);
-        return;
-      }
-      Refill();
-      // Extra-value pool: fixed constants + constants of the base (those
-      // of T are in fixed_, so only the nulls' images are new) + fresh
-      // (collision-free names precomputed in the constructor), minted at
-      // the shard's first valuation, where they have always been minted.
-      if (fixed_and_fresh_.empty()) {
-        fixed_and_fresh_ = en_.fixed_;
-        for (const std::string& name : en_.fresh_names_) {
-          fixed_and_fresh_.push_back(universe_->Const(name));
+      if (first_prefix_only) {
+        if (first_prefix == UINT64_MAX) first_prefix = ordinal_.prefix;
+        if (ordinal_.prefix != first_prefix) {
+          pending_ = true;
+          return true;
         }
-        std::sort(fixed_and_fresh_.begin(), fixed_and_fresh_.end());
       }
-      if (!templates_.empty()) BuildExtras();
-
-      // Visit base u E for subsets E of the universe, in increasing size
-      // (counterexamples tend to be small, and early exit then prunes the
-      // rest).
-      size_t max_size = std::min(extras_.size(), options_.max_extra_tuples);
-      if (max_size < extras_.size()) out_->truncated = true;
-      stop_run_ = false;
-      stopped_by_peer_ = false;
-      for (size_t m = 0; m <= max_size && !stop_run_ && !stopped_by_peer_;
-           ++m) {
-        Visit(0, m);
-      }
-      if (stop_run_) {
-        stop_->store(true, std::memory_order_release);
-        return;
-      }
-      if (stopped_by_peer_) return;
+      pending_ = false;
+      if (!VisitValuation()) return false;
     }
+    return false;
   }
 
  private:
@@ -210,6 +397,62 @@ class RepAMemberEnumerator::ShardLoop {
     uint32_t row;  ///< Row of slots_[slot].extras.
     uint32_t template_id;
   };
+
+  /// Visits the members of the current valuation; false when the shard
+  /// must stop.
+  bool VisitValuation() {
+    // Stopped by a peer shard: leave quietly (no terminal event of our
+    // own); the shard that raised the flag recorded the cause.
+    if (stop_->load(std::memory_order_acquire)) return false;
+    if (ParentCancelled()) {
+      Record(ShardOutcome::Event::kTrip,
+             Status::Cancelled("evaluation cancelled"));
+      stop_->store(true, std::memory_order_release);
+      return false;
+    }
+    // Governance (logic/budget.h): the budget's max_members is a *hard*
+    // cap — tripping it is a kResourceExhausted error, unlike the soft
+    // options_.max_members bound, which quietly marks the run
+    // non-exhaustive. The gauge bounds wall time; the "enum" probe is
+    // the fault-injection site for this layer.
+    Status governed = fault::Probe("enum");
+    if (governed.ok()) governed = gauge_.Poll();
+    if (!governed.ok()) {
+      Record(ShardOutcome::Event::kTrip, std::move(governed));
+      stop_->store(true, std::memory_order_release);
+      return false;
+    }
+    Refill();
+    // Extra-value pool: fixed constants + constants of the base (those
+    // of T are in fixed_, so only the nulls' images are new) + fresh
+    // (collision-free names precomputed in the constructor), minted at
+    // the shard's first valuation, where they have always been minted.
+    if (fixed_and_fresh_.empty()) {
+      fixed_and_fresh_ = en_.fixed_;
+      for (const std::string& name : en_.fresh_names_) {
+        fixed_and_fresh_.push_back(universe_->Const(name));
+      }
+      std::sort(fixed_and_fresh_.begin(), fixed_and_fresh_.end());
+    }
+    if (!templates_.empty()) BuildExtras();
+
+    // Visit base u E for subsets E of the universe, in increasing size
+    // (counterexamples tend to be small, and early exit then prunes the
+    // rest).
+    size_t max_size = std::min(extras_.size(), options_.max_extra_tuples);
+    if (max_size < extras_.size()) out_->truncated = true;
+    stop_run_ = false;
+    stopped_by_peer_ = false;
+    for (size_t m = 0; m <= max_size && !stop_run_ && !stopped_by_peer_;
+         ++m) {
+      Visit(0, m);
+    }
+    if (stop_run_) {
+      stop_->store(true, std::memory_order_release);
+      return false;
+    }
+    return !stopped_by_peer_;
+  }
 
   bool ParentCancelled() const {
     return parent_cancel_ != nullptr &&
@@ -326,6 +569,7 @@ class RepAMemberEnumerator::ShardLoop {
       stop_run_ = true;
       return false;
     }
+    if (stats_ != nullptr) ++stats_->enum_members;
     Result<bool> r = fn_(image_);
     if (!r.ok()) {
       Record(ShardOutcome::Event::kTrip, r.status());
@@ -379,9 +623,11 @@ class RepAMemberEnumerator::ShardLoop {
   /// merge time: a kCancelled trip is surfaced only when the caller
   /// really cancelled).
   const std::atomic<bool>* parent_cancel_;
+  EngineStats* stats_;
   Universe* universe_;
   ValuationEnumerator valuations_;
   ValuationOrdinal ordinal_;
+  bool pending_ = false;  ///< Run paused with this valuation unvisited.
 
   Instance image_;
   std::vector<Slot> slots_;
@@ -397,15 +643,6 @@ class RepAMemberEnumerator::ShardLoop {
   bool stop_run_ = false;  ///< This shard recorded a terminal event.
   bool stopped_by_peer_ = false;
 };
-
-void RepAMemberEnumerator::RunShard(const MemberShard& shard,
-                                    const ShardMemberFn& fn,
-                                    std::atomic<bool>* stop,
-                                    std::atomic<uint64_t>* total_members,
-                                    std::atomic<uint64_t>* prefix_tickets,
-                                    ShardOutcome* out) const {
-  ShardLoop(*this, shard, fn, stop, total_members, prefix_tickets, out).Run();
-}
 
 Status RepAMemberEnumerator::RunSharded(size_t shards,
                                         const ShardFnFactory& factory) {
@@ -427,8 +664,9 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     // run is already timed as member-enum.
     MemberShard shard{0, 1, universe_, ctx_};
     ShardMemberFn fn = factory(shard);
-    RunShard(shard, fn, &stop, &total_members, /*prefix_tickets=*/nullptr,
-             &outcomes[0]);
+    ShardLoop(*this, shard, fn, &stop, &total_members,
+              /*prefix_tickets=*/nullptr, &outcomes[0])
+        .Run();
   } else {
     // Fan-out over copy-on-write overlays of the caller's universe. The
     // caller's universe is read-shared for the fan-out's duration; every
@@ -483,21 +721,32 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
         fns.push_back(factory(shard_descs[s]));
       }
     }
-    auto run_shard = [&](size_t s) {
-      obs::ScopedSpan span(shard_ctxs[s].stats, shard_ctxs[s].trace,
-                           obs::kPhaseEnumShard);
-      RunShard(shard_descs[s], fns[s], &stop, &total_members, &prefix_tickets,
-               &outcomes[s]);
-    };
-    {
+    // Shard 0 runs the first prefix on the calling thread before any
+    // worker starts. When that ends the run (a witness, a trip, or no
+    // prefix left), no worker starts: a one-valuation space or a first
+    // witness costs what a sequential run costs. Otherwise shard 0 holds
+    // the next prefix it drew, and the workers draw after it, so no
+    // valuation is visited twice.
+    ShardLoop first(*this, shard_descs[0], fns[0], &stop, &total_members,
+                    &prefix_tickets, &outcomes[0]);
+    const bool fan_out = first.Run(/*first_prefix_only=*/true);
+    if (fan_out) {
       // A scoped pool of our own: submitting intra-job work to the outer
       // exec/ batch pool from inside a job could deadlock (all its
       // workers may be the jobs waiting for these very tasks).
       ThreadPool pool(shards - 1);
       for (size_t s = 1; s < shards; ++s) {
-        pool.Submit([&run_shard, s] { run_shard(s); });
+        pool.Submit([&, s] {
+          obs::ScopedSpan span(shard_ctxs[s].stats, shard_ctxs[s].trace,
+                               obs::kPhaseEnumShard);
+          ShardLoop(*this, shard_descs[s], fns[s], &stop, &total_members,
+                    &prefix_tickets, &outcomes[s])
+              .Run();
+        });
       }
-      run_shard(0);
+      obs::ScopedSpan span(shard_ctxs[0].stats, shard_ctxs[0].trace,
+                           obs::kPhaseEnumShard);
+      first.Run();
     }  // <- pool drained: every shard finished, results visible here.
     if (ctx_ != nullptr && ctx_->trace != nullptr) {
       for (size_t s = 1; s < shards; ++s) {
@@ -506,8 +755,10 @@ Status RepAMemberEnumerator::RunSharded(size_t shards,
     }
     if (ctx_ != nullptr && ctx_->stats != nullptr) {
       for (const EngineStats& st : shard_stats) *ctx_->stats += st;
-      ++ctx_->stats->enum_shard_runs;
-      ctx_->stats->enum_shard_tasks += shards;
+      if (fan_out) {
+        ++ctx_->stats->enum_shard_runs;
+        ctx_->stats->enum_shard_tasks += shards;
+      }
       ++ctx_->stats->frozen_base_reuses;
       ctx_->stats->overlay_mints += shards;
       if (stop.load(std::memory_order_relaxed)) {

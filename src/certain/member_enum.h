@@ -8,7 +8,18 @@
 // (within stated bounds) exact:
 //
 //   * valuations of the nulls are enumerated up to isomorphism fixing a
-//     caller-supplied constant set (genericity; see iso_enum.h);
+//     caller-supplied constant set (genericity; see iso_enum.h), and, for
+//     an all-closed T, up to T's twin symmetries: T's rows split into
+//     components linked by shared nulls and shared constants outside that
+//     set, and components that a bijection maps onto each other (fixing
+//     the set, keeping relations, positions and annotations) are twins.
+//     Interchanging twins is an automorphism of T, and a check that names
+//     only the fixed constants cannot tell a member from its image, so
+//     one valuation per orbit of the group they generate is visited (the
+//     five rows (name_i, @i) of enumerate_12.dx: 174 members, not
+//     10,427). T with open positions or all-open markers keeps the
+//     unreduced enumeration: its extra-tuple universe is cut at
+//     max_universe in an order the twins do not respect;
 //   * "extra" tuples licensed by open positions and all-open markers are
 //     drawn from a finite pool: the fixed constants, the valuated
 //     instance's own constants, and a budget of fresh constants;
@@ -46,8 +57,12 @@
 // worker pool draw valuation prefixes (a partition of the nulls and its
 // first block's image; iso_enum.h) from one shared ticket counter, so
 // uneven prefixes balance themselves and no shard steps through the
-// valuations of another. The caller's Universe is read-shared
-// (Universe::ScopedReadShare) for the fan-out's duration and each shard
+// valuations of another. Shard 0 first runs the first prefix on the
+// calling thread; when that ends the run (a first witness, a trip, a
+// one-prefix space), no worker starts, and otherwise the workers draw
+// the prefixes after the ones shard 0 has taken. The caller's Universe
+// is read-shared (Universe::ScopedReadShare) for the fan-out's duration
+// and each shard
 // mints through its own copy-on-write overlay (Universe::NewOverlay —
 // nothing is cloned; overlay ids continue the base's id spaces, honoring
 // the one-Universe-per-job contract per overlay), every shard probes the
@@ -144,9 +159,14 @@ class RepAMemberEnumerator {
   /// returned visitor then runs on that shard's thread only.
   using ShardFnFactory = std::function<ShardMemberFn(const MemberShard&)>;
 
-  /// `fixed` is the distinguished-constant set (query constants, candidate
-  /// answer constants, ...); valuations are enumerated up to isomorphisms
-  /// fixing it and the constants of T.
+  /// `fixed` holds every constant the caller's check can name (query
+  /// constants, candidate answer constants, the constants of the target
+  /// a composition checks against, ...). Valuations are enumerated up to
+  /// isomorphisms fixing `fixed` and the constants of T, and up to the
+  /// automorphisms of T that fix `fixed` and interchange twins (see
+  /// above): a constant of T outside `fixed` moves only under those. A
+  /// caller whose check tells apart constants it does not pass here gets
+  /// an unsound enumeration.
   ///
   /// `ctx`, when non-null, attaches resource governance (logic/budget.h):
   /// the context budget's hard max_members cap, its deadline/cancellation
@@ -199,18 +219,15 @@ class RepAMemberEnumerator {
   class ShardLoop;
 
   Status RunSharded(size_t shards, const ShardFnFactory& factory);
-  /// Runs one shard over the prefixes it draws from `prefix_tickets`, or
-  /// over every prefix when that is null (shard count 1).
-  void RunShard(const MemberShard& shard, const ShardMemberFn& fn,
-                std::atomic<bool>* stop, std::atomic<uint64_t>* total_members,
-                std::atomic<uint64_t>* prefix_tickets,
-                ShardOutcome* out) const;
 
   const AnnotatedInstance& t_;
   std::vector<Value> fixed_;
   Universe* universe_;
   MemberEnumOptions options_;
   const EngineContext* ctx_;
+  /// T's twins under the caller's fixed constants (iso_enum.h); empty
+  /// when T has open positions or all-open markers.
+  std::vector<TwinClass> twins_;
   /// Names for the fresh extra-value pool, computed once: "#e<i>" skipping
   /// any name already taken by a fixed/instance constant, so a scenario
   /// constant literally named "#e0" can never alias into the pool.

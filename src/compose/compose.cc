@@ -73,8 +73,11 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
 
   OCDX_ASSIGN_OR_RETURN(CanonicalSolution csol,
                         Chase(sigma, source, universe, call_ctx));
-  std::vector<Value> fixed = DistinguishedConstants(
-      {csol.annotated.ActiveDomain(), target.ActiveDomain()}, {&delta});
+  // Each J is checked against W and Delta only, so the search need fix
+  // only their constants; CSolA(S)'s move under its twin symmetries
+  // (member_enum.h).
+  std::vector<Value> fixed =
+      DistinguishedConstants({target.ActiveDomain()}, {&delta});
 
   ComposeVerdict out;
 
@@ -178,46 +181,16 @@ Result<ComposeVerdict> InComposition(const Mapping& sigma,
           return true;
         };
       };
-  auto finish = [&](const RepAMemberEnumerator& en) {
-    bool found = false;
-    for (const auto& s : searches) {
-      out.intermediates_checked += s->checked;
-      found = found || s->found;
-    }
-    out.member = found;
-    out.exhaustive = found || (en.exhausted() && bounds_are_proof);
-    return out;
-  };
-
-  if (np_path && call_ctx.shards > 1) {
-    // Probe before fanning out: check the first intermediate on the
-    // calling thread, as a sequential search would. When it is a witness
-    // or the only valuation, no shard starts, and the search checks what
-    // a one-shard search checks. Otherwise the probe stops at the second
-    // member, unchecked, and the fan-out below starts over.
-    EngineContext probe_ctx = call_ctx;
-    probe_ctx.shards = 1;
-    RepAMemberEnumerator probe(t, fixed, universe, enum_options, &probe_ctx);
-    bool more = false;
-    OCDX_RETURN_IF_ERROR(probe.ForEachMember(
-        [&](const MemberShard& shard) -> RepAMemberEnumerator::ShardMemberFn {
-          return [&more, checked = false, check = factory(shard)](
-                     const Instance& j) mutable -> Result<bool> {
-            if (checked) {
-              more = true;
-              return false;
-            }
-            checked = true;
-            return check(j);
-          };
-        }));
-    if (!more) return finish(probe);
-    // The fan-out checks the first intermediate again; count it once.
-    searches.clear();
-  }
   RepAMemberEnumerator en(t, fixed, universe, enum_options, &call_ctx);
   OCDX_RETURN_IF_ERROR(en.ForEachMember(factory));
-  return finish(en);
+  bool found = false;
+  for (const auto& s : searches) {
+    out.intermediates_checked += s->checked;
+    found = found || s->found;
+  }
+  out.member = found;
+  out.exhaustive = found || (en.exhausted() && bounds_are_proof);
+  return out;
 }
 
 }  // namespace ocdx

@@ -418,10 +418,13 @@ TEST(ComposeShard, NpPathIgnoresSoftMemberCap) {
   EXPECT_TRUE(saw_capped);
 }
 
-// Under --shards>1 the NP paths check their first intermediate before
-// fanning out. A witness there ends the search without starting a shard,
-// after the same checks and chase triggers as a one-shard search; a
-// search that needs more intermediates fans out.
+// Under --shards>1 the member enumerator runs its first prefix (here: the
+// first intermediate) on the calling thread before fanning out. A witness
+// there ends the search without starting a shard, after the same checks
+// and chase triggers as a one-shard search; a search that needs more
+// intermediates fans out, and its shards draw the later prefixes only,
+// so a negative verdict checks each intermediate once, firing exactly the
+// one-shard chase triggers.
 TEST(ComposeShard, NpPathProbesFirstIntermediateBeforeFanningOut) {
   bool saw_probe_witness = false, saw_fan_out = false;
   for (const ComposeCase& c : NpCases()) {
@@ -445,6 +448,12 @@ TEST(ComposeShard, NpPathProbesFirstIntermediateBeforeFanningOut) {
       } else {
         saw_fan_out = true;
         EXPECT_EQ(stats.enum_shard_runs, 1u) << c.name;
+        if (!one.value().member) {
+          EXPECT_EQ(stats.chase_triggers, one_stats.chase_triggers) << c.name;
+          EXPECT_EQ(stats.compose_check_triggers,
+                    one_stats.compose_check_triggers)
+              << c.name;
+        }
       }
     }
   }
@@ -457,8 +466,9 @@ TEST(ComposeShard, NpPathProbesFirstIntermediateBeforeFanningOut) {
 // the composition scenarios above, the Skolem compositions of
 // skolem_test.cc, the .dx corpus and bench_comp_table1's reductions,
 // recorded before the NP path moved onto RepAMemberEnumerator and the
-// Skolem searches onto ForEachInterpretation. A change to the valuation
-// order or to what counts as one intermediate shows here.
+// Skolem searches onto ForEachInterpretation; the NP paths visit one
+// intermediate per orbit of CSol(S)'s twin symmetries. A change to the
+// valuation order or to what counts as one intermediate shows here.
 
 std::string CounterLine(const std::string& name, const ComposeVerdict& v) {
   return StrCat(name, " member=", v.member ? 1 : 0, " exhaustive=",
@@ -702,8 +712,8 @@ sweep1 delta=cl member=1 exhaustive=1 intermediates=595
 sweep1 delta=op member=1 exhaustive=1 intermediates=595
 sweep2 delta=cl member=1 exhaustive=1 intermediates=180
 sweep2 delta=op member=1 exhaustive=1 intermediates=180
-sweep3 delta=cl member=1 exhaustive=1 intermediates=66
-sweep3 delta=op member=1 exhaustive=1 intermediates=66
+sweep3 delta=cl member=1 exhaustive=1 intermediates=65
+sweep3 delta=op member=1 exhaustive=1 intermediates=65
 sweep4 delta=cl member=1 exhaustive=1 intermediates=9
 sweep4 delta=op member=1 exhaustive=1 intermediates=9
 sweep5 delta=cl member=1 exhaustive=1 intermediates=595
@@ -724,7 +734,7 @@ lemma3 F(x^cl, y^cl) :- E(x, y); member=1 exhaustive=1 intermediates=1
 lemma3 F(x^cl, y^op) :- E(x, y); member=1 exhaustive=1 intermediates=1
 lemma3 F(x^op, y^op) :- E(x, y); member=1 exhaustive=1 intermediates=1
 prop6 uniform member=1 exhaustive=1 intermediates=4
-prop6 partial member=0 exhaustive=1 intermediates=5
+prop6 partial member=0 exhaustive=1 intermediates=4
 prop6 two-values member=0 exhaustive=1 intermediates=6
 general F(x^cl, z^op) :- E(x); member=1 exhaustive=1 intermediates=19
 general F(x^cl, z^cl) :- E(x); member=0 exhaustive=1 intermediates=4

@@ -8,14 +8,17 @@
 // whole test tree), so the per-shard Universe-overlay isolation of the
 // sharded paths is race-checked here, not just argued.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,8 +28,10 @@
 #include "logic/engine_context.h"
 #include "logic/evaluator.h"
 #include "logic/parser.h"
+#include "semantics/iso_enum.h"
 #include "text/dx_driver.h"
 #include "text/dx_parser.h"
+#include "util/rng.h"
 #include "util/str.h"
 
 namespace ocdx {
@@ -299,6 +304,296 @@ TEST(MemberEnumShardTest, HardCapAndDeadlineTripExactlyAtOneShard) {
   EXPECT_EQ(seen, 0u);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
   EXPECT_EQ(en.outcome(), EnumOutcome::kTruncated);
+}
+
+// A seeded twin-rich all-closed T over R/2 and S/2: 2-5 copies of each of
+// 1-3 row shapes, every row with 1-2 nulls of its copy. The first row of
+// a shape holds a constant of the copy's own ('k0', 'k1', ... in copy
+// order); other positions draw the copy's nulls, its own constant, or
+// now and then a constant 'g0'/'g1' that every copy shares (which links
+// the copies into one component: no twins). At most five nulls, so the
+// unreduced oracle stays small.
+AnnotatedInstance MakeTwinRichInstance(uint64_t seed, Universe* u) {
+  Rng rng(seed);
+  for (;;) {
+    AnnotatedInstance t;
+    t.GetOrCreate("R", 2);
+    t.GetOrCreate("S", 2);
+    size_t nulls = 0, own = 0;
+    const size_t shapes = rng.Between(1, 3);
+    for (size_t s = 0; s < shapes; ++s) {
+      // A shape: per row its relation and, per position, 0/1 for the
+      // copy's nulls, 2 for its own constant, 3/4 for 'g0'/'g1'.
+      std::vector<std::pair<std::string, std::array<int, 2>>> rows;
+      const size_t n_rows = rng.Between(1, 3);
+      for (size_t r = 0; r < n_rows; ++r) {
+        std::array<int, 2> slots = {
+            r == 0 ? 2
+                   : static_cast<int>(rng.Chance(1, 4) ? 3 + rng.Below(2)
+                                                       : rng.Below(3)),
+            static_cast<int>(rng.Below(2))};
+        if (slots[0] >= 2 && rng.Chance(1, 3)) slots[0] = 1 - slots[1];
+        if (rng.Chance(1, 2)) std::swap(slots[0], slots[1]);
+        rows.emplace_back(rng.Chance(1, 2) ? "R" : "S", slots);
+      }
+      const size_t copies = rng.Between(2, 5);
+      for (size_t c = 0; c < copies; ++c) {
+        const Value mine = u->Const(StrCat("k", own++));
+        const Value copy_nulls[2] = {u->FreshNull(), u->FreshNull()};
+        for (const auto& [rel, slots] : rows) {
+          Tuple tuple;
+          for (int slot : slots) {
+            tuple.push_back(slot < 2    ? copy_nulls[slot]
+                            : slot == 2 ? mine
+                                        : u->Const(StrCat("g", slot - 3)));
+          }
+          t.Add(rel, tuple, {Ann::kClosed, Ann::kClosed});
+        }
+      }
+    }
+    nulls = t.Nulls().size();
+    if (nulls <= 5) return t;
+  }
+}
+
+// "Q holds on every member", from the definitions: every valuation
+// representative fixing `fixed`, applied to rel(T) and evaluated afresh.
+bool HoldsOnEveryValuation(const AnnotatedInstance& t, const FormulaPtr& q,
+                           const std::vector<Value>& fixed, Universe* u) {
+  const Instance plain = t.RelPart();
+  ValuationEnumerator valuations(t.Nulls(), fixed, u);
+  Valuation v;
+  while (valuations.Next(&v)) {
+    Result<bool> holds = Evaluator(v.Apply(plain), *u).Holds(q);
+    EXPECT_TRUE(holds.ok()) << holds.status().ToString();
+    if (!holds.ok() || !holds.value()) return false;
+  }
+  return true;
+}
+
+// Twin reduction against the unreduced enumeration: over seeded twin-rich
+// T's, "Q holds on every member" must come out the same with the query's
+// constants as `fixed` (copies are twins) as with every constant of T
+// added to `fixed` (each copy's own constant is then fixed, so no two
+// copies are twins: the unreduced oracle), at 1, 2 and 4 shards, and the
+// same as a member-by-member check built from the definitions. The
+// queries cover every class the enumerator serves, and some name a copy's
+// own constant or a shared one.
+TEST(MemberEnumShardTest, TwinReductionAgreesWithUnreducedOracle) {
+  const char* kQueries[] = {
+      "forall x o1 o2. (R(x, o1) & R(x, o2)) -> o1 = o2",
+      "exists x y o. R(x, o) & R(y, o) & x != y",
+      "exists x o. R(x, o) & !(exists y. R(y, o) & !(y = x))",
+      "exists x y. R(x, y) | S(x, y)",
+      "exists o. R('k0', o) & S(o, o)",
+      "forall o. R('k1', o) -> !(exists z. S(z, o))",
+      "exists x. R(x, 'g1') | S('g0', x) | R(x, 'k2')",
+      "forall x y. S(x, y) -> (x = 'k0' | exists z. R(z, y))",
+  };
+  uint64_t reduced_members = 0, oracle_members = 0;
+  size_t holds = 0, fails = 0;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Universe u;
+    const AnnotatedInstance t = MakeTwinRichInstance(seed, &u);
+    std::vector<Value> t_constants;
+    for (Value v : t.ActiveDomain()) {
+      if (v.IsConst()) t_constants.push_back(v);
+    }
+    for (const char* text : kQueries) {
+      Result<FormulaPtr> q = ParseFormula(text, &u);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      std::vector<Value> fixed = ConstantsIn(q.value());
+      std::vector<Value> all_fixed = fixed;
+      all_fixed.insert(all_fixed.end(), t_constants.begin(),
+                       t_constants.end());
+      const bool want = HoldsOnEveryValuation(t, q.value(), all_fixed, &u);
+      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+        SCOPED_TRACE(StrCat("seed=", seed, " query=", text,
+                            " shards=", shards));
+        auto every_member = [&](const std::vector<Value>& f,
+                                uint64_t* members) {
+          EngineContext ctx;
+          ctx.EnsureCache();
+          ctx.shards = shards;
+          RepAMemberEnumerator en(t, f, &u, MemberEnumOptions{}, &ctx);
+          std::atomic<bool> counterexample{false};
+          Status st = en.ForEachMember(
+              [&](const MemberShard& shard)
+                  -> RepAMemberEnumerator::ShardMemberFn {
+                return [&, shard](const Instance& member) -> Result<bool> {
+                  Evaluator ev(member, *shard.universe, *shard.ctx);
+                  OCDX_ASSIGN_OR_RETURN(bool ok, ev.Holds(q.value()));
+                  if (!ok) counterexample.store(true);
+                  return ok;
+                };
+              });
+          EXPECT_TRUE(st.ok()) << st.ToString();
+          if (!counterexample.load()) {
+            EXPECT_EQ(en.outcome(), EnumOutcome::kExhausted);
+          }
+          if (shards == 1) *members += en.members_visited();
+          return !counterexample.load();
+        };
+        const bool reduced = every_member(fixed, &reduced_members);
+        const bool oracle = every_member(all_fixed, &oracle_members);
+        EXPECT_EQ(reduced, oracle);
+        EXPECT_EQ(oracle, want);
+        if (shards == 1) ++(want ? holds : fails);
+      }
+    }
+  }
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(fails, 0u);
+  EXPECT_LT(reduced_members, oracle_members);
+}
+
+// Ground instances up to a bijection of their constants outside `fixed`.
+// Invariant() is equal for isomorphic instances; Same() decides by a
+// backtracking match of a's rows onto b's.
+class GroundIsomorphism {
+ public:
+  explicit GroundIsomorphism(std::set<Value> fixed)
+      : fixed_(std::move(fixed)) {}
+
+  /// Sorted rows, each as its relation, its fixed constants and, per
+  /// other value, the value's number of occurrences in the instance and
+  /// its first position in the row.
+  std::string Invariant(const Instance& inst) const {
+    std::map<Value, int> degree;
+    for (const auto& [name, rel] : inst.relations()) {
+      for (TupleRef t : rel.tuples()) {
+        for (Value v : t) ++degree[v];
+      }
+    }
+    std::vector<std::string> rows;
+    for (const auto& [name, rel] : inst.relations()) {
+      for (TupleRef t : rel.tuples()) {
+        std::string row = name;
+        for (size_t p = 0; p < t.size(); ++p) {
+          const size_t first = std::find(t.begin(), t.end(), t[p]) - t.begin();
+          row += fixed_.count(t[p]) > 0
+                     ? StrCat("|=", t[p].raw())
+                     : StrCat("|", degree[t[p]], "@", first);
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    std::string out;
+    for (const std::string& row : rows) out += row + ";";
+    return out;
+  }
+
+  bool Same(const Instance& a, const Instance& b) {
+    a_ = Rows(a);
+    b_ = Rows(b);
+    if (a_.size() != b_.size()) return false;
+    forward_.clear();
+    backward_.clear();
+    trail_.clear();
+    used_.assign(b_.size(), false);
+    return Extend(0);
+  }
+
+ private:
+  using Row = std::pair<std::string, Tuple>;
+
+  static std::vector<Row> Rows(const Instance& inst) {
+    std::vector<Row> rows;
+    for (const auto& [name, rel] : inst.relations()) {
+      for (TupleRef t : rel.tuples()) {
+        rows.emplace_back(name, Tuple(t.begin(), t.end()));
+      }
+    }
+    return rows;
+  }
+
+  bool Bind(Value x, Value y) {
+    if (fixed_.count(x) > 0 || fixed_.count(y) > 0) return x == y;
+    auto it = forward_.find(x);
+    if (it != forward_.end()) return it->second == y;
+    if (!backward_.emplace(y, x).second) return false;
+    forward_.emplace(x, y);
+    trail_.push_back(x);
+    return true;
+  }
+
+  bool Extend(size_t i) {
+    if (i == a_.size()) return true;
+    for (size_t j = 0; j < b_.size(); ++j) {
+      if (used_[j] || b_[j].first != a_[i].first) continue;
+      const size_t mark = trail_.size();
+      bool ok = true;
+      for (size_t p = 0; ok && p < a_[i].second.size(); ++p) {
+        ok = Bind(a_[i].second[p], b_[j].second[p]);
+      }
+      if (ok) {
+        used_[j] = true;
+        if (Extend(i + 1)) return true;
+        used_[j] = false;
+      }
+      while (trail_.size() > mark) {
+        backward_.erase(forward_[trail_.back()]);
+        forward_.erase(trail_.back());
+        trail_.pop_back();
+      }
+    }
+    return false;
+  }
+
+  const std::set<Value> fixed_;
+  std::vector<Row> a_, b_;
+  std::map<Value, Value> forward_, backward_;
+  std::vector<Value> trail_;
+  std::vector<bool> used_;
+};
+
+// Soundness of the reduction, member by member: over the same seeded
+// T's, every member of the unreduced enumeration is isomorphic, by a
+// bijection fixing `fixed`, to some member the reduced one visits. A
+// generic check that names only `fixed` therefore sees every member it
+// would have seen. Fewer members are visited in total.
+TEST(MemberEnumShardTest, TwinReductionKeepsEveryMemberUpToIsomorphism) {
+  uint64_t reduced_total = 0, unreduced_total = 0;
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Universe u;
+    const AnnotatedInstance t = MakeTwinRichInstance(seed, &u);
+    std::vector<Value> t_constants;
+    for (Value v : t.ActiveDomain()) {
+      if (v.IsConst()) t_constants.push_back(v);
+    }
+    for (const std::vector<Value>& fixed :
+         {std::vector<Value>{}, std::vector<Value>{u.Const("k0")},
+          std::vector<Value>{u.Const("g0"), u.Const("k1")}}) {
+      SCOPED_TRACE(StrCat("seed=", seed, " fixed=", fixed.size()));
+      GroundIsomorphism iso(std::set<Value>(fixed.begin(), fixed.end()));
+      std::map<std::string, std::vector<Instance>> reduced;
+      RepAMemberEnumerator en(t, fixed, &u);
+      ASSERT_TRUE(en.ForEachMember([&](const Instance& member) {
+                      reduced[iso.Invariant(member)].push_back(member);
+                      return true;
+                    }).ok());
+      reduced_total += en.members_visited();
+
+      std::vector<Value> all_fixed = fixed;
+      all_fixed.insert(all_fixed.end(), t_constants.begin(),
+                       t_constants.end());
+      const Instance plain = t.RelPart();
+      ValuationEnumerator valuations(t.Nulls(), all_fixed, &u);
+      Valuation v;
+      while (valuations.Next(&v)) {
+        ++unreduced_total;
+        const Instance member = v.Apply(plain);
+        bool found = false;
+        for (const Instance& candidate : reduced[iso.Invariant(member)]) {
+          found = found || iso.Same(member, candidate);
+        }
+        EXPECT_TRUE(found) << "no isomorphic member for valuation "
+                           << unreduced_total;
+      }
+    }
+  }
+  EXPECT_LT(reduced_total, unreduced_total);
 }
 
 // Regression (fresh-constant pool): a scenario constant literally named

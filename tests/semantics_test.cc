@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "certain/member_enum.h"
 #include "chase/canonical.h"
 #include "mapping/rule_parser.h"
 #include "semantics/homomorphism.h"
@@ -514,23 +517,56 @@ TEST_F(SemanticsTest, ValuationEnumeratorMatchesRejectFilterReference) {
 // Enumerators sharing one prefix counter split the valuations between
 // them: driven round-robin (one thread, so the interleaving is fixed),
 // together they yield each sequential valuation exactly once, and their
-// ordinals sort the union back into the sequential order.
+// ordinals sort the union back into the sequential order. The last case
+// reduces by a twin group, so many of its prefixes hold no valuation.
 TEST_F(SemanticsTest, ValuationEnumeratorsSharingPrefixesCoverOnce) {
-  const std::vector<Value> fixed = {u_.Const("a"), u_.Const("b")};
-  for (size_t n : {size_t{0}, size_t{1}, size_t{4}}) {
+  struct Case {
     std::vector<Value> nulls;
-    for (size_t i = 0; i < n; ++i) nulls.push_back(u_.FreshNull());
+    std::vector<Value> fixed;
+    std::vector<TwinClass> twins;
+  };
+  std::vector<Case> cases;
+  for (size_t n : {size_t{0}, size_t{1}, size_t{4}}) {
+    Case c;
+    for (size_t i = 0; i < n; ++i) c.nulls.push_back(u_.FreshNull());
+    c.fixed = {u_.Const("a"), u_.Const("b")};
+    cases.push_back(std::move(c));
+  }
+  {
+    // Rows (c_i, n_i): the four rows are twins.
+    Case c;
+    TwinClass twin;
+    for (int i = 0; i < 4; ++i) {
+      c.nulls.push_back(u_.FreshNull());
+      c.fixed.push_back(u_.Const(StrCat("c", i)));
+      twin.members.push_back({c.fixed.back(), c.nulls.back()});
+    }
+    c.fixed.push_back(u_.Const("a"));
+    c.twins.push_back(std::move(twin));
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    const size_t n = c.nulls.size();
     std::vector<std::vector<Value>> sequential;
-    ValuationEnumerator seq(nulls, fixed, &u_);
-    while (seq.Advance()) sequential.push_back(seq.images());
+    std::set<uint64_t> nonempty;
+    ValuationEnumerator seq(c.nulls, c.fixed, &u_, nullptr, c.twins);
+    while (seq.Advance()) {
+      sequential.push_back(seq.images());
+      nonempty.insert(seq.ordinal().prefix);
+    }
+    if (!c.twins.empty()) {
+      EXPECT_LT(nonempty.size(), *nonempty.rbegin() + 1)
+          << "some prefix must hold no valuation";
+    }
 
     for (size_t k : {size_t{2}, size_t{3}, size_t{8}}) {
-      SCOPED_TRACE(StrCat("nulls=", n, " enumerators=", k));
+      SCOPED_TRACE(StrCat("nulls=", n, " twins=", c.twins.size(),
+                          " enumerators=", k));
       std::atomic<uint64_t> tickets{0};
       std::vector<std::unique_ptr<ValuationEnumerator>> ens;
       for (size_t i = 0; i < k; ++i) {
-        ens.push_back(
-            std::make_unique<ValuationEnumerator>(nulls, fixed, &u_, &tickets));
+        ens.push_back(std::make_unique<ValuationEnumerator>(
+            c.nulls, c.fixed, &u_, &tickets, c.twins));
       }
       std::vector<std::pair<ValuationOrdinal, std::vector<Value>>> seen;
       std::vector<bool> done(k, false);
@@ -557,9 +593,128 @@ TEST_F(SemanticsTest, ValuationEnumeratorsSharingPrefixesCoverOnce) {
         }
       }
       if (n == 4) {
-        EXPECT_EQ(producers.size(), k);  // 45 prefixes to share.
+        EXPECT_EQ(producers.size(), k);  // 45 or more prefixes to share.
       }
     }
+  }
+}
+
+// --- Twin symmetry -----------------------------------------------------------
+
+// k rows (c_i, n_i) whose constants no check names: the k rows are twins,
+// and the symmetric group on them swaps nulls and constants together.
+struct TwinRows {
+  std::vector<Value> nulls;
+  std::vector<Value> constants;
+  TwinClass twin;
+};
+
+TwinRows MakeTwinRows(size_t k, Universe* u) {
+  TwinRows rows;
+  for (size_t i = 0; i < k; ++i) {
+    rows.nulls.push_back(u->FreshNull());
+    rows.constants.push_back(u->Const(StrCat("c", i)));
+    rows.twin.members.push_back({rows.constants.back(), rows.nulls.back()});
+  }
+  return rows;
+}
+
+// A valuation up to the renaming of fresh constants: per null, a named
+// constant, or the number of the fresh constant in order of first use.
+std::vector<uint64_t> IsoKey(const std::vector<Value>& images,
+                             const std::vector<Value>& named) {
+  std::vector<uint64_t> key;
+  std::map<Value, uint64_t> fresh;
+  for (Value v : images) {
+    if (std::find(named.begin(), named.end(), v) != named.end()) {
+      key.push_back(v.raw());
+    } else {
+      key.push_back(UINT64_MAX - fresh.emplace(v, fresh.size()).first->second);
+    }
+  }
+  return key;
+}
+
+// The orbit counts of k twin rows: 20, 61 and 174 lex-least valuations
+// for k = 3, 4, 5, where the unreduced enumeration yields 77, 799 and
+// 10,427. RepAMemberEnumerator finds the same twins in the instance
+// itself and visits one member per orbit.
+TEST_F(SemanticsTest, TwinRowsYieldOneValuationPerOrbit) {
+  const std::map<size_t, std::pair<uint64_t, uint64_t>> want = {
+      {3, {77, 20}}, {4, {799, 61}}, {5, {10427, 174}}};
+  for (const auto& [k, counts] : want) {
+    SCOPED_TRACE(StrCat("k=", k));
+    Universe u;
+    TwinRows rows = MakeTwinRows(k, &u);
+    uint64_t unreduced = 0, reduced = 0;
+    ValuationEnumerator all(rows.nulls, rows.constants, &u);
+    while (all.Advance()) ++unreduced;
+    ValuationEnumerator orbits(rows.nulls, rows.constants, &u, nullptr,
+                               {rows.twin});
+    while (orbits.Advance()) ++reduced;
+    EXPECT_EQ(unreduced, counts.first);
+    EXPECT_EQ(reduced, counts.second);
+
+    AnnotatedInstance t;
+    for (size_t i = 0; i < k; ++i) {
+      t.Add("R", {rows.constants[i], rows.nulls[i]},
+            {Ann::kClosed, Ann::kClosed});
+    }
+    for (bool named : {false, true}) {
+      // Naming the constants fixes them: the rows are no longer twins.
+      RepAMemberEnumerator en(t, named ? rows.constants : std::vector<Value>{},
+                              &u);
+      ASSERT_TRUE(en.ForEachMember([](const Instance&) { return true; }).ok());
+      EXPECT_EQ(en.members_visited(), named ? counts.first : counts.second);
+    }
+  }
+}
+
+// Brute force over all k! elements of the group: every unreduced
+// representative maps onto exactly one reduced representative.
+TEST_F(SemanticsTest, EveryValuationMapsOntoExactlyOneTwinRepresentative) {
+  for (size_t k : {size_t{2}, size_t{3}, size_t{4}}) {
+    SCOPED_TRACE(StrCat("k=", k));
+    Universe u;
+    TwinRows rows = MakeTwinRows(k, &u);
+    std::vector<Value> named = rows.constants;
+    named.push_back(u.Const("a"));  // Fixed by every element.
+    std::set<std::vector<uint64_t>> reduced;
+    ValuationEnumerator orbits(rows.nulls, named, &u, nullptr, {rows.twin});
+    while (orbits.Advance()) {
+      EXPECT_TRUE(reduced.insert(IsoKey(orbits.images(), named)).second);
+    }
+    std::vector<size_t> sigma(k);
+    std::iota(sigma.begin(), sigma.end(), 0);
+    std::vector<std::vector<size_t>> group;
+    do {
+      group.push_back(sigma);
+    } while (std::next_permutation(sigma.begin(), sigma.end()));
+
+    size_t unreduced = 0;
+    ValuationEnumerator all(rows.nulls, named, &u);
+    while (all.Advance()) {
+      ++unreduced;
+      const std::vector<Value>& v = all.images();
+      std::set<std::vector<uint64_t>> hits;
+      for (const std::vector<size_t>& g : group) {
+        // The element maps row i onto row g[i]: the image valuation
+        // sends n_{g[i]} to the image of v(n_i) (c_i -> c_{g[i]}).
+        std::vector<Value> image(k);
+        for (size_t i = 0; i < k; ++i) {
+          Value w = v[i];
+          auto c = std::find(rows.constants.begin(), rows.constants.end(), w);
+          if (c != rows.constants.end()) {
+            w = rows.constants[g[c - rows.constants.begin()]];
+          }
+          image[g[i]] = w;
+        }
+        std::vector<uint64_t> key = IsoKey(image, named);
+        if (reduced.count(key) > 0) hits.insert(key);
+      }
+      EXPECT_EQ(hits.size(), 1u) << "valuation " << unreduced;
+    }
+    EXPECT_LT(reduced.size(), unreduced);
   }
 }
 
